@@ -233,9 +233,11 @@ def cmd_jsr(args) -> int:
     mk = MkConstraint(args.m, args.K)
     if args.jobs > 1 and len(system.modes) > 1:
         depth = 1
-        while depth < min(args.length, 10) and len(admissible_prefixes(mk, depth)) < 2 * args.jobs:
+        while (depth < min(args.length, 10)
+               and len(admissible_prefixes(mk, depth, args.length)) < 2 * args.jobs):
             depth += 1
-        prefixes = admissible_prefixes(mk, depth)
+        # descending, the search's own order, so ties resolve as in one process
+        prefixes = admissible_prefixes(mk, depth, args.length)[::-1]
         payloads = [(system, mk, args.length, args.max_length, prefix) for prefix in prefixes]
         best = (-1.0, (), 0)
         total = 0

@@ -2,15 +2,28 @@
 
 Sequences are plain tuples of mode ids. The (m,K) constraint is evaluated
 over every window of K consecutive entries that lies fully inside the
-sequence. Exhaustive enumeration walks the automaton whose state is the
-last K-1 symbols, pruning a branch as soon as the newest complete window
-overflows; the same automaton yields exact sequence counts by dynamic
-programming without enumerating.
+sequence.
+
+Counting, enumeration and the spectral-radius search run on one window
+automaton (:func:`_window_automaton`). Its state is the bitmask of the last
+K-1 symbols; appending a symbol forms a K-symbol window, and the step is
+admissible iff that window holds at most ``m_bar`` skips. A sequence of at
+least K symbols puts every symbol inside a complete window, so the test
+applies from the first symbol on (missing history counts as executes) and
+no walk enters a branch that cannot be completed; shorter sequences hold no
+complete window and are unconstrained.
+
+- :func:`count_mk_sequences` propagates a vector of per-state counts (exact
+  integers) through the automaton, without enumerating.
+- :func:`enumerate_mk_sequences` walks it depth-first, in ascending order.
+- :func:`averaged_spectral_radius` walks it level by level: each frontier
+  block is multiplied by both mode matrices with one stacked matmul, and
+  the complete products go through the batched eigensolver. Blocks are
+  capped in size and taken depth-first, so memory stays bounded.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -24,8 +37,8 @@ from .model import SystemModel
 ENUMERATION_CAP = 24
 #: Largest supported window for enumeration (automaton state is 2^(K-1)).
 MAX_WINDOW = 12
-#: Leaf products are flushed through the batched eigensolver in chunks.
-EIG_CHUNK = 65536
+#: Default byte budget of one block of products in the batched search.
+EIG_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -77,22 +90,50 @@ def worst_case_sequence(mk: MkConstraint, length: int) -> tuple[int, ...]:
     return tuple(1 if (k % mk.K) < mk.m_bar else 0 for k in range(length))
 
 
+def _window_automaton(mk: MkConstraint, length: int) -> np.ndarray:
+    """Successor table of the (m,K) window automaton for sequences of ``length``.
+
+    Only the states reachable from the empty history (state 0) are numbered,
+    breadth-first, so a window that admits few skips stays small at any K.
+    Entry ``[sym, state]`` is the state after appending ``sym``, or -1 when
+    that step is inadmissible.
+    """
+    K = mk.K
+    limit = mk.m_bar if length >= K else K
+    keep = (1 << (K - 1)) - 1
+    number = {0: 0}
+    masks = [0]
+    table: tuple[list[int], list[int]] = ([], [])
+    for mask in masks:  # grows while it is walked: breadth-first discovery
+        for sym in (0, 1):
+            window = (mask << 1) | sym
+            if window.bit_count() > limit:
+                table[sym].append(-1)
+                continue
+            successor = window & keep
+            if successor not in number:
+                number[successor] = len(masks)
+                masks.append(successor)
+            table[sym].append(number[successor])
+    return np.array(table)
+
+
 def count_mk_sequences(mk: MkConstraint, length: int) -> int:
     """Exact number of admissible binary sequences of the given length."""
     if length < 0:
         raise ParameterError(f"length must be >= 0, got {length}")
-    K, m_bar = mk.K, mk.m_bar
-    states: dict[tuple[int, ...], int] = {(): 1}
+    if length < mk.K:
+        return 2**length  # no complete window
+    table = _window_automaton(mk, length)
+    steps = [(row[row >= 0], np.flatnonzero(row >= 0)) for row in table]
+    counts = np.zeros(table.shape[1], dtype=object)  # Python ints: exact
+    counts[0] = 1
     for _ in range(length):
-        successors: dict[tuple[int, ...], int] = defaultdict(int)
-        for state, count in states.items():
-            for sym in (0, 1):
-                if len(state) == K - 1 and sum(state) + sym > m_bar:
-                    continue
-                key = (state + (sym,))[-(K - 1):] if K > 1 else ()
-                successors[key] += count
-        states = dict(successors)
-    return sum(states.values())
+        following = np.zeros_like(counts)
+        for targets, sources in steps:
+            np.add.at(following, targets, counts[sources])
+        counts = following
+    return int(counts.sum())
 
 
 def _check_enumeration_caps(mk: MkConstraint, length: int, max_length: int) -> None:
@@ -112,37 +153,45 @@ def _check_enumeration_caps(mk: MkConstraint, length: int, max_length: int) -> N
         )
 
 
+def _paths(table: np.ndarray, depth: int) -> Iterator[tuple[int, ...]]:
+    """Every admissible path of ``depth`` symbols from state 0, ascending."""
+    table = table.tolist()
+    symbols = [0] * depth
+    stack = [(0, 0, 0)]  # (symbols fixed, state, the last fixed symbol)
+    while stack:
+        fixed, state, sym = stack.pop()
+        if fixed:
+            symbols[fixed - 1] = sym
+        if fixed == depth:
+            yield tuple(symbols)
+            continue
+        for sym in (1, 0):  # pushed last, popped first: ascending order
+            successor = table[sym][state]
+            if successor >= 0:
+                stack.append((fixed + 1, successor, sym))
+
+
 def enumerate_mk_sequences(mk: MkConstraint, length: int,
                            max_length: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield every admissible binary sequence of the given length, each once."""
+    """Yield every admissible binary sequence of the given length once, ascending."""
     _check_enumeration_caps(mk, length, max_length)
-    K, m_bar = mk.K, mk.m_bar
-    prefix: list[int] = []
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        window = prefix[-(K - 1):] if K > 1 else []
-        complete = len(window) == K - 1
-        base = sum(window)
-        for sym in (0, 1):
-            if complete and base + sym > m_bar:
-                continue
-            prefix.append(sym)
-            yield from extend()
-            prefix.pop()
-
-    yield from extend()
+    return _paths(_window_automaton(mk, length), length)
 
 
-def admissible_prefixes(mk: MkConstraint, depth: int) -> list[tuple[int, ...]]:
-    """All admissible prefixes of exactly ``depth`` symbols.
+def admissible_prefixes(mk: MkConstraint, depth: int,
+                        length: int | None = None) -> list[tuple[int, ...]]:
+    """The first ``depth`` symbols of the admissible sequences of ``length``.
 
-    Together the subtrees below these prefixes partition the full
-    enumeration, which makes them natural units for parallel evaluation.
+    ``length`` defaults to ``depth``. The prefixes come in ascending order,
+    each once. Together the subtrees below them partition the admissible
+    sequences of ``length``, which makes them natural units for parallel
+    evaluation.
     """
-    return list(enumerate_mk_sequences(mk, depth, max_length=depth))
+    length = depth if length is None else length
+    _check_enumeration_caps(mk, depth, depth)
+    if depth > length:
+        raise ParameterError(f"prefix depth {depth} exceeds sequence length {length}")
+    return list(_paths(_window_automaton(mk, length), depth))
 
 
 def random_mk_sequence(mk: MkConstraint, length: int, rng,
@@ -188,14 +237,28 @@ class JsrResult:
 def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
                              max_length: int = ENUMERATION_CAP,
                              prefix: Sequence[int] = (),
-                             eig_chunk: int = EIG_CHUNK) -> JsrResult:
+                             eig_chunk: int | None = None) -> JsrResult:
     """Maximum of ``spectral_radius(product)^(1/L)`` over admissible sequences.
 
-    Walks the window automaton depth-first with incremental products and
-    evaluates leaf products through a batched eigensolver. ``prefix`` pins
-    the first symbols, restricting the search to one subtree (the parallel
-    work-unit contract); results from a prefix partition combine by max on
-    ``rho_hat`` and sum on ``count``.
+    Walks the window automaton level by level. A block is a run of
+    consecutive frontier nodes at one depth; expanding it multiplies every
+    product by both mode matrices in one stacked matmul, placing each
+    node's skip child before its execute child, so the frontier stays in
+    descending lexicographic order (first symbol most significant). A block
+    of complete products goes through the batched eigensolver.
+
+    ``eig_chunk`` caps the products per block; by default, as many as fit
+    in ``EIG_CHUNK_BYTES``. A block is halved until its children fit in
+    one block, and the halves are taken depth-first, so the walk holds at
+    most one block of products per level.
+
+    Ties go to the first maximiser in descending order: the first
+    ``argmax`` within a block, a strictly larger radius across blocks.
+
+    ``prefix`` pins the first symbols, restricting the search to one
+    subtree (the parallel work-unit contract); results from a prefix
+    partition combine by ``sum`` on ``count`` and by ``max`` on ``rho_hat``,
+    taking the prefixes in descending order to keep the tie rule.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
@@ -211,62 +274,63 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
         raise UnsupportedConfigurationError(
             f"(m,K) sequence search covers binary mode sets, got modes {sorted(declared)}"
         )
+    if eig_chunk is None:
+        eig_chunk = max(1, EIG_CHUNK_BYTES // (8 * system.n**2))
+    if eig_chunk < 1:
+        raise ParameterError(f"eig_chunk must be >= 1, got {eig_chunk}")
 
     prefix = _as_binary(prefix)
     if len(prefix) > length:
         raise ParameterError(f"prefix length {len(prefix)} exceeds sequence length {length}")
     if not validate_mk(prefix, mk):
         raise ParameterError("prefix violates the (m,K) constraint")
-    K, m_bar = mk.K, mk.m_bar
-    A = system.modes
-    matrices = (A[0], A[1])
+    table = _window_automaton(mk, length)
+    state = 0
+    for sym in prefix:
+        state = int(table[sym, state])
+        if state < 0:
+            raise ParameterError("no admissible sequence extends the given prefix")
+    execute, skip = system.modes[0], system.modes[1]
+    # bit i of a node's packed bits is symbol i; wider than int64 past 63 symbols
+    bits_dtype = np.int64 if length <= 63 else object
 
     best_radius = -1.0
     best_bits = 0
     count = 0
-    buffer_products: list[np.ndarray] = []
-    buffer_bits: list[int] = []
-
-    def flush() -> None:
-        nonlocal best_radius, best_bits, count
-        if not buffer_products:
-            return
-        stacked = np.stack(buffer_products)
-        radii = np.abs(np.linalg.eigvals(stacked)).max(axis=1)
-        top = int(np.argmax(radii))
-        if radii[top] > best_radius:
-            best_radius = float(radii[top])
-            best_bits = buffer_bits[top]
-        count += len(buffer_products)
-        buffer_products.clear()
-        buffer_bits.clear()
-
-    start_window = prefix[-(K - 1):] if K > 1 else ()
-    start_product = transition_product(system, prefix)
-    start_bits = sum(sym << i for i, sym in enumerate(prefix))
-    # stack entries: (depth, last K-1 symbols, their sum, product, packed bits)
-    stack = [(len(prefix), start_window, sum(start_window), start_product, start_bits)]
+    # blocks: (depth, products, automaton states, packed bits), last popped first
+    stack = [(len(prefix), transition_product(system, prefix)[np.newaxis],
+              np.array([state]),
+              np.array([sum(sym << i for i, sym in enumerate(prefix))], dtype=bits_dtype))]
     while stack:
-        depth, window, window_sum, product, bits = stack.pop()
-        if depth == length:
-            buffer_products.append(product)
-            buffer_bits.append(bits)
-            if len(buffer_products) >= eig_chunk:
-                flush()
+        depth, products, states, bits = stack.pop()
+        if len(states) > (eig_chunk if depth == length else max(1, eig_chunk // 2)):
+            half = len(states) // 2
+            stack.append((depth, products[half:], states[half:], bits[half:]))
+            stack.append((depth, products[:half], states[:half], bits[:half]))
             continue
-        complete = len(window) == K - 1
-        for sym in (0, 1):
-            if complete and window_sum + sym > m_bar:
-                continue
-            if K > 1:
-                new_window = (window + (sym,))[-(K - 1):]
-                new_sum = window_sum + sym - (window[0] if complete else 0)
-            else:
-                new_window, new_sum = (), 0
-            stack.append((depth + 1, new_window, new_sum,
-                          matrices[sym] @ product, bits | (sym << depth)))
-    flush()
-    if count == 0:
-        raise ParameterError("no admissible sequence extends the given prefix")
+        if depth == length:
+            radii = np.abs(np.linalg.eigvals(products)).max(axis=1)
+            top = int(np.argmax(radii))
+            if radii[top] > best_radius:
+                best_radius = float(radii[top])
+                best_bits = int(bits[top])
+            count += len(radii)
+            continue
+        # an execute adds no skip, so every reachable state may execute; each
+        # execute child lands after its own and all earlier skip children
+        can_skip = table[1, states] >= 0
+        at_execute = np.arange(len(states)) + np.cumsum(can_skip)
+        at_skip = at_execute[can_skip] - 1
+        size = len(states) + len(at_skip)
+        child_products = np.empty((size,) + products.shape[1:])
+        child_products[at_execute] = np.matmul(execute, products)
+        child_products[at_skip] = np.matmul(skip, products[can_skip])
+        child_states = np.empty(size, dtype=states.dtype)
+        child_states[at_execute] = table[0, states]
+        child_states[at_skip] = table[1, states[can_skip]]
+        child_bits = np.empty(size, dtype=bits_dtype)
+        child_bits[at_execute] = bits
+        child_bits[at_skip] = bits[can_skip] | (1 << depth)
+        stack.append((depth + 1, child_products, child_states, child_bits))
     sequence = tuple((best_bits >> i) & 1 for i in range(length))
     return JsrResult(best_radius ** (1.0 / length), sequence, count)

@@ -210,11 +210,30 @@ class TestJsrCommand:
         assert "sequences evaluated: 55" in out
 
     def test_parallel_matches_serial(self, demo_path, capsys):
-        code = run(["jsr", demo_path, "--m", "1", "--K", "2", "--length", "10",
-                    "--jobs", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "sequences evaluated: 144" in out
+        # (2,4) L=12 ties between the skip-first and execute-first patterns
+        outputs = []
+        for jobs in ("1", "2"):
+            code = run(["jsr", demo_path, "--m", "2", "--K", "4", "--length", "12",
+                        "--jobs", jobs])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "attained by sigma = 1,1,0,0,1,1,0,0,1,1,0,0" in outputs[0]
+        assert "sequences evaluated: 838" in outputs[0]
+
+    @pytest.mark.parametrize("m, K", [(1, 3), (2, 3), (3, 4)])
+    def test_parallel_matches_serial_on_scalar_ties(self, m, K, tmp_path, capsys):
+        # halving and doubling cancel, so many sequences tie; with m_bar < K-1
+        # some short prefixes admit no completion
+        path = tmp_path / "halve-double.json"
+        save_system(SystemModel(modes={0: [[0.5]], 1: [[2.0]]}), path)
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            code = run(["jsr", str(path), "--m", str(m), "--K", str(K), "--length", "9",
+                        "--jobs", jobs])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_cap_exceeded(self, demo_path, capsys):
         code = run(["jsr", demo_path, "--m", "1", "--K", "13", "--length", "4"])

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrate import (
     MkConstraint,
@@ -19,6 +23,8 @@ from convrate import counterexample
 from convrate.sequences import admissible_prefixes
 
 DEMO = counterexample.system()
+#: The scalar system whose skip and execute rates cancel exactly in pairs.
+HALVE_DOUBLE = SystemModel(modes={0: [[0.5]], 1: [[2.0]]})
 
 
 def naive_admissible(mk, length):
@@ -28,6 +34,42 @@ def naive_admissible(mk, length):
         if all(sum(seq[s:s + mk.K]) <= mk.m_bar for s in range(length - mk.K + 1)):
             out.append(seq)
     return out
+
+
+def naive_count(mk, length):
+    """Filter all 2^length binary sequences by their K-window sums."""
+    bits = (np.arange(2**length)[:, None] >> np.arange(length)) & 1
+    ends = np.cumsum(np.pad(bits, ((0, 0), (1, 0))), axis=1)
+    windows = ends[:, mk.K:] - ends[:, :-mk.K]
+    return int(np.count_nonzero((windows <= mk.m_bar).all(axis=1)))
+
+
+def reference_search(system, mk, length):
+    """Every admissible sequence with its product radius, descending order."""
+    out = []
+    for seq in itertools.product((1, 0), repeat=length):
+        if validate_mk(seq, mk):
+            product = transition_product(system, seq)
+            out.append((float(np.max(np.abs(np.linalg.eigvals(product)))), seq))
+    return out
+
+
+@st.composite
+def search_cases(draw, modes):
+    K = draw(st.integers(1, 5))
+    mk = MkConstraint(draw(st.integers(0, K)), K)
+    return draw(modes), mk, draw(st.integers(1, 10))
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 3))
+    flat = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=n * n, max_size=n * n)
+    return tuple(np.reshape(draw(flat), (n, n)) for _ in range(2))
+
+
+power_of_two_scalars = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda exps: (np.array([[2.0**exps[0]]]), np.array([[2.0**exps[1]]])))
 
 
 class TestValidate:
@@ -90,6 +132,7 @@ class TestEnumerate:
         assert len(set(seqs)) == len(seqs)
         assert sorted(seqs) == sorted(naive_admissible(mk, length))
         assert all(validate_mk(seq, mk) for seq in seqs)
+        assert seqs == sorted(seqs)
         assert count_mk_sequences(mk, length) == len(seqs)
 
     def test_length_cap(self):
@@ -101,6 +144,35 @@ class TestEnumerate:
     def test_window_cap(self):
         with pytest.raises(ResourceCapError, match="window"):
             list(enumerate_mk_sequences(MkConstraint(1, 13), 4))
+
+    def test_prefixes_extend_to_length(self):
+        # at most one skip per 4-window: "1,1" cannot start a sequence of 4 or more
+        mk = MkConstraint(3, 4)
+        assert admissible_prefixes(mk, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert admissible_prefixes(mk, 2, 3) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert admissible_prefixes(mk, 2, 6) == [(0, 0), (0, 1), (1, 0)]
+        with pytest.raises(ParameterError, match="depth"):
+            admissible_prefixes(mk, 4, 3)
+
+
+class TestCount:
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_matches_naive_count(self, K):
+        for m in range(K + 1):
+            mk = MkConstraint(m, K)
+            for length in range(15):
+                assert count_mk_sequences(mk, length) == naive_count(mk, length), (mk, length)
+
+    def test_refusal_count_is_exact(self):
+        assert count_mk_sequences(MkConstraint(6, 12), 200) == (
+            485572847851254639676419031054289827353272136186976325)
+
+    def test_short_sequences_are_unconstrained(self):
+        assert count_mk_sequences(MkConstraint(1, 40), 30) == 2**30
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ParameterError):
+            count_mk_sequences(MkConstraint(1, 2), -1)
 
 
 class TestRandomSequences:
@@ -198,7 +270,57 @@ class TestAveragedSpectralRadius:
 
     def test_chunked_flush_matches(self):
         mk = MkConstraint(1, 2)
-        small = averaged_spectral_radius(DEMO, mk, 10, eig_chunk=7)
         big = averaged_spectral_radius(DEMO, mk, 10)
-        assert small.rho_hat == big.rho_hat
-        assert small.count == big.count
+        for eig_chunk in (1, 2, 7):
+            small = averaged_spectral_radius(DEMO, mk, 10, eig_chunk=eig_chunk)
+            assert small.rho_hat == big.rho_hat
+            assert small.sequence == big.sequence
+            assert small.count == big.count
+
+    def test_eig_chunk_must_be_positive(self):
+        with pytest.raises(ParameterError, match="eig_chunk"):
+            averaged_spectral_radius(DEMO, MkConstraint(1, 2), 4, eig_chunk=0)
+
+    def test_dead_prefix_rejected(self):
+        # "1,1" passes validate_mk but no 4-window after it holds one skip
+        with pytest.raises(ParameterError, match="extends"):
+            averaged_spectral_radius(DEMO, MkConstraint(3, 4), 6, prefix=(1, 1))
+
+    def test_hard_real_time_past_63_symbols(self):
+        result = averaged_spectral_radius(DEMO, MkConstraint(2, 2), 70, max_length=70)
+        assert result.sequence == (0,) * 70
+        assert result.count == 1
+
+    @pytest.mark.parametrize("length", [63, 64, 70])
+    def test_attaining_sequence_past_63_symbols(self, length):
+        # skip/execute alternation attains the maximum; the free tail sets bits >= 59
+        alternating = tuple(1 - i % 2 for i in range(length))
+        result = averaged_spectral_radius(HALVE_DOUBLE, MkConstraint(1, 2), length,
+                                          max_length=length, prefix=alternating[:-4])
+        assert result.sequence == alternating
+        assert result.count == (5 if length % 2 else 8)
+        assert result.rho_hat == pytest.approx(2.0 ** ((length % 2) / length), rel=1e-12)
+
+    @given(search_cases(matrix_pairs()))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, case):
+        (A0, A1), mk, length = case
+        system = SystemModel(modes={0: A0, 1: A1})
+        reference = reference_search(system, mk, length)
+        result = averaged_spectral_radius(system, mk, length)
+        assert result.count == len(reference)
+        best = max(radius for radius, _ in reference)
+        assert result.rho_hat == pytest.approx(best ** (1 / length), rel=1e-12)
+        assert validate_mk(result.sequence, mk)
+
+    @given(search_cases(power_of_two_scalars), st.sampled_from([None, 1, 2, 3, 7]))
+    @settings(max_examples=80, deadline=None)
+    def test_tie_rule(self, case, eig_chunk):
+        # power-of-two products are exact, so ties are exact: the first
+        # maximiser in descending order is the greatest of the maximisers
+        (A0, A1), mk, length = case
+        system = SystemModel(modes={0: A0, 1: A1})
+        radius, sequence = max(reference_search(system, mk, length))
+        result = averaged_spectral_radius(system, mk, length, eig_chunk=eig_chunk)
+        assert result.sequence == sequence
+        assert result.rho_hat == radius ** (1 / length)
