@@ -46,8 +46,6 @@ from .nominal import (
     NominalCertificate,
     RhoValidation,
     build_nominal_abstraction,
-    compute_alpha_min,
-    compute_k_tilde,
     nominal_certificate,
     sweep_rho,
     validate_rho,
@@ -60,7 +58,6 @@ from .scheduler import (
     exponential_state,
     greedy_policy,
     kappa_hat_step,
-    practical_admissible_modes,
     practical_state,
     practical_step,
     random_policy,

@@ -24,6 +24,7 @@ from .errors import (
     NoStableSolutionError,
     NotPositiveDefiniteError,
     NumericError,
+    ParameterError,
 )
 
 #: Tolerance for symmetry checks ahead of factorizations.
@@ -55,13 +56,25 @@ def spectral_norm(A) -> float:
 
     Exact for the zero matrix (returns 0.0).
     """
-    A = as_square_matrix(A, "A")
-    gram = A.T @ A
+    return top_singular_value(as_square_matrix(A, "A"))
+
+
+def top_singular_value(A: np.ndarray) -> float:
+    """:func:`spectral_norm` of a matrix already validated by the caller."""
     try:
-        eigs = np.linalg.eigvalsh(gram)
+        eigs = np.linalg.eigvalsh(A.T @ A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed on A.T @ A: {exc}") from exc
     return float(np.sqrt(max(float(eigs[-1]), 0.0)))
+
+
+def check_psd(Q: np.ndarray, name: str, tol: float = 1e-10) -> None:
+    """Raise :class:`ParameterError` unless ``Q`` is symmetric positive semidefinite."""
+    scale = max(1.0, float(np.max(np.abs(Q))))
+    if float(np.max(np.abs(Q - Q.T))) > tol * scale:
+        raise ParameterError(f"{name} must be symmetric")
+    if float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0]) < -tol * scale:
+        raise ParameterError(f"{name} must be positive semidefinite")
 
 
 def eigenvalues(A) -> np.ndarray:

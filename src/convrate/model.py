@@ -15,18 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
-from .linalg import as_square_matrix
+from .linalg import as_square_matrix, check_psd, cholesky
 
 #: Construction methods an AbstractionParams can carry.
 METHODS = ("nominal", "robustness", "lyapunov")
-
-
-def _check_psd(Q: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    scale = max(1.0, float(np.max(np.abs(Q))))
-    if float(np.max(np.abs(Q - Q.T))) > tol * scale:
-        raise ParameterError(f"{name} must be symmetric")
-    if float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0]) < -tol * scale:
-        raise ParameterError(f"{name} must be positive semidefinite")
 
 
 @dataclass
@@ -85,7 +77,7 @@ class SystemModel:
                     f"cost_weight is {self.cost_weight.shape[0]}x"
                     f"{self.cost_weight.shape[0]}, expected {n}x{n}"
                 )
-            _check_psd(self.cost_weight, "cost_weight")
+            check_psd(self.cost_weight, "cost_weight")
         if self.lipschitz is not None:
             self.lipschitz = float(self.lipschitz)
             if not (self.lipschitz >= 0.0 and math.isfinite(self.lipschitz)):
@@ -168,8 +160,6 @@ class AbstractionParams:
         if self.lyapunov_P is not None:
             self.lyapunov_P = as_square_matrix(self.lyapunov_P, "lyapunov_P")
             try:
-                from .linalg import cholesky
-
                 cholesky(self.lyapunov_P)
             except NotPositiveDefiniteError as exc:
                 raise ParameterError(f"lyapunov_P must be positive definite: {exc}") from None
@@ -182,8 +172,3 @@ class AbstractionParams:
             return self.rho[mode]
         except KeyError:
             raise KeyError(f"mode {mode} has no convergence rate in these parameters") from None
-
-    def with_rho(self, rho: dict[int, float]) -> "AbstractionParams":
-        """Copy with a replaced rate map (used for upper-rounding)."""
-        return AbstractionParams(self.alpha, self.beta, dict(rho), self.method,
-                                 self.lyapunov_P, dict(self.diagnostics))

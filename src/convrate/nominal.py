@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .linalg import as_square_matrix, spectral_norm, spectral_radius
+from .linalg import as_square_matrix, spectral_radius, top_singular_value
 from .model import AbstractionParams
 
 #: Default cap on the search for k_tilde.
@@ -70,10 +70,10 @@ def _scan_norms(A0: np.ndarray, rho: float, max_iterations: int) -> list[float]:
     norms = [1.0]
     for _ in range(max_iterations):
         current = current @ base
-        value = spectral_norm(current)
-        if value > OVERFLOW_LIMIT:
+        value = top_singular_value(current)
+        if not value <= OVERFLOW_LIMIT:  # NaN when A.T @ A overflowed
             raise NumericError(
-                f"||A0^k rho^-k|| exceeded {OVERFLOW_LIMIT:.0e} at k={len(norms)}; "
+                f"||A0^k rho^-k|| exceeded {OVERFLOW_LIMIT:.0e} or overflowed at k={len(norms)}; "
                 "rho is far below a valid decay rate"
             )
         norms.append(value)
@@ -97,19 +97,6 @@ def nominal_certificate(A0, rho: float,
     k_tilde = len(norms) - 1
     alpha_min = max(norms[:k_tilde])
     return NominalCertificate(rho=check.rho, k_tilde=k_tilde, alpha_min=alpha_min)
-
-
-def compute_k_tilde(A0, rho: float, max_iterations: int = ITERATION_CAP) -> int:
-    """Smallest k >= 1 with ``||A0^k rho^-k|| < 1`` (finite for any valid rho)."""
-    return nominal_certificate(A0, rho, max_iterations).k_tilde
-
-
-def compute_alpha_min(A0, rho: float, max_iterations: int = ITERATION_CAP) -> float:
-    """Smallest valid overshoot factor, ``max_{k < k_tilde} ||A0^k rho^-k||``.
-
-    The k=0 term is ``||I|| = 1``, so the result is always >= 1.
-    """
-    return nominal_certificate(A0, rho, max_iterations).alpha_min
 
 
 def build_nominal_abstraction(A0, rho: float, beta: float | None = None,

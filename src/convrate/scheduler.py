@@ -3,18 +3,18 @@
 The damage counter ``kappa_hat_k = rho_hat^-k * kappa_{0,k}`` tracks how
 much of the allowed overshoot budget ``alpha_hat`` has been consumed; it
 is maintained in log domain so that long runs can neither overflow nor
-underflow. A mode is admissible when applying it keeps the counter within
-budget (exponential mode) or keeps the predicted abstraction state within
-the bound C (practical mode). The supervisor reports an alarm whenever no
-admissible mode remains or the invariant is already violated; it never
-executes the fallback itself - the surrounding harness switches to
-strictly nominal execution.
+underflow. One rule gates both targets: a mode is admissible iff the value
+its step stores stays within budget, ``log kappa_hat <= log alpha_hat``
+(exponential mode) or ``vbar <= C`` (practical mode). The supervisor
+reports an alarm whenever no admissible mode remains or the invariant is
+already violated; it never executes the fallback itself - the surrounding
+harness switches to strictly nominal execution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,67 +79,74 @@ def practical_state(v0: float) -> SchedulerState:
     return SchedulerState(v_bar=v0)
 
 
-def _log_rate(rate: float) -> float:
-    return -math.inf if rate == 0.0 else math.log(rate)
+def _gate(state: SchedulerState, params: AbstractionParams,
+          target: ExponentialTarget | PracticalTarget,
+          w_bar_k: float = 0.0) -> tuple[float, float, dict[int, float]]:
+    """The one admissibility rule of both targets.
+
+    Returns the gated quantity now (``log kappa_hat`` or ``vbar``), its limit
+    (``log alpha_hat`` or C) and its value after each mode, computed exactly
+    as the step stores it. A mode is admissible iff that value is within the
+    limit, so the gate never admits a step that then counts as over budget.
+    """
+    if isinstance(target, ExponentialTarget):
+        now = state.log_kappa_hat
+        log_rho_hat = math.log(target.rho_hat)
+        after = {mode: now + ((math.log(rate) if rate else -math.inf) - log_rho_hat)
+                 for mode, rate in params.rho.items()}
+        return now, math.log(target.alpha_hat), after
+    if state.v_bar is None:
+        raise ParameterError("practical mode needs a state initialized via practical_state()")
+    w_bar_k = float(w_bar_k)
+    if not (w_bar_k >= 0.0 and math.isfinite(w_bar_k)):
+        raise ParameterError(f"w_bar must be finite and >= 0, got {w_bar_k}")
+    now, gain = state.v_bar, params.beta * w_bar_k
+    return now, target.bound, {mode: rate * now + gain for mode, rate in params.rho.items()}
+
+
+def _within(after: dict[int, float], limit: float) -> frozenset[int]:
+    return frozenset(mode for mode, value in after.items() if value <= limit)
+
+
+def _stored(state: SchedulerState, target: ExponentialTarget | PracticalTarget,
+            after: dict[int, float], sigma: int) -> SchedulerState:
+    """The state after applying ``sigma``: it stores the gate's value for it."""
+    try:
+        value = after[sigma]
+    except KeyError:
+        raise KeyError(f"mode {sigma} has no convergence rate in these parameters") from None
+    if isinstance(target, ExponentialTarget):
+        return SchedulerState(state.step + 1, value, state.v_bar)
+    return SchedulerState(state.step + 1, state.log_kappa_hat, value)
 
 
 def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
                    target: ExponentialTarget) -> SchedulerState:
     """Advance the damage counter by one applied mode.
 
-    ``log kappa_hat += log rho_sigma - log rho_hat``; a zero rate maps to
-    -inf, a perfect reset that absorbs all previous damage.
+    ``log kappa_hat += log rho_sigma - log rho_hat``, the value the gate
+    tests for ``sigma``; a zero rate maps to -inf, a perfect reset that
+    absorbs all previous damage.
     """
-    delta = _log_rate(params.rate(sigma)) - math.log(target.rho_hat)
-    return replace(state, step=state.step + 1,
-                   log_kappa_hat=state.log_kappa_hat + delta)
+    _, _, after = _gate(state, params, target)
+    return _stored(state, target, after, sigma)
 
 
 def admissible_modes(state: SchedulerState, params: AbstractionParams,
-                     target: ExponentialTarget) -> frozenset[int]:
-    """Modes whose application keeps ``kappa_hat <= alpha_hat``."""
-    log_alpha = math.log(target.alpha_hat)
-    log_rho_hat = math.log(target.rho_hat)
-    return frozenset(
-        mode for mode, rate in params.rho.items()
-        if state.log_kappa_hat + _log_rate(rate) - log_rho_hat <= log_alpha
-    )
-
-
-def practical_admissible_modes(state: SchedulerState, params: AbstractionParams,
-                               target: PracticalTarget,
-                               w_bar_k: float) -> frozenset[int]:
-    """Modes whose predicted ``vbar`` stays within the bound C."""
-    v_bar = _require_v_bar(state)
-    w_bar_k = _check_w_bar(w_bar_k)
-    return frozenset(
-        mode for mode, rate in params.rho.items()
-        if rate * v_bar + params.beta * w_bar_k <= target.bound
-    )
-
-
-def _require_v_bar(state: SchedulerState) -> float:
-    if state.v_bar is None:
-        raise ParameterError("practical mode needs a state initialized via practical_state()")
-    return state.v_bar
-
-
-def _check_w_bar(w_bar_k: float) -> float:
-    w_bar_k = float(w_bar_k)
-    if not (w_bar_k >= 0.0 and math.isfinite(w_bar_k)):
-        raise ParameterError(f"w_bar must be finite and >= 0, got {w_bar_k}")
-    return w_bar_k
+                     target: ExponentialTarget | PracticalTarget,
+                     w_bar_k: float = 0.0) -> frozenset[int]:
+    """Modes whose step keeps ``kappa_hat <= alpha_hat`` (or ``vbar <= C``)."""
+    _, limit, after = _gate(state, params, target, w_bar_k)
+    return _within(after, limit)
 
 
 def practical_step(state: SchedulerState, sigma: int, w_bar_k: float,
                    params: AbstractionParams,
                    target: PracticalTarget) -> tuple[SchedulerState, bool]:
     """Apply one mode to the abstraction state; flag whether it kept the bound."""
-    v_bar = _require_v_bar(state)
-    w_bar_k = _check_w_bar(w_bar_k)
-    predicted = params.rate(sigma) * v_bar + params.beta * w_bar_k
-    new_state = replace(state, step=state.step + 1, v_bar=predicted)
-    return new_state, predicted <= target.bound
+    _, limit, after = _gate(state, params, target, w_bar_k)
+    new_state = _stored(state, target, after, sigma)
+    return new_state, new_state.v_bar <= limit
 
 
 @dataclass(frozen=True)
@@ -156,6 +163,16 @@ class SupervisorReport:
         return self.ok
 
 
+def _alarm(target: ExponentialTarget | PracticalTarget, now: float, limit: float,
+           admissible: frozenset[int]) -> str | None:
+    exponential = isinstance(target, ExponentialTarget)
+    if now > limit:
+        return "kappa budget exceeded" if exponential else "state bound exceeded"
+    if not admissible:
+        return "no admissible mode" if exponential else "no admissible mode keeps the bound"
+    return None
+
+
 def supervisor_check(state: SchedulerState, params: AbstractionParams,
                      target: ExponentialTarget | PracticalTarget,
                      w_bar_k: float = 0.0) -> SupervisorReport:
@@ -164,22 +181,13 @@ def supervisor_check(state: SchedulerState, params: AbstractionParams,
     The documented contract on alarm is that the caller switches to a
     deterministic safety mode guaranteeing nominal execution.
     """
-    if isinstance(target, ExponentialTarget):
-        if state.log_kappa_hat > math.log(target.alpha_hat):
-            return SupervisorReport(False, "kappa budget exceeded",
-                                    state.kappa_hat, target.alpha_hat, state.step)
-        if not admissible_modes(state, params, target):
-            return SupervisorReport(False, "no admissible mode",
-                                    state.kappa_hat, target.alpha_hat, state.step)
+    now, limit, after = _gate(state, params, target, w_bar_k)
+    reason = _alarm(target, now, limit, _within(after, limit))
+    if reason is None:
         return SupervisorReport(True, step=state.step)
-    v_bar = _require_v_bar(state)
-    if v_bar > target.bound:
-        return SupervisorReport(False, "state bound exceeded",
-                                v_bar, target.bound, state.step)
-    if not practical_admissible_modes(state, params, target, w_bar_k):
-        return SupervisorReport(False, "no admissible mode keeps the bound",
-                                v_bar, target.bound, state.step)
-    return SupervisorReport(True, step=state.step)
+    if isinstance(target, ExponentialTarget):
+        return SupervisorReport(False, reason, state.kappa_hat, target.alpha_hat, state.step)
+    return SupervisorReport(False, reason, now, limit, state.step)
 
 
 # ---------------------------------------------------------------------------
@@ -306,36 +314,20 @@ def run_schedule(params: AbstractionParams,
 
     records: list[StepRecord] = []
     alarm_fired = False
-    fallback = False
     for k in range(steps):
-        w_k = float(w_series[k])
-        report = supervisor_check(state, params, target, w_k)
-        alarm = None if report.ok else report.reason
-        if alarm is not None:
-            alarm_fired = True
-            fallback = True
-        if practical:
-            candidates = practical_admissible_modes(state, params, target, w_k)
-        else:
-            candidates = admissible_modes(state, params, target)
+        now, limit, after = _gate(state, params, target, w_series[k])
+        admissible = _within(after, limit)
+        alarm = _alarm(target, now, limit, admissible)
+        alarm_fired = alarm_fired or alarm is not None
         if forced is not None:
             chosen = int(forced[k])
-        elif fallback or not candidates:
+        elif alarm_fired:
             chosen = 0
         else:
-            chosen = policy(k, candidates, rng)
-        if practical:
-            state, _ = practical_step(state, chosen, w_k, params, target)
-        else:
-            state = kappa_hat_step(state, chosen, params, target)
-        records.append(StepRecord(
-            k=k,
-            chosen=chosen,
-            admissible=candidates,
-            kappa_hat=None if practical else state.kappa_hat,
-            v_bar=state.v_bar,
-            alarm=alarm,
-        ))
+            chosen = policy(k, admissible, rng)
+        state = _stored(state, target, after, chosen)
+        records.append(StepRecord(k, chosen, admissible,
+                                  None if practical else state.kappa_hat, state.v_bar, alarm))
         if x is not None:
             x[k + 1] = system.matrix(chosen) @ x[k]
     return ScheduleRun(records=records, alarm_fired=alarm_fired,

@@ -25,6 +25,7 @@ complete window and are unconstrained.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ ENUMERATION_CAP = 24
 MAX_WINDOW = 12
 #: Default byte budget of one block of products in the batched search.
 EIG_CHUNK_BYTES = 4 << 20
+#: Largest window automaton that counting builds (2^18 states took ~35 MB).
+COUNT_STATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,21 @@ def _window_automaton(mk: MkConstraint, length: int) -> np.ndarray:
 
 
 def count_mk_sequences(mk: MkConstraint, length: int) -> int:
-    """Exact number of admissible binary sequences of the given length."""
+    """Exact number of admissible binary sequences of the given length.
+
+    Raises :class:`ResourceCapError`, before building anything, when the
+    automaton would have more than ``COUNT_STATE_CAP`` states.
+    """
     if length < 0:
         raise ParameterError(f"length must be >= 0, got {length}")
     if length < mk.K:
         return 2**length  # no complete window
+    states = sum(comb(mk.K - 1, ones) for ones in range(min(mk.m_bar, mk.K - 1) + 1))
+    if states > COUNT_STATE_CAP:
+        raise ResourceCapError(
+            f"counting ({mk.m},{mk.K}) sequences needs {states} automaton states, "
+            f"above the cap {COUNT_STATE_CAP}"
+        )
     table = _window_automaton(mk, length)
     steps = [(row[row >= 0], np.flatnonzero(row >= 0)) for row in table]
     counts = np.zeros(table.shape[1], dtype=object)  # Python ints: exact

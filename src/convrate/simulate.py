@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import as_square_matrix, cholesky
-from .model import AbstractionParams, SystemModel, _check_psd
+from .linalg import as_square_matrix, check_psd, cholesky
+from .model import AbstractionParams, SystemModel
 
 #: Abstraction states beyond this truncate the trace with a diverged marker.
 OVERFLOW_LIMIT = 1e300
@@ -198,10 +198,7 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     vbar = simulate_abstraction(params, seq, x0_norm, w_bar, horizon)
     steps = len(vbar)  # may be < horizon + 1 when diverged
     diverged = steps < horizon + 1
-    kappa_series = np.empty(steps)
-    kappa_series[0] = 1.0
-    for k in range(steps - 1):
-        kappa_series[k + 1] = kappa_series[k] * params.rate(int(seq[k]))
+    kappa_series = np.cumprod([1.0] + [params.rate(int(sigma)) for sigma in seq[:steps - 1]])
     sigma: list[int | None] = [int(seq[k]) for k in range(min(steps, horizon))]
     w_col = list(w_norms[:min(steps, horizon)])
     if not diverged:
@@ -243,7 +240,7 @@ def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
 def cost_bound(Q, v_series) -> np.ndarray:
     """Per-step quadratic-cost bound ``lambda_max(Q) * v_k^2``."""
     Q = as_square_matrix(Q, "Q")
-    _check_psd(Q, "Q")
+    check_psd(Q, "Q")
     weight = max(float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1]), 0.0)
     v = np.asarray(v_series, dtype=float)
     return weight * v * v

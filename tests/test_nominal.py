@@ -5,8 +5,6 @@ from convrate import (
     NumericError,
     ParameterError,
     build_nominal_abstraction,
-    compute_alpha_min,
-    compute_k_tilde,
     nominal_certificate,
     spectral_norm,
     sweep_rho,
@@ -54,15 +52,15 @@ class TestValidateRho:
 
 class TestKTilde:
     def test_scalar(self):
-        assert compute_k_tilde(0.5, 0.6) == 1
+        assert nominal_certificate(0.5, 0.6).k_tilde == 1
 
     def test_shift_matrix(self):
         # ||A|| / rho = 2 >= 1 but A^2 = 0
-        assert compute_k_tilde(SHIFT, 0.5) == 2
+        assert nominal_certificate(SHIFT, 0.5).k_tilde == 2
 
     def test_demo_matches_oracle(self):
         k, _ = brute_force_scan(DEMO_A0, 0.8)
-        assert compute_k_tilde(DEMO_A0, 0.8) == k
+        assert nominal_certificate(DEMO_A0, 0.8).k_tilde == k
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_matches_oracle(self, seed):
@@ -70,20 +68,27 @@ class TestKTilde:
         A0 = random_stable_matrix(rng, 4)
         rho = valid_rho_for(A0, rng)
         k, alpha = brute_force_scan(A0, rho)
-        assert compute_k_tilde(A0, rho) == k
-        assert compute_alpha_min(A0, rho) == pytest.approx(alpha, abs=1e-12)
+        assert nominal_certificate(A0, rho).k_tilde == k
+        assert nominal_certificate(A0, rho).alpha_min == pytest.approx(alpha, abs=1e-12)
 
     def test_iteration_cap(self):
         with pytest.raises(NumericError, match="too close"):
-            compute_k_tilde(SHIFT * 0.999, 0.01, max_iterations=1)
+            nominal_certificate(SHIFT * 0.999, 0.01, max_iterations=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_norm_is_refused(self):
+        # ||A0 / rho|| = 2e200, so A.T @ A overflows and its top eigenvalue
+        # is NaN; the scan must refuse instead of skipping that norm
+        with pytest.raises(NumericError, match="overflowed"):
+            nominal_certificate(SHIFT * 1e200, 0.5)
 
 
 class TestAlphaMin:
     def test_scalar_is_one(self):
-        assert compute_alpha_min(0.5, 0.6) == 1.0
+        assert nominal_certificate(0.5, 0.6).alpha_min == 1.0
 
     def test_shift_matrix(self):
-        assert compute_alpha_min(SHIFT, 0.5) == pytest.approx(2.0, abs=1e-12)
+        assert nominal_certificate(SHIFT, 0.5).alpha_min == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_attained_exactly(self, seed):
@@ -135,7 +140,7 @@ class TestBuildNominal:
         rng = np.random.default_rng(900 + seed)
         A0 = random_stable_matrix(rng, int(rng.integers(1, 5)))
         rho = valid_rho_for(A0, rng)
-        alpha = compute_alpha_min(A0, rho)
+        alpha = nominal_certificate(A0, rho).alpha_min
         x = rng.standard_normal(A0.shape[0])
         x0_norm = np.linalg.norm(x)
         for k in range(50):
@@ -149,4 +154,4 @@ class TestSweepRho:
         assert len(pairs) == 5
         for rho, alpha in pairs:
             assert 0.5 < rho < 1.0
-            assert alpha == compute_alpha_min(DEMO_A0, rho)
+            assert alpha == nominal_certificate(DEMO_A0, rho).alpha_min

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convrate import (
     AbstractionParams,
@@ -15,7 +17,6 @@ from convrate import (
     kappa_hat_step,
     lyapunov_abstraction,
     mk_verdict,
-    practical_admissible_modes,
     practical_state,
     practical_step,
     random_policy,
@@ -24,7 +25,7 @@ from convrate import (
     supervisor_check,
     worst_case_sequence,
 )
-from convrate.scheduler import schedule_csv_lines
+from convrate.scheduler import POLICIES, schedule_csv_lines
 from conftest import two_mode_system
 
 PARAMS = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.2})
@@ -112,8 +113,21 @@ class TestPractical:
     def test_contractive_modes_always_admissible(self):
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 0.9})
         state = practical_state(1.5)
-        modes = practical_admissible_modes(state, params, PracticalTarget(2.0), 0.0)
+        modes = admissible_modes(state, params, PracticalTarget(2.0), 0.0)
         assert modes == {0, 1}
+
+
+    def test_disturbance_narrows_the_set(self):
+        # 0.5 + 0.9 = 1.4 keeps C = 2; 1.2 + 0.9 = 2.1 does not
+        state = practical_state(1.0)
+        assert admissible_modes(state, PARAMS, PracticalTarget(2.0), 0.0) == {0, 1}
+        assert admissible_modes(state, PARAMS, PracticalTarget(2.0), 0.9) == {0}
+
+    @pytest.mark.parametrize("w_bar_k", [math.nan, math.inf, -0.1])
+    def test_bad_disturbance_rejected_before_the_alarm(self, w_bar_k):
+        # vbar = 5 > C would alarm; the disturbance is checked first
+        with pytest.raises(ParameterError, match="w_bar"):
+            supervisor_check(practical_state(5.0), PARAMS, PracticalTarget(2.0), w_bar_k)
 
 
 class TestSupervisor:
@@ -219,6 +233,75 @@ class TestRunSoundness:
         for record in run.records:
             kappa *= PARAMS.rho[record.chosen]
             assert kappa <= 1.1 * 0.9 ** (record.k + 1) * (1 + 1e-9)
+
+
+@st.composite
+def gate_cases(draw):
+    """Random rates (zero included) with an exponential or a practical target."""
+    rates = st.floats(0.0, 3.0)
+    rho = {mode: draw(rates) for mode in range(draw(st.integers(1, 3)))}
+    params = AbstractionParams(alpha=1.0, beta=draw(st.floats(0.01, 5.0)), rho=rho)
+    steps = draw(st.integers(1, 40))
+    policy = draw(st.sampled_from(sorted(POLICIES)))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        target = ExponentialTarget(draw(st.floats(0.01, 0.99)), draw(st.floats(1.0, 50.0)))
+        return params, target, steps, policy, seed, [0.0] * steps, None
+    bound = draw(st.floats(0.01, 100.0))
+    v0 = draw(st.floats(0.0, 1.0)) * bound  # v0 <= C
+    w_bar = draw(st.lists(st.floats(0.0, 2.0), min_size=steps, max_size=steps))
+    return params, PracticalTarget(bound), steps, policy, seed, w_bar, v0
+
+
+def composed_run(params, target, steps, policy, seed, w_bar, v0):
+    """The run harness rebuilt from the public gate functions, step by step."""
+    practical = isinstance(target, PracticalTarget)
+    state = practical_state(v0) if practical else exponential_state()
+    rng = np.random.default_rng(seed)
+    fallback = False
+    rows = []
+    for k in range(steps):
+        report = supervisor_check(state, params, target, w_bar[k])
+        admissible = admissible_modes(state, params, target, w_bar[k])
+        fallback = fallback or not report
+        chosen = 0 if fallback else policy(k, admissible, rng)
+        if practical:
+            state, _ = practical_step(state, chosen, w_bar[k], params, target)
+        else:
+            state = kappa_hat_step(state, chosen, params, target)
+        rows.append((k, chosen, admissible, None if practical else state.kappa_hat,
+                     state.v_bar, report.reason))
+    return rows
+
+
+class TestGateRule:
+    def test_gate_and_step_round_alike(self):
+        # log kappa_hat + log rho_1 - log rho_hat admitted the third skip,
+        # but the step stored a value above log alpha_hat and alarmed
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.1, 1: 1.722})
+        run = run_schedule(params, ExponentialTarget(0.931, 3.4211091638871602), 4)
+        assert not run.alarm_fired
+        assert run.chosen == (1, 0, 1, 1)
+
+    @given(gate_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_unforced_runs_never_exceed_first(self, case):
+        params, target, steps, policy, seed, w_bar, v0 = case
+        run = run_schedule(params, target, steps, policy=POLICIES[policy](),
+                           w_bar=w_bar, v0=v0, seed=seed)
+        alarms = [record.alarm for record in run.records if record.alarm]
+        assert not alarms or alarms[0] not in ("kappa budget exceeded", "state bound exceeded")
+
+    @given(gate_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_run_matches_composed_steps(self, case):
+        params, target, steps, policy, seed, w_bar, v0 = case
+        run = run_schedule(params, target, steps, policy=POLICIES[policy](),
+                           w_bar=w_bar, v0=v0, seed=seed)
+        rows = [(r.k, r.chosen, r.admissible, r.kappa_hat, r.v_bar, r.alarm)
+                for r in run.records]
+        assert rows == composed_run(params, target, steps, POLICIES[policy](), seed,
+                                    w_bar, v0)
 
 
 class TestScheduleCsv:

@@ -44,6 +44,21 @@ def naive_count(mk, length):
     return int(np.count_nonzero((windows <= mk.m_bar).all(axis=1)))
 
 
+def skip_age_count(mk, length):
+    """Count by the ages of the skips among the last K-1 symbols (L >= K)."""
+    counts = {(): 1}
+    for _ in range(length):
+        following = {}
+        for ages, count in counts.items():
+            older = tuple(age + 1 for age in ages if age + 1 < mk.K - 1)
+            for sym in (0, 1):
+                if len(ages) + sym <= mk.m_bar:
+                    key = (0,) + older if sym else older
+                    following[key] = following.get(key, 0) + count
+        counts = following
+    return sum(counts.values())
+
+
 def reference_search(system, mk, length):
     """Every admissible sequence with its product radius, descending order."""
     out = []
@@ -173,6 +188,16 @@ class TestCount:
     def test_negative_length_rejected(self):
         with pytest.raises(ParameterError):
             count_mk_sequences(MkConstraint(1, 2), -1)
+
+    def test_wide_window_with_many_skips_refused(self):
+        # 2^39 reachable states: refused before anything is built
+        with pytest.raises(ResourceCapError, match="automaton states"):
+            count_mk_sequences(MkConstraint(1, 40), 40)
+
+    @pytest.mark.parametrize("m, K, length", [(39, 40, 60), (38, 40, 50), (5, 8, 30)])
+    def test_wide_window_with_few_skips_counts(self, m, K, length):
+        mk = MkConstraint(m, K)
+        assert count_mk_sequences(mk, length) == skip_age_count(mk, length)
 
 
 class TestRandomSequences:

@@ -162,6 +162,15 @@ class TestKappa:
         for b in range(0, 21, 5):
             assert series[b] == pytest.approx(kappa(PARAMS, seq, 0, b) * series[0], rel=1e-12)
 
+    @pytest.mark.parametrize("rates", [{0: 0.5, 1: 1.2}, {0: 0.3, 1: 1e30}])
+    def test_trace_column_equals_the_loop(self, rates):
+        # the second rate map overflows vbar, so the trace is truncated
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho=rates)
+        system = SystemModel(modes={0: [[0.3]], 1: [[0.9]]})
+        seq = tuple(int(s) for s in np.random.default_rng(6).integers(0, 2, 400))
+        trace = co_simulate(system, params, seq, [1.0])
+        assert trace.kappa.tolist() == [kappa(params, seq, 0, k) for k in range(len(trace))]
+
 
 class TestCost:
     def test_weighted_bound(self):
