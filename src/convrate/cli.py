@@ -25,6 +25,7 @@ from . import counterexample
 from .builders import build_robustness_abstraction, lyapunov_abstraction
 from .errors import ParameterError
 from .io import DocumentError, load_system, params_to_document
+from .linalg import row_norms
 from .mk import MkConstraint, mk_verdict
 from .model import AbstractionParams, SystemModel
 from .scheduler import (
@@ -41,7 +42,7 @@ from .sequences import (
     validate_mk,
     worst_case_sequence,
 )
-from .simulate import check_guarantee, co_simulate, trace_csv_lines
+from .simulate import check_guarantee, co_simulate, write_trace_csv
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -129,11 +130,11 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
                 "--w seed: the system document declares no disturbance_bound"
             )
         rng = np.random.default_rng(seed)
-        directions = rng.standard_normal((steps, system.n))
-        norms = np.linalg.norm(directions, axis=1)
+        w = rng.standard_normal((steps, system.n))
+        norms = row_norms(w)
         norms[norms == 0] = 1.0
-        radii = bound * rng.random(steps)
-        w = directions / norms[:, None] * radii[:, None]
+        w /= norms[:, None]
+        w *= bound * rng.random(steps)[:, None]
         return w, np.full(steps, bound), {"disturbance": text, "seed": seed}
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
@@ -208,7 +209,11 @@ def cmd_simulate(args) -> int:
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
     disturbances, w_bar, meta = _make_disturbances(args.w, steps, system)
     trace = co_simulate(system, params, seq, x0, disturbances, w_bar, steps, meta)
-    _emit(trace_csv_lines(trace), args.out)
+    if args.out is None or args.out == "-":
+        write_trace_csv(trace, sys.stdout)
+    else:
+        with open(args.out, "w") as fileobj:
+            write_trace_csv(trace, fileobj)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
               file=sys.stderr)

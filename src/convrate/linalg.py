@@ -31,6 +31,8 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 #: Acceptance tolerance for the discrete Lyapunov residual, relative to ||Q||.
 RESIDUAL_TOL = 1e-9
+#: Byte budget of one block of rows in :func:`row_norms`.
+ROW_BLOCK_BYTES = 1 << 20
 
 
 def as_square_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -66,6 +68,23 @@ def top_singular_value(A: np.ndarray) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed on A.T @ A: {exc}") from exc
     return float(np.sqrt(max(float(eigs[-1]), 0.0)))
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` of a 2-D float array, bit for bit.
+
+    A C-contiguous array is worked through in blocks of rows, so the
+    squared entries are never held for the whole array at once. Other
+    layouts go to numpy whole: numpy may sum their rows in another order.
+    """
+    if not a.flags.c_contiguous:
+        return np.linalg.norm(a, axis=1)
+    rows = max(1, ROW_BLOCK_BYTES // (8 * max(1, a.shape[1])))
+    out = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], rows):
+        block = a[start:start + rows]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + rows])
+    return out
 
 
 def check_psd(Q: np.ndarray, name: str, tol: float = 1e-10) -> None:

@@ -90,6 +90,10 @@ def mk_verdict(params: AbstractionParams, mk: MkConstraint,
     ``alpha_sys`` overrides the overshoot of ``params`` in the combined
     bound ``|x_k| <= alpha * alpha_tilde * rho_tilde^k * |x_0|``; with
     ``r0`` the safe initial radius for non-global certificates is attached.
+
+    A skip mode that contracts faster than the nominal one (``rho1 <
+    rho0``, e.g. a reset) is charged the nominal rate instead: every step
+    contracts by at most ``max(rho0, rho1)``, so the closed form stays sound.
     """
     modes = set(params.rho)
     if modes != {0, 1}:
@@ -98,7 +102,8 @@ def mk_verdict(params: AbstractionParams, mk: MkConstraint,
             f"{sorted(modes)}; for richer mode sets evaluate the kappa products "
             "from convrate.simulate instead"
         )
-    rho0, rho1 = params.rho[0], params.rho[1]
+    rho0 = params.rho[0]
+    rho1 = max(rho0, params.rho[1])
     rho_t = mk_rho_tilde(rho0, rho1, mk)
     alpha_t = mk_alpha_tilde(rho0, rho1, mk)
     alternative = (rho_t / rho0) ** mk.K

@@ -22,6 +22,8 @@ from .model import AbstractionParams
 ITERATION_CAP = 10**6
 #: Norm values beyond this abort the power scan (rho chosen far too small).
 OVERFLOW_LIMIT = 1e300
+#: Byte budget of one block of powers in the k_tilde scan (8192 at n=4).
+SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,53 @@ def validate_rho(A0, rho: float) -> RhoValidation:
     return RhoValidation(True, rho, radius)
 
 
+def _block_norms(products: np.ndarray):
+    """Top singular values of a stack of products, in stack order.
+
+    One stacked ``A.T @ A`` and one batched ``eigvalsh``, with the clamp of
+    :func:`top_singular_value`. If LAPACK fails on any matrix of the stack,
+    the values are evaluated one by one instead, so the failure surfaces at
+    the step where the scan would reach it and not earlier.
+    """
+    try:
+        top = np.linalg.eigvalsh(np.matmul(products.transpose(0, 2, 1), products))[:, -1]
+    except np.linalg.LinAlgError:
+        return (top_singular_value(product) for product in products)
+    return np.sqrt(np.where(top < 0.0, 0.0, top)).tolist()
+
+
 def _scan_norms(A0: np.ndarray, rho: float, max_iterations: int) -> list[float]:
-    """Norms ``||(A0/rho)^k||`` for k = 0 .. k_tilde (last entry < 1)."""
+    """Norms ``||(A0/rho)^k||`` for k = 0 .. k_tilde (last entry < 1).
+
+    The powers are the sequential products ``current @ base``. They are
+    taken in blocks of 1, 2, 4, ... products, capped at
+    ``SCAN_BLOCK_BYTES``, whose norms are read in order, so a short scan
+    does no extra work and a long one overshoots k_tilde by at most one
+    block. Products past the stopping step may overflow; they are never
+    read, and ``np.errstate`` keeps them silent.
+    """
     base = A0 / rho
-    current = np.eye(A0.shape[0])
+    n = A0.shape[0]
+    cap = max(1, SCAN_BLOCK_BYTES // (8 * n * n))
+    current = np.eye(n)
     norms = [1.0]
-    for _ in range(max_iterations):
-        current = current @ base
-        value = top_singular_value(current)
-        if not value <= OVERFLOW_LIMIT:  # NaN when A.T @ A overflowed
-            raise NumericError(
-                f"||A0^k rho^-k|| exceeded {OVERFLOW_LIMIT:.0e} or overflowed at k={len(norms)}; "
-                "rho is far below a valid decay rate"
-            )
-        norms.append(value)
-        if value < 1.0:
-            return norms
+    size = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(norms) <= max_iterations:
+            block = np.empty((min(size, cap, max_iterations + 1 - len(norms)), n, n))
+            for product in block:
+                np.matmul(current, base, out=product)
+                current = product
+            for value in _block_norms(block):
+                if not value <= OVERFLOW_LIMIT:  # NaN when A.T @ A overflowed
+                    raise NumericError(
+                        f"||A0^k rho^-k|| exceeded {OVERFLOW_LIMIT:.0e} or overflowed at k={len(norms)}; "
+                        "rho is far below a valid decay rate"
+                    )
+                norms.append(value)
+                if value < 1.0:
+                    return norms
+            size *= 2
     raise NumericError(
         f"no k <= {max_iterations} with ||A0^k rho^-k|| < 1 "
         f"(last norm {norms[-1]:.6g}); rho={rho} is too close to the "

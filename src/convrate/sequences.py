@@ -90,7 +90,8 @@ def worst_case_sequence(mk: MkConstraint, length: int) -> tuple[int, ...]:
     """
     if length < 0:
         raise ParameterError(f"length must be >= 0, got {length}")
-    return tuple(1 if (k % mk.K) < mk.m_bar else 0 for k in range(length))
+    window = (1,) * mk.m_bar + (0,) * mk.m
+    return (window * -(-length // mk.K))[:length]
 
 
 def _window_automaton(mk: MkConstraint, length: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import as_square_matrix, check_psd, cholesky
+from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
 
 #: Abstraction states beyond this truncate the trace with a diverged marker.
@@ -24,6 +24,8 @@ OVERFLOW_LIMIT = 1e300
 
 #: Exact column contract of the trace CSV emission.
 TRACE_COLUMNS = ("k", "sigma", "w_norm", "x_norm", "vbar", "kappa", "cost_bound")
+#: Rows rendered per block of the trace CSV.
+CSV_BLOCK_ROWS = 1 << 12
 
 
 @dataclass
@@ -84,8 +86,7 @@ def _as_state(x0, n: int) -> np.ndarray:
     return x0
 
 
-def _as_disturbances(disturbances, horizon: int, n: int,
-                     bound: float | None) -> np.ndarray:
+def _as_disturbances(disturbances, horizon: int, n: int) -> np.ndarray:
     if disturbances is None:
         return np.zeros((horizon, n))
     w = np.asarray(disturbances, dtype=float)
@@ -99,15 +100,45 @@ def _as_disturbances(disturbances, horizon: int, n: int,
     w = w[:horizon]
     if not np.all(np.isfinite(w)):
         raise DimensionError("disturbances contain non-finite entries")
-    if bound is not None:
-        norms = np.linalg.norm(w, axis=1)
-        worst = int(np.argmax(norms))
-        if norms[worst] > bound * (1.0 + 1e-12):
+    return w
+
+
+def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
+                  horizon: int | None):
+    """Validated ``(horizon, x0, w, |w_k|, matrix per mode)`` of a plant run.
+
+    Every mode of ``seq[:horizon]`` is looked up once, in order of first
+    use, so an undeclared mode raises the same ``KeyError`` as the step
+    that would apply it.
+    """
+    if horizon is None:
+        horizon = len(seq)
+    if horizon < 0 or horizon > len(seq):
+        raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
+    x0 = _as_state(x0, system.n)
+    w = _as_disturbances(disturbances, horizon, system.n)
+    w_norms = row_norms(w)
+    bound = system.disturbance_bound
+    if bound is not None and horizon:
+        worst = int(np.argmax(w_norms))
+        if w_norms[worst] > bound * (1.0 + 1e-12):
             raise ParameterError(
-                f"|w_{worst}| = {norms[worst]:.6g} exceeds the declared "
+                f"|w_{worst}| = {w_norms[worst]:.6g} exceeds the declared "
                 f"disturbance bound {bound:.6g}"
             )
-    return w
+    matrices = {mode: system.matrix(int(mode)) for mode in dict.fromkeys(seq[:horizon])}
+    return horizon, x0, w, w_norms, matrices
+
+
+def _run_plant(seq: Sequence[int], x0: np.ndarray, w: np.ndarray, matrices: dict) -> np.ndarray:
+    states = np.empty((len(w) + 1, len(x0)))
+    states[0] = x0
+    prev = states[0]
+    for k, row in enumerate(states[1:]):
+        matrices[seq[k]].dot(prev, out=row)
+        row += w[k]
+        prev = row
+    return states
 
 
 def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
@@ -117,19 +148,8 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     Exact linear recursion, deterministic given its inputs. Disturbances
     must respect the system's declared bound when one is present.
     """
-    if horizon is None:
-        horizon = len(seq)
-    if horizon < 0 or horizon > len(seq):
-        raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
-    n = system.n
-    x0 = _as_state(x0, n)
-    w = _as_disturbances(disturbances, horizon, n, system.disturbance_bound)
-    states = np.empty((horizon + 1, n))
-    states[0] = x0
-    for k in range(horizon):
-        A = system.matrix(int(seq[k]))
-        states[k + 1] = A @ states[k] + w[k]
-    return states
+    _, x0, w, _, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
+    return _run_plant(seq, x0, w, matrices)
 
 
 def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
@@ -157,11 +177,15 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
         w_values = w_values[:horizon]
         if np.any(w_values < 0) or not np.all(np.isfinite(w_values)):
             raise ParameterError("w_bar entries must be finite and >= 0")
-    gains = [float(v) for v in w_values]  # plain floats: overflow quietly -> inf
-    series = [params.alpha * x0_norm]
-    for k in range(horizon):
-        rate = params.rate(int(seq[k]))
-        value = rate * series[-1] + params.beta * gains[k]
+    beta = params.beta
+    rates: dict = {}  # looked up at first use: a diverged series never reaches later modes
+    value = params.alpha * x0_norm
+    series = [value]
+    for mode, gain in zip(seq[:horizon], w_values.tolist()):  # plain floats: overflow -> inf
+        rate = rates.get(mode)
+        if rate is None:
+            rate = rates[mode] = params.rate(int(mode))
+        value = rate * value + beta * gain
         if value > OVERFLOW_LIMIT:
             break
         series.append(value)
@@ -187,20 +211,19 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     tightest admissible choice); pass a looser series to model bound-only
     disturbance knowledge.
     """
-    if horizon is None:
-        horizon = len(seq)
-    states = simulate_plant(system, seq, x0, disturbances, horizon)
-    w = _as_disturbances(disturbances, horizon, system.n, None)
-    w_norms = np.linalg.norm(w, axis=1) if horizon else np.zeros(0)
+    horizon, x0, w, w_norms, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
+    states = _run_plant(seq, x0, w, matrices)
     if w_bar is None:
         w_bar = w_norms
     x0_norm = float(np.linalg.norm(states[0]))
     vbar = simulate_abstraction(params, seq, x0_norm, w_bar, horizon)
     steps = len(vbar)  # may be < horizon + 1 when diverged
     diverged = steps < horizon + 1
-    kappa_series = np.cumprod([1.0] + [params.rate(int(sigma)) for sigma in seq[:steps - 1]])
-    sigma: list[int | None] = [int(seq[k]) for k in range(min(steps, horizon))]
-    w_col = list(w_norms[:min(steps, horizon)])
+    applied = seq[:steps - 1]
+    rates = {mode: params.rate(int(mode)) for mode in dict.fromkeys(applied)}
+    kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
+    sigma: list[int | None] = [int(mode) for mode in seq[:min(steps, horizon)]]
+    w_col = w_norms[:min(steps, horizon)].tolist()
     if not diverged:
         sigma.append(None)
         w_col.append(math.nan)
@@ -211,7 +234,7 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
         sigma=tuple(sigma),
         w_norm=np.array(w_col),
         x=states[:steps],
-        x_norm=np.linalg.norm(states[:steps], axis=1),
+        x_norm=row_norms(states[:steps]),
         vbar=vbar,
         kappa=kappa_series,
         cost_bound=cost,
@@ -263,31 +286,43 @@ def cost_transform(Q) -> np.ndarray:
         ) from None
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    value = float(value)
-    if math.isnan(value):
-        return ""
-    return repr(value)
+def _float_cells(values) -> list[str]:
+    """``repr`` of each value as a float; NaN renders as an empty cell."""
+    values = np.asarray(values, dtype=float)
+    cells = list(map(repr, values.tolist()))
+    for index in np.flatnonzero(np.isnan(values)).tolist():
+        cells[index] = ""
+    return cells
+
+
+def _csv_blocks(trace: Trace):
+    """CSV lines of a trace, header first, one list per block of rows.
+
+    Each block is rendered column by column; a writer that consumes the
+    blocks one at a time holds at most ``CSV_BLOCK_ROWS`` rows of text.
+    """
+    yield [",".join(TRACE_COLUMNS)]
+    for start in range(0, len(trace), CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, len(trace))
+        columns = (
+            map(str, range(start, stop)),
+            ["" if sigma is None else str(sigma) for sigma in trace.sigma[start:stop]],
+            _float_cells(trace.w_norm[start:stop]),
+            _float_cells(trace.x_norm[start:stop]),
+            _float_cells(trace.vbar[start:stop]),
+            _float_cells(trace.kappa[start:stop]),
+            ([""] * (stop - start) if trace.cost_bound is None
+             else _float_cells(trace.cost_bound[start:stop])),
+        )
+        yield list(map(",".join, zip(*columns)))
 
 
 def trace_csv_lines(trace: Trace) -> list[str]:
     """Render a trace as CSV lines under the fixed column contract."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for k in range(len(trace)):
-        cells = [
-            str(k),
-            "" if trace.sigma[k] is None else str(trace.sigma[k]),
-            _format_cell(trace.w_norm[k]),
-            _format_cell(trace.x_norm[k]),
-            _format_cell(trace.vbar[k]),
-            _format_cell(trace.kappa[k]),
-            "" if trace.cost_bound is None else _format_cell(trace.cost_bound[k]),
-        ]
-        lines.append(",".join(cells))
-    return lines
+    return [line for block in _csv_blocks(trace) for line in block]
 
 
 def write_trace_csv(trace: Trace, fileobj) -> None:
-    fileobj.write("\n".join(trace_csv_lines(trace)) + "\n")
+    """Write :func:`trace_csv_lines`, newline-terminated, one row block at a time."""
+    for block in _csv_blocks(trace):
+        fileobj.write("\n".join(block) + "\n")

@@ -88,8 +88,6 @@ def randomized_suite():
             measured = np.einsum("ki,ij,kj->k", trace.x, Q, trace.x)
             if np.any(measured > trace.cost_bound * (1 + 1e-9)):
                 cost_violations.append((seed, params.method))
-            if params.rho[1] < params.rho[0]:
-                continue  # outside the closed-form rho1 >= rho0 assumption
             verdict = mk_verdict(params, mk)
             if verdict.proven_stable:
                 proven_checked += 1

@@ -200,6 +200,22 @@ class TestSimulateCommand:
             outputs.append(out_path.read_text())
         assert outputs[0] == outputs[1]
 
+    def test_file_and_stdout_are_identical(self, tmp_path, capsys):
+        # long enough to stream several row blocks
+        doc = dict(SCALAR_DOC, disturbance_bound=0.2)
+        path = tmp_path / "disturbed.json"
+        path.write_text(json.dumps(doc))
+        common = ["simulate", str(path), "--sigma", "mk-worst:1,2", "--steps", "9000",
+                  "--w", "seed:3"]
+        assert run(common) == 0
+        printed = capsys.readouterr()
+        out_path = tmp_path / "trace.csv"
+        assert run([*common, "--out", str(out_path)]) == 0
+        written = capsys.readouterr()
+        assert out_path.read_text() == printed.out
+        assert len(printed.out.splitlines()) == 9002
+        assert written.out == "" and written.err == printed.err
+
 
 class TestJsrCommand:
     def test_small_run(self, demo_path, capsys):

@@ -12,6 +12,7 @@ from convrate import (
     spectral_radius,
 )
 from convrate import counterexample
+from convrate.linalg import ROW_BLOCK_BYTES, row_norms
 from conftest import random_spd, random_stable_matrix
 
 DEMO = counterexample.system()
@@ -52,6 +53,21 @@ class TestSpectralNorm:
     def test_rejects_nan(self):
         with pytest.raises(DimensionError):
             spectral_norm([[np.nan, 0.0], [0.0, 1.0]])
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17, 32])
+    def test_equals_numpy_norm_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        rows = ROW_BLOCK_BYTES // (8 * n)
+        for count in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            a = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-150, 150, (count, 1))
+            for layout in (a, np.asfortranarray(a)):
+                assert row_norms(layout).tobytes() == np.linalg.norm(layout, axis=1).tobytes()
+
+    def test_strided_rows(self):
+        a = np.random.default_rng(0).standard_normal((300, 10))[::3, ::2]
+        assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
 
 
 class TestSpectralRadius:

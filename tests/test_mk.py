@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -131,6 +132,27 @@ class TestVerdict:
         verdict = mk_verdict(TWO_MODE, MkConstraint(1, 2), alpha_sys=2.0, r0=1.0)
         assert verdict.safe_initial_radius == pytest.approx(1.0 / (2.0 * 2.4), abs=1e-12)
 
+    @pytest.mark.parametrize("rho1", [0.0, 0.3, 0.79])
+    def test_faster_skip_mode_is_charged_the_nominal_rate(self, rho1):
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.8, 1: rho1})
+        for mk in (MkConstraint(0, 3), MkConstraint(1, 2), MkConstraint(2, 5)):
+            verdict = mk_verdict(params, mk)
+            assert verdict.rho_tilde == pytest.approx(0.8, rel=1e-12)
+            assert verdict.alpha_tilde == 1.0
+            assert verdict.proven_stable
+
+    def test_zero_skip_matrix_checks_from_the_cli(self, tmp_path, capsys):
+        # a reset-like skip mode: the Lyapunov rates are {0: 0.8, 1: 0.0}
+        from convrate.cli import run
+
+        path = tmp_path / "reset.json"
+        path.write_text(json.dumps({"name": "reset", "modes": [
+            {"id": 0, "A": [[0.8]]}, {"id": 1, "A": [[0.0]]}]}))
+        code = run(["mk-check", str(path), "--m", "1", "--K", "3", "--method", "lyapunov"])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        assert code == 0 and "verdict: proven stable" in captured.out
+
 
 class TestSkipRatio:
     def test_inverse_of_half_half(self):
@@ -239,8 +261,6 @@ class TestStabilityTransfer:
         x0 = rng.standard_normal(system.n)
         x0_norm = np.linalg.norm(x0)
         for params in params_by_route:
-            if params.rho[1] < params.rho[0]:
-                continue  # outside the derivation's rho1 >= rho0 assumption
             verdict = mk_verdict(params, mk)
             if not verdict.proven_stable:
                 continue

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import references
 from convrate import (
     NumericError,
     ParameterError,
@@ -10,7 +15,7 @@ from convrate import (
     sweep_rho,
     validate_rho,
 )
-from convrate import counterexample
+from convrate import counterexample, nominal
 from conftest import random_stable_matrix, valid_rho_for
 
 SHIFT = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -75,12 +80,111 @@ class TestKTilde:
         with pytest.raises(NumericError, match="too close"):
             nominal_certificate(SHIFT * 0.999, 0.01, max_iterations=1)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_norm_is_refused(self):
         # ||A0 / rho|| = 2e200, so A.T @ A overflows and its top eigenvalue
         # is NaN; the scan must refuse instead of skipping that norm
         with pytest.raises(NumericError, match="overflowed"):
             nominal_certificate(SHIFT * 1e200, 0.5)
+
+
+def scaled_shift(n: int, scale: float) -> np.ndarray:
+    """``scale`` times the n x n lower shift: powers are nonzero exactly up to n - 1."""
+    return scale * np.eye(n, k=-1)
+
+
+def scan_outcome(scan, A0, rho, max_iterations=nominal.ITERATION_CAP):
+    """The norms' bytes, or the message of the NumericError the scan raised.
+
+    Any numpy floating-point warning fails the test (see pyproject.toml).
+    """
+    try:
+        return np.array(scan(A0, rho, max_iterations)).tobytes()
+    except NumericError as exc:
+        return str(exc)
+
+
+def reference_outcome(A0, rho, max_iterations=nominal.ITERATION_CAP):
+    """:func:`scan_outcome` of the per-step reference, whose overflow warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scan_outcome(references.scan_norms, A0, rho, max_iterations)
+
+
+@st.composite
+def scan_cases(draw):
+    """A matrix of size 1..8 with a decay rate, and a block budget (None: default).
+
+    Half are random matrices with rho between their spectral radius and
+    one; the others are scaled nilpotent ones, whose powers may overflow.
+    """
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        A0 = random_stable_matrix(rng, n)
+        radius = float(np.max(np.abs(np.linalg.eigvals(A0))))
+        rho = radius + (1.0 - radius) * draw(st.floats(0.005, 0.95))
+    else:
+        A0 = np.tril(rng.standard_normal((n, n)), -1) * 10.0 ** draw(st.integers(0, 200))
+        rho = draw(st.floats(0.05, 0.95))
+    budget = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    return A0, rho, None if budget is None else budget * 8 * n * n
+
+
+class TestBlockedScan:
+    """The blocked k_tilde scan against the per-step reference, bit for bit."""
+
+    @given(scan_cases(), st.sampled_from([nominal.ITERATION_CAP, 1, 6, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case, max_iterations):
+        A0, rho, budget = case
+        expected = reference_outcome(A0, rho, max_iterations)
+        budget = nominal.SCAN_BLOCK_BYTES if budget is None else budget
+        with mock.patch.object(nominal, "SCAN_BLOCK_BYTES", budget):
+            assert scan_outcome(nominal._scan_norms, A0, rho, max_iterations) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_k_tilde_at_block_edges(self, k, budget):
+        # blocks of 1, 2, 4, ... products end at k = 2^j - 1
+        A0 = scaled_shift(k, 0.75)
+        expected = reference_outcome(A0, 0.5)
+        budget = nominal.SCAN_BLOCK_BYTES if budget is None else budget * 8 * k * k
+        with mock.patch.object(nominal, "SCAN_BLOCK_BYTES", budget):
+            assert scan_outcome(nominal._scan_norms, A0, 0.5) == expected
+            cert = nominal_certificate(A0, 0.5)
+        assert cert.k_tilde == k
+        assert cert.alpha_min == pytest.approx(1.5 ** (k - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("max_iterations", [0, 2, 5, 6, 9, 20])
+    def test_cap_off_block_boundary_reports_last_norm(self, max_iterations):
+        A0 = scaled_shift(33, 0.75)
+        message = scan_outcome(nominal._scan_norms, A0, 0.5, max_iterations)
+        assert message == reference_outcome(A0, 0.5, max_iterations)
+        assert f"no k <= {max_iterations} " in message
+        assert f"(last norm {1.5 ** max_iterations:.6g})" in message
+
+    @pytest.mark.parametrize("A0, refusal", [
+        (SHIFT * 1e200, "overflowed at k=1;"),
+        (scaled_shift(3, 1e100), "overflowed at k=2;"),
+        (scaled_shift(40, 1e20), "eigenvalue iteration failed"),
+    ], ids=["nan-at-1", "nan-at-2", "eig-failure-mid-block"])
+    def test_overflow_raises_at_reference_step(self, A0, refusal):
+        message = scan_outcome(nominal._scan_norms, A0, 0.5)
+        assert refusal in message
+        assert message == reference_outcome(A0, 0.5)
+
+    def test_eigensolver_failure_surfaces_in_step_order(self):
+        # a batch that LAPACK refuses is evaluated matrix by matrix
+        real = np.linalg.eigvalsh
+
+        def refuse_batches(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("refused")
+            return real(a, *args, **kwargs)
+
+        A0 = scaled_shift(9, 0.75)
+        expected = reference_outcome(A0, 0.5)
+        with mock.patch.object(np.linalg, "eigvalsh", refuse_batches):
+            assert scan_outcome(nominal._scan_norms, A0, 0.5) == expected
 
 
 class TestAlphaMin:

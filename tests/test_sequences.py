@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from convrate import (
     MkConstraint,
     ParameterError,
@@ -125,6 +126,12 @@ class TestWorstCase:
         for m_bar in range(K + 1):
             mk = MkConstraint(K - m_bar, K)
             assert validate_mk(worst_case_sequence(mk, 30), mk)
+
+    @given(st.integers(1, 8), st.data())
+    def test_tiled_window_equals_slot_rule(self, K, data):
+        mk = MkConstraint(data.draw(st.integers(0, K)), K)
+        length = data.draw(st.integers(0, 40))
+        assert worst_case_sequence(mk, length) == references.worst_case_sequence(mk, length)
 
 
 class TestEnumerate:

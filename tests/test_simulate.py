@@ -1,7 +1,12 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import references
 
 from convrate import (
     AbstractionParams,
@@ -22,7 +27,7 @@ from convrate import (
     trace_csv_lines,
 )
 from convrate import counterexample
-from convrate.simulate import TRACE_COLUMNS, write_trace_csv
+from convrate.simulate import CSV_BLOCK_ROWS, TRACE_COLUMNS, write_trace_csv
 from conftest import random_spd, two_mode_system, valid_rho_for
 
 SCALAR = SystemModel(modes={0: [[0.5]], 1: [[1.2]]})
@@ -62,6 +67,19 @@ class TestSimulatePlant:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             simulate_plant(SCALAR, (0,), [1.0, 2.0])
+
+    def test_empty_horizon_with_bound(self):
+        # no step is taken, so there is no disturbance to check against the bound
+        system = SystemModel(modes={0: [[0.5]]}, disturbance_bound=0.1)
+        states = simulate_plant(system, (0,), [1.0], [[0.05]], horizon=0)
+        assert np.array_equal(states, [[1.0]])
+        trace = co_simulate(system, AbstractionParams(1.0, 1.0, {0: 0.5}), (0,), [1.0],
+                            [[0.05]], horizon=0)
+        assert len(trace) == 1
+
+    def test_first_undeclared_mode_named(self):
+        with pytest.raises(KeyError, match="mode 3 is not declared"):
+            simulate_plant(SCALAR, (0, 3, 0, 4), [1.0])
 
 
 class TestSimulateAbstraction:
@@ -251,3 +269,118 @@ class TestTraceCsv:
         assert trace.diverged
         assert len(trace) < 61
         assert len(trace_csv_lines(trace)) == len(trace) + 1
+
+
+@st.composite
+def plant_cases(draw):
+    """A system of size 1..8 with up to three modes, a mode sequence and disturbances."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-3, 1))  # 60 steps stay far from overflow
+    system = SystemModel(modes={m: rng.standard_normal((n, n)) * scale for m in range(modes)})
+    horizon = draw(st.integers(0, 60))
+    seq = [int(m) for m in rng.integers(0, modes, horizon)]
+    seq = draw(st.sampled_from([tuple, list, np.array]))(seq)
+    w = rng.standard_normal((horizon, n)) if draw(st.booleans()) else None
+    if w is not None and draw(st.booleans()):
+        w = np.asfortranarray(w)
+    return system, seq, rng.standard_normal(n), w
+
+
+class TestAgainstStepReferences:
+    """The plant, abstraction and kappa loops equal their per-step versions bit for bit."""
+
+    @given(plant_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_plant(self, case):
+        system, seq, x0, w = case
+        w_rows = np.zeros((len(seq), system.n)) if w is None else w
+        expected = references.plant_states(system, seq, x0, w_rows)
+        assert simulate_plant(system, seq, x0, w).tobytes() == expected.tobytes()
+
+    @given(plant_cases(), st.floats(0.0, 3.0), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_co_simulate(self, case, skip_rate, diverge):
+        system, seq, x0, w = case
+        rho = {m: (0.5, skip_rate, 1e30 if diverge else 0.9)[m] for m in system.modes}
+        params = AbstractionParams(alpha=1.5, beta=2.0, rho=rho)
+        trace = co_simulate(system, params, seq, x0, w)
+        w_rows = np.zeros((len(seq), system.n)) if w is None else w
+        states = references.plant_states(system, seq, x0, w_rows)
+        w_norms = np.linalg.norm(w_rows, axis=1)
+        vbar = references.abstraction_series(params, seq, float(np.linalg.norm(x0)), w_norms)
+        steps = len(vbar)
+        assert trace.vbar.tobytes() == vbar.tobytes()
+        assert trace.x.tobytes() == states[:steps].tobytes()
+        assert trace.x_norm.tobytes() == np.linalg.norm(states[:steps], axis=1).tobytes()
+        assert trace.w_norm[:len(seq)].tobytes() == w_norms[:steps].tobytes()
+        kappa_loop = [kappa(params, seq, 0, k) for k in range(steps)]
+        assert trace.kappa.tobytes() == np.array(kappa_loop).tobytes()
+
+    def test_abstraction_diverges_before_an_unrated_mode(self):
+        # the series stops at the overflow guard and never looks up mode 5
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 1e200})
+        seq = (0, 0, 0, 5)
+        series = simulate_abstraction(params, seq, 1.0)
+        assert series.tobytes() == references.abstraction_series(params, seq, 1.0,
+                                                                 [0.0] * 4).tobytes()
+        with pytest.raises(KeyError, match="mode 5"):
+            simulate_abstraction(AbstractionParams(1.0, 1.0, {0: 0.5}), seq, 1.0)
+
+
+special_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([0.0, -0.0, 1e-320, 0.1, 1e300, math.nan]))
+
+
+@st.composite
+def csv_traces(draw):
+    """Hand-built traces with arbitrary floats, integer series and missing cells."""
+    rows = draw(st.integers(1, 12))
+    column = st.lists(special_floats, min_size=rows, max_size=rows)
+    nonnegative = st.lists(st.one_of(st.floats(0.0, allow_infinity=True), st.just(math.nan)),
+                           min_size=rows, max_size=rows)
+    sigma = draw(st.lists(st.one_of(st.none(), st.integers(0, 1000)),
+                          min_size=rows, max_size=rows))
+    cost = draw(st.one_of(st.none(), column))
+    vbar = np.array(draw(nonnegative))
+    if draw(st.booleans()):
+        vbar = np.arange(rows)  # integer series still render as floats
+    return Trace(sigma=tuple(sigma), w_norm=np.array(draw(column)),
+                 x=np.zeros((rows, 1)), x_norm=np.array(draw(column)), vbar=vbar,
+                 kappa=np.array(draw(nonnegative)),
+                 cost_bound=None if cost is None else np.array(cost))
+
+
+class TestCsvAgainstCellReference:
+    @given(csv_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_cells(self, trace):
+        assert trace_csv_lines(trace) == references.trace_csv_lines(trace)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                      2 * CSV_BLOCK_ROWS + 1])
+    def test_streamed_equals_joined_lines(self, rows, weighted):
+        system = SystemModel(modes={0: [[0.5]], 1: [[1.1]]},
+                             cost_weight=[[2.0]] if weighted else None)
+        rng = np.random.default_rng(rows)
+        seq = tuple(int(m) for m in rng.integers(0, 2, rows - 1))
+        trace = co_simulate(system, PARAMS, seq, [1.0], rng.standard_normal(rows - 1))
+        assert len(trace) == rows and (trace.cost_bound is not None) == weighted
+        lines = trace_csv_lines(trace)
+        assert lines == references.trace_csv_lines(trace)
+        stream = io.StringIO()
+        write_trace_csv(trace, stream)
+        assert stream.getvalue() == "\n".join(lines) + "\n"
+
+    def test_streamed_diverged_trace(self):
+        # 1.15^k passes the overflow guard near k = 4943, past the first row block
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 1.15})
+        trace = co_simulate(SystemModel(modes={0: [[1.0]]}), params, (0,) * 6000, [1.0])
+        assert trace.diverged and CSV_BLOCK_ROWS < len(trace) < 6000
+        lines = trace_csv_lines(trace)
+        assert lines == references.trace_csv_lines(trace)
+        stream = io.StringIO()
+        write_trace_csv(trace, stream)
+        assert stream.getvalue() == "\n".join(lines) + "\n"
