@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import counterexample
 from .builders import build_robustness_abstraction, lyapunov_abstraction
 from .errors import ParameterError
-from .io import DocumentError, load_system, params_to_document
+from .io import DocumentError, load_system, params_to_document, write_csv
 from .linalg import row_norms
 from .mk import MkConstraint, mk_verdict
 from .model import AbstractionParams, SystemModel
@@ -33,7 +32,7 @@ from .scheduler import (
     ExponentialTarget,
     PracticalTarget,
     run_schedule,
-    schedule_csv_lines,
+    schedule_csv_blocks,
 )
 from .sequences import (
     admissible_prefixes,
@@ -42,7 +41,7 @@ from .sequences import (
     validate_mk,
     worst_case_sequence,
 )
-from .simulate import check_guarantee, co_simulate, write_trace_csv
+from .simulate import check_guarantee, co_simulate, trace_csv_blocks
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -139,12 +138,13 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_csv(blocks, out: str | None) -> None:
+    """Stream CSV line blocks to stdout, or to the ``--out`` file."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        write_csv(blocks, sys.stdout)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fileobj:
+            write_csv(blocks, fileobj)
 
 
 def cmd_analyze(args) -> int:
@@ -209,11 +209,7 @@ def cmd_simulate(args) -> int:
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
     disturbances, w_bar, meta = _make_disturbances(args.w, steps, system)
     trace = co_simulate(system, params, seq, x0, disturbances, w_bar, steps, meta)
-    if args.out is None or args.out == "-":
-        write_trace_csv(trace, sys.stdout)
-    else:
-        with open(args.out, "w") as fileobj:
-            write_trace_csv(trace, fileobj)
+    _write_csv(trace_csv_blocks(trace), args.out)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
               file=sys.stderr)
@@ -246,6 +242,7 @@ def cmd_jsr(args) -> int:
         payloads = [(system, mk, args.length, args.max_length, prefix) for prefix in prefixes]
         best = (-1.0, (), 0)
         total = 0
+        from concurrent.futures import ProcessPoolExecutor  # only this branch pays its import
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for rho_hat, sequence, count in pool.map(_jsr_worker, payloads):
                 total += count
@@ -274,6 +271,8 @@ def cmd_schedule(args) -> int:
     if args.C is not None:
         if args.rho_hat is not None or args.alpha_hat is not None:
             raise ParameterError("--C and --rho-hat/--alpha-hat are mutually exclusive")
+        if args.v0 is None:
+            raise ParameterError("practical mode (--C) needs --v0 to initialize vbar")
         target = PracticalTarget(args.C)
     else:
         if args.rho_hat is None or args.alpha_hat is None:
@@ -285,7 +284,7 @@ def cmd_schedule(args) -> int:
         w_bar = system.disturbance_bound if isinstance(target, PracticalTarget) else 0.0
     run = run_schedule(params, target, args.steps, policy=policy, w_bar=w_bar,
                        v0=args.v0, seed=args.seed)
-    _emit(schedule_csv_lines(run.records), args.out)
+    _write_csv(schedule_csv_blocks(run.records), args.out)
     if run.alarm_fired:
         first = next(rec for rec in run.records if rec.alarm)
         print(f"alarm at k={first.k}: {first.alarm}", file=sys.stderr)

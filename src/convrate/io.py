@@ -18,6 +18,9 @@ A system document is a single hand-editable JSON file:
 Only ``name`` and ``modes`` are required. Documents written by
 :func:`save_system` re-parse to an identical :class:`SystemModel`
 (floats round-trip exactly through JSON).
+
+Both CSV tables (trace and decisions) are rendered here too, column by
+column in blocks of rows, so a writer streams them one block at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .model import AbstractionParams, SystemModel
+
+
+#: Rows rendered per block of a CSV table.
+CSV_BLOCK_ROWS = 1 << 12
 
 
 class DocumentError(ValueError):
@@ -163,3 +170,30 @@ def _plain(value):
     if isinstance(value, (np.integer, np.floating)):
         return value.item()
     return value
+
+
+def float_cells(values) -> list[str]:
+    """``repr`` of each value as a float; NaN renders as an empty cell."""
+    values = np.asarray(values, dtype=float)
+    cells = list(map(repr, values.tolist()))
+    for index in np.flatnonzero(np.isnan(values)).tolist():
+        cells[index] = ""
+    return cells
+
+
+def csv_blocks(header, rows: int, columns):
+    """CSV lines of a table, header first, one list per block of rows.
+
+    ``columns(start, stop)`` returns the cells of rows ``start .. stop-1``
+    column by column. A writer that consumes the blocks one at a time holds
+    at most ``CSV_BLOCK_ROWS`` rows of text.
+    """
+    yield [",".join(header)]
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        yield list(map(",".join, zip(*columns(start, min(start + CSV_BLOCK_ROWS, rows)))))
+
+
+def write_csv(blocks, fileobj) -> None:
+    """Write :func:`csv_blocks` lines, newline-terminated, one block at a time."""
+    for block in blocks:
+        fileobj.write("\n".join(block) + "\n")

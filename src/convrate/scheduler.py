@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .model import AbstractionParams, SystemModel
+from .io import csv_blocks
+from .model import AbstractionParams
 
 #: exp() overflows above this; treat larger log values as infinity.
 _LOG_MAX = math.log(float("1e308"))
@@ -255,12 +256,11 @@ class StepRecord:
 
 @dataclass
 class ScheduleRun:
-    """Decision stream of one run plus the optional co-simulated plant."""
+    """Decision stream of one run and the gate state it ended in."""
 
     records: list[StepRecord]
     alarm_fired: bool
     final_state: SchedulerState
-    states: np.ndarray | None = None
 
     @property
     def chosen(self) -> tuple[int, ...]:
@@ -272,30 +272,22 @@ def run_schedule(params: AbstractionParams,
                  steps: int,
                  policy: Policy | None = None,
                  w_bar: Sequence[float] | float | None = None,
-                 system: SystemModel | None = None,
-                 x0=None,
                  v0: float | None = None,
-                 seed: int | None = None,
-                 forced: Sequence[int] | None = None) -> ScheduleRun:
+                 seed: int | None = None) -> ScheduleRun:
     """Drive the gate for ``steps`` periods and record every decision.
 
     On alarm the harness models the documented fallback: it pins execution
-    to mode 0 from that step on (unless ``forced`` overrides the gate
-    entirely, for scripted scenarios). With ``system`` and ``x0`` the plant
-    is co-simulated along the chosen modes (disturbance-free), so the
-    resulting state norms can be compared against the certified envelope.
+    to mode 0 from that step on. A scripted scenario passes a policy that
+    returns its own modes. The gate never reads the plant: to compare plant
+    states with the certified envelope, run
+    ``simulate_plant(system, run.chosen, x0)``.
     """
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
     practical = isinstance(target, PracticalTarget)
-    if practical:
-        if v0 is None:
-            if x0 is None:
-                raise ParameterError("practical mode needs v0 or x0 to initialize vbar")
-            v0 = params.alpha * float(np.linalg.norm(np.atleast_1d(x0)))
-        state = practical_state(v0)
-    else:
-        state = exponential_state()
+    if practical and v0 is None:
+        raise ParameterError("practical mode needs v0 to initialize vbar")
+    state = practical_state(v0) if practical else exponential_state()
     if isinstance(w_bar, (int, float)) or w_bar is None:
         w_series = np.full(steps, 0.0 if w_bar is None else float(w_bar))
     else:
@@ -304,14 +296,6 @@ def run_schedule(params: AbstractionParams,
             raise ParameterError(f"w_bar must provide {steps} entries, got {len(w_series)}")
     policy = policy or greedy_policy()
     rng = np.random.default_rng(seed)
-
-    x = None
-    if system is not None:
-        if x0 is None:
-            raise ParameterError("co-simulation needs x0")
-        x = np.empty((steps + 1, system.n))
-        x[0] = np.atleast_1d(np.asarray(x0, dtype=float))
-
     records: list[StepRecord] = []
     alarm_fired = False
     for k in range(steps):
@@ -319,36 +303,33 @@ def run_schedule(params: AbstractionParams,
         admissible = _within(after, limit)
         alarm = _alarm(target, now, limit, admissible)
         alarm_fired = alarm_fired or alarm is not None
-        if forced is not None:
-            chosen = int(forced[k])
-        elif alarm_fired:
-            chosen = 0
-        else:
-            chosen = policy(k, admissible, rng)
+        chosen = 0 if alarm_fired else policy(k, admissible, rng)
         state = _stored(state, target, after, chosen)
         records.append(StepRecord(k, chosen, admissible,
                                   None if practical else state.kappa_hat, state.v_bar, alarm))
-        if x is not None:
-            x[k + 1] = system.matrix(chosen) @ x[k]
-    return ScheduleRun(records=records, alarm_fired=alarm_fired,
-                       final_state=state, states=x)
+    return ScheduleRun(records=records, alarm_fired=alarm_fired, final_state=state)
 
 
 #: Exact column contract of the decision CSV emission.
 SCHEDULE_COLUMNS = ("k", "chosen_sigma", "admissible_set", "kappa_hat", "vbar", "alarm")
 
 
+def schedule_csv_blocks(records: Sequence[StepRecord]):
+    """Decision CSV lines, header first, one list per block of rows (see ``io.csv_blocks``)."""
+    def columns(start: int, stop: int):
+        block = records[start:stop]
+        return (
+            [str(rec.k) for rec in block],
+            [str(rec.chosen) for rec in block],
+            ["|".join(map(str, sorted(rec.admissible))) for rec in block],
+            ["" if rec.kappa_hat is None else repr(float(rec.kappa_hat)) for rec in block],
+            ["" if rec.v_bar is None else repr(float(rec.v_bar)) for rec in block],
+            [rec.alarm or "" for rec in block],
+        )
+
+    return csv_blocks(SCHEDULE_COLUMNS, len(records), columns)
+
+
 def schedule_csv_lines(records: Sequence[StepRecord]) -> list[str]:
     """Render a decision stream as CSV under the fixed column contract."""
-    lines = [",".join(SCHEDULE_COLUMNS)]
-    for record in records:
-        cells = [
-            str(record.k),
-            str(record.chosen),
-            "|".join(str(mode) for mode in sorted(record.admissible)),
-            "" if record.kappa_hat is None else repr(float(record.kappa_hat)),
-            "" if record.v_bar is None else repr(float(record.v_bar)),
-            record.alarm or "",
-        ]
-        lines.append(",".join(cells))
-    return lines
+    return [line for block in schedule_csv_blocks(records) for line in block]

@@ -15,6 +15,7 @@ import numpy as np
 from convrate.errors import NumericError
 from convrate.linalg import spectral_radius, top_singular_value
 from convrate.nominal import OVERFLOW_LIMIT
+from convrate.scheduler import SCHEDULE_COLUMNS
 from convrate.simulate import OVERFLOW_LIMIT as VBAR_LIMIT
 from convrate.simulate import TRACE_COLUMNS
 
@@ -89,6 +90,22 @@ def trace_csv_lines(trace) -> list[str]:
             _format_cell(trace.vbar[k]),
             _format_cell(trace.kappa[k]),
             "" if trace.cost_bound is None else _format_cell(trace.cost_bound[k]),
+        ]
+        lines.append(",".join(cells))
+    return lines
+
+
+def schedule_csv_lines(records) -> list[str]:
+    """The decision CSV, formatted one record at a time."""
+    lines = [",".join(SCHEDULE_COLUMNS)]
+    for record in records:
+        cells = [
+            str(record.k),
+            str(record.chosen),
+            "|".join(str(mode) for mode in sorted(record.admissible)),
+            "" if record.kappa_hat is None else repr(float(record.kappa_hat)),
+            "" if record.v_bar is None else repr(float(record.v_bar)),
+            record.alarm or "",
         ]
         lines.append(",".join(cells))
     return lines

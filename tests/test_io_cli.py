@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,20 +205,28 @@ class TestSimulateCommand:
         assert outputs[0] == outputs[1]
 
     def test_file_and_stdout_are_identical(self, tmp_path, capsys):
-        # long enough to stream several row blocks
+        # long enough to stream several row blocks, for both CSV commands
         doc = dict(SCALAR_DOC, disturbance_bound=0.2)
         path = tmp_path / "disturbed.json"
         path.write_text(json.dumps(doc))
-        common = ["simulate", str(path), "--sigma", "mk-worst:1,2", "--steps", "9000",
-                  "--w", "seed:3"]
-        assert run(common) == 0
-        printed = capsys.readouterr()
-        out_path = tmp_path / "trace.csv"
-        assert run([*common, "--out", str(out_path)]) == 0
-        written = capsys.readouterr()
-        assert out_path.read_text() == printed.out
-        assert len(printed.out.splitlines()) == 9002
-        assert written.out == "" and written.err == printed.err
+        schedule = ["schedule", str(path), "--method", "robust", "--rho", "0.6",
+                    "--steps", "9000"]
+        commands = [
+            (["simulate", str(path), "--sigma", "mk-worst:1,2", "--steps", "9000",
+              "--w", "seed:3"], 9002),
+            ([*schedule, "--rho-hat", "0.9", "--alpha-hat", "4"], 9001),
+            ([*schedule, "--C", "2.0", "--v0", "1.0", "--policy", "random", "--seed", "5"],
+             9001),
+        ]
+        for common, lines in commands:
+            assert run(common) == 0
+            printed = capsys.readouterr()
+            out_path = tmp_path / f"{common[0]}.csv"
+            assert run([*common, "--out", str(out_path)]) == 0
+            written = capsys.readouterr()
+            assert out_path.read_text() == printed.out
+            assert len(printed.out.splitlines()) == lines
+            assert written.out == "" and written.err == printed.err
 
 
 class TestJsrCommand:
@@ -288,6 +300,23 @@ class TestScheduleCommand:
         code = run(["schedule", scalar_path, "--C", "1.0", "--rho-hat", "0.9",
                     "--alpha-hat", "2"])
         assert code == 2
+
+    def test_practical_mode_names_v0_flag(self, scalar_path, capsys):
+        code = run(["schedule", scalar_path, "--C", "5.0", "--steps", "5"])
+        assert code == 2
+        assert "--v0" in capsys.readouterr().err
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only `jsr --jobs N` (N > 1) needs concurrent.futures
+        import convrate
+
+        src = str(Path(convrate.__file__).resolve().parents[1])
+        code = ("import sys, convrate.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestReproCommand:

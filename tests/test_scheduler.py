@@ -1,9 +1,12 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import references
 
 from convrate import (
     AbstractionParams,
@@ -22,10 +25,12 @@ from convrate import (
     random_policy,
     round_robin_policy,
     run_schedule,
+    simulate_plant,
     supervisor_check,
     worst_case_sequence,
 )
-from convrate.scheduler import POLICIES, schedule_csv_lines
+from convrate.io import CSV_BLOCK_ROWS, write_csv
+from convrate.scheduler import POLICIES, StepRecord, schedule_csv_blocks, schedule_csv_lines
 from conftest import two_mode_system
 
 PARAMS = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.2})
@@ -134,9 +139,15 @@ class TestSupervisor:
     def test_ok_within_budget(self):
         assert supervisor_check(exponential_state(), PARAMS, TARGET)
 
+    def test_practical_run_needs_v0(self):
+        with pytest.raises(ParameterError, match="v0"):
+            run_schedule(PARAMS, PracticalTarget(2.0), 5)
+
     def test_forced_skips_alarm_at_first_violation(self):
-        # third consecutive skip pushes kappa_hat = (4/3)^3 > 2
-        run = run_schedule(PARAMS, TARGET, 5, forced=(1, 1, 1, 0, 0))
+        # third consecutive skip pushes kappa_hat = (4/3)^3 > 2; the scripted
+        # policy takes it although the gate admits only mode 0
+        script = (1, 1, 1, 0, 0)
+        run = run_schedule(PARAMS, TARGET, 5, policy=lambda k, admissible, rng: script[k])
         alarms = [rec.k for rec in run.records if rec.alarm]
         assert run.alarm_fired
         assert alarms[0] == 3
@@ -166,7 +177,8 @@ class TestRunSoundness:
         rho_hat = min(0.99, params.rho[0] + 0.2)
         target = ExponentialTarget(rho_hat, alpha_hat=float(rng.uniform(1.5, 20.0)))
         x0 = rng.standard_normal(system.n)
-        run = run_schedule(params, target, 400, system=system, x0=x0, seed=seed)
+        run = run_schedule(params, target, 400, seed=seed)
+        states = simulate_plant(system, run.chosen, x0)
         assert not run.alarm_fired
         kappa = 1.0
         x0_norm = np.linalg.norm(x0)
@@ -175,7 +187,7 @@ class TestRunSoundness:
             k = record.k + 1
             assert kappa <= target.alpha_hat * target.rho_hat**k * (1 + 1e-9)
             envelope = params.alpha * target.alpha_hat * target.rho_hat**k * x0_norm
-            assert np.linalg.norm(run.states[k]) <= envelope * (1 + 1e-9)
+            assert np.linalg.norm(states[k]) <= envelope * (1 + 1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_practical_invariant_and_state_bound(self, seed):
@@ -319,3 +331,33 @@ class TestScheduleCsv:
         first = lines[1].split(",")
         assert first[3] == ""  # no kappa_hat in practical mode
         assert float(first[4]) > 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_record_reference(self, data):
+        # a few drawn records, cycled up to a row count around one block
+        pool = data.draw(st.lists(step_records(), min_size=1, max_size=8))
+        rows = data.draw(st.sampled_from([0, 1, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                          CSV_BLOCK_ROWS + 1]))
+        records = [pool[k % len(pool)] for k in range(rows)]
+        # plain booleans: pytest's diff of two block-sized tables, repeated
+        # while hypothesis shrinks, would take minutes to report a failure
+        lines = schedule_csv_lines(records)
+        same = lines == references.schedule_csv_lines(records)
+        assert same
+        stream = io.StringIO()
+        write_csv(schedule_csv_blocks(records), stream)
+        streamed = stream.getvalue() == "\n".join(lines) + "\n"
+        assert streamed
+
+
+@st.composite
+def step_records(draw):
+    """Records with missing, zero, infinite and NaN values and 1-3-mode sets."""
+    values = st.one_of(st.none(), st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    return StepRecord(k=draw(st.integers(0, 10**6)), chosen=draw(st.integers(0, 2)),
+                      admissible=frozenset(draw(st.sets(st.integers(0, 2), min_size=1))),
+                      kappa_hat=draw(values), v_bar=draw(values),
+                      alarm=draw(st.sampled_from([None, "kappa budget exceeded",
+                                                  "no admissible mode"])))
