@@ -271,8 +271,6 @@ def cmd_schedule(args) -> int:
     if args.C is not None:
         if args.rho_hat is not None or args.alpha_hat is not None:
             raise ParameterError("--C and --rho-hat/--alpha-hat are mutually exclusive")
-        if args.v0 is None:
-            raise ParameterError("practical mode (--C) needs --v0 to initialize vbar")
         target = PracticalTarget(args.C)
     else:
         if args.rho_hat is None or args.alpha_hat is None:

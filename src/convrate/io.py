@@ -172,15 +172,6 @@ def _plain(value):
     return value
 
 
-def float_cells(values) -> list[str]:
-    """``repr`` of each value as a float; NaN renders as an empty cell."""
-    values = np.asarray(values, dtype=float)
-    cells = list(map(repr, values.tolist()))
-    for index in np.flatnonzero(np.isnan(values)).tolist():
-        cells[index] = ""
-    return cells
-
-
 def csv_blocks(header, rows: int, columns):
     """CSV lines of a table, header first, one list per block of rows.
 

@@ -286,7 +286,7 @@ def run_schedule(params: AbstractionParams,
         raise ParameterError(f"steps must be >= 0, got {steps}")
     practical = isinstance(target, PracticalTarget)
     if practical and v0 is None:
-        raise ParameterError("practical mode needs v0 to initialize vbar")
+        raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
     state = practical_state(v0) if practical else exponential_state()
     if isinstance(w_bar, (int, float)) or w_bar is None:
         w_series = np.full(steps, 0.0 if w_bar is None else float(w_bar))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .io import CSV_BLOCK_ROWS, csv_blocks, float_cells, write_csv  # re-exports CSV_BLOCK_ROWS
+from .io import CSV_BLOCK_ROWS, csv_blocks, write_csv  # re-exports CSV_BLOCK_ROWS
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
 
@@ -86,6 +86,8 @@ def _as_state(x0, n: int) -> np.ndarray:
 
 
 def _as_disturbances(disturbances, horizon: int, n: int) -> np.ndarray:
+    if disturbances is None:
+        return np.zeros((horizon, n))
     w = np.asarray(disturbances, dtype=float)
     if w.ndim == 1 and n == 1:
         w = w.reshape(-1, 1)
@@ -104,18 +106,17 @@ def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
                   horizon: int | None):
     """Validated ``(horizon, x0, w, |w_k|, matrix per mode)`` of a plant run.
 
-    ``w`` is None without disturbances; ``|w_k|`` is then all zeros. Every
-    mode of ``seq[:horizon]`` is looked up once, in order of first use, so
-    an undeclared mode raises the same ``KeyError`` as the step that would
-    apply it.
+    Every mode of ``seq[:horizon]`` is looked up once, in order of first
+    use, so an undeclared mode raises the same ``KeyError`` as the step
+    that would apply it.
     """
     if horizon is None:
         horizon = len(seq)
     if horizon < 0 or horizon > len(seq):
         raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
     x0 = _as_state(x0, system.n)
-    w = None if disturbances is None else _as_disturbances(disturbances, horizon, system.n)
-    w_norms = np.zeros(horizon) if w is None else row_norms(w)
+    w = _as_disturbances(disturbances, horizon, system.n)
+    w_norms = row_norms(w)
     bound = system.disturbance_bound
     if bound is not None and horizon:
         worst = int(np.argmax(w_norms))
@@ -128,15 +129,13 @@ def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
     return horizon, x0, w, w_norms, matrices
 
 
-def _run_plant(seq: Sequence[int], x0: np.ndarray, w: np.ndarray | None, matrices: dict,
-               horizon: int) -> np.ndarray:
-    states = np.empty((horizon + 1, len(x0)))
+def _run_plant(seq: Sequence[int], x0: np.ndarray, w: np.ndarray, matrices: dict) -> np.ndarray:
+    states = np.empty((len(w) + 1, len(x0)))
     states[0] = x0
     prev = states[0]
     for k, row in enumerate(states[1:]):
         matrices[seq[k]].dot(prev, out=row)
-        if w is not None:
-            row += w[k]
+        row += w[k]
         prev = row
     return states
 
@@ -148,8 +147,8 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     Exact linear recursion, deterministic given its inputs. Disturbances
     must respect the system's declared bound when one is present.
     """
-    horizon, x0, w, _, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
-    return _run_plant(seq, x0, w, matrices, horizon)
+    _, x0, w, _, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
+    return _run_plant(seq, x0, w, matrices)
 
 
 def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
@@ -212,7 +211,7 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     disturbance knowledge.
     """
     horizon, x0, w, w_norms, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
-    states = _run_plant(seq, x0, w, matrices, horizon)
+    states = _run_plant(seq, x0, w, matrices)
     if w_bar is None:
         w_bar = w_norms
     x0_norm = float(np.linalg.norm(states[0]))
@@ -286,18 +285,27 @@ def cost_transform(Q) -> np.ndarray:
         ) from None
 
 
+def _float_cells(values) -> list[str]:
+    """``repr`` of each value as a float; NaN renders as an empty cell."""
+    values = np.asarray(values, dtype=float)
+    cells = list(map(repr, values.tolist()))
+    for index in np.flatnonzero(np.isnan(values)).tolist():
+        cells[index] = ""
+    return cells
+
+
 def trace_csv_blocks(trace: Trace):
     """Trace CSV lines, header first, one list per block of rows (see ``io.csv_blocks``)."""
     def columns(start: int, stop: int):
         return (
             map(str, range(start, stop)),
             ["" if sigma is None else str(sigma) for sigma in trace.sigma[start:stop]],
-            float_cells(trace.w_norm[start:stop]),
-            float_cells(trace.x_norm[start:stop]),
-            float_cells(trace.vbar[start:stop]),
-            float_cells(trace.kappa[start:stop]),
+            _float_cells(trace.w_norm[start:stop]),
+            _float_cells(trace.x_norm[start:stop]),
+            _float_cells(trace.vbar[start:stop]),
+            _float_cells(trace.kappa[start:stop]),
             ([""] * (stop - start) if trace.cost_bound is None
-             else float_cells(trace.cost_bound[start:stop])),
+             else _float_cells(trace.cost_bound[start:stop])),
         )
 
     return csv_blocks(TRACE_COLUMNS, len(trace), columns)

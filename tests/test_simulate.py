@@ -273,12 +273,15 @@ class TestTraceCsv:
 
 @st.composite
 def plant_cases(draw):
-    """A system of size 1..8 with up to three modes, a mode sequence and disturbances."""
+    """A system of size 1..8 with up to three modes (maybe one zero), a sequence and disturbances."""
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     modes = draw(st.integers(1, 3))
     scale = 10.0 ** draw(st.integers(-3, 1))  # 60 steps stay far from overflow
-    system = SystemModel(modes={m: rng.standard_normal((n, n)) * scale for m in range(modes)})
+    matrices = {m: rng.standard_normal((n, n)) * scale for m in range(modes)}
+    if draw(st.booleans()):  # a zero mode: a zero disturbance row must keep its +0.0 states
+        matrices[modes - 1] = np.zeros((n, n))
+    system = SystemModel(modes=matrices)
     horizon = draw(st.integers(0, 60))
     seq = [int(m) for m in rng.integers(0, modes, horizon)]
     seq = draw(st.sampled_from([tuple, list, np.array]))(seq)
