@@ -86,7 +86,6 @@ from .simulate import (
     simulate_abstraction,
     simulate_plant,
     trace_csv_lines,
-    write_trace_csv,
 )
 
 __version__ = "0.1.0"

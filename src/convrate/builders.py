@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NoStableSolutionError, NumericError, ParameterError
 from .linalg import as_square_matrix, cholesky, solve_discrete_lyapunov, spectral_norm
 from .model import AbstractionParams, SystemModel
-from .nominal import ITERATION_CAP, build_nominal_abstraction
+from .nominal import build_nominal_abstraction
 
 #: Condition numbers of P beyond this attach a warning to the result.
 CONDITION_CAP = 1e12
@@ -74,15 +74,13 @@ def robustness_abstraction(nominal: AbstractionParams,
 
 
 def build_robustness_abstraction(system: SystemModel, rho: float,
-                                 beta: float | None = None,
-                                 max_iterations: int = ITERATION_CAP) -> AbstractionParams:
+                                 beta: float | None = None) -> AbstractionParams:
     """Nominal certificate + gamma gains in one step, covering all system modes."""
-    nominal = build_nominal_abstraction(system.modes[0], rho, beta, max_iterations)
+    nominal = build_nominal_abstraction(system.modes[0], rho, beta)
     return robustness_abstraction(nominal, gamma_bounds(system), modes=system.modes)
 
 
-def lyapunov_abstraction(system: SystemModel, Q=None,
-                         condition_cap: float = CONDITION_CAP) -> AbstractionParams:
+def lyapunov_abstraction(system: SystemModel, Q=None) -> AbstractionParams:
     """Abstraction from a quadratic Lyapunov function of the nominal mode.
 
     Solves ``A0.T P A0 - P = -Q`` (Q defaults to identity), factors
@@ -110,9 +108,9 @@ def lyapunov_abstraction(system: SystemModel, Q=None,
         "lambda_min": lam_min,
         "lambda_max": lam_max,
     }
-    if condition > condition_cap:
+    if condition > CONDITION_CAP:
         diagnostics["warnings"] = [
-            f"P condition number {condition:.3e} exceeds {condition_cap:.1e}; "
+            f"P condition number {condition:.3e} exceeds {CONDITION_CAP:.1e}; "
             "rates may be inaccurate"
         ]
     if not rho[0] < 1.0:

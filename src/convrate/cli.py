@@ -38,7 +38,6 @@ from .sequences import (
     admissible_prefixes,
     averaged_spectral_radius,
     transition_product,
-    validate_mk,
     worst_case_sequence,
 )
 from .simulate import check_guarantee, co_simulate, trace_csv_blocks

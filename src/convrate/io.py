@@ -11,13 +11,12 @@ A system document is a single hand-editable JSON file:
         {"id": 1, "label": "skip",    "A": [[1.2]]}
       ],
       "disturbance_bound": 0.1,
-      "cost_weight_Q": [[1.0]],
-      "lipschitz": 1.2
+      "cost_weight_Q": [[1.0]]
     }
 
-Only ``name`` and ``modes`` are required. Documents written by
-:func:`save_system` re-parse to an identical :class:`SystemModel`
-(floats round-trip exactly through JSON).
+Only ``name`` and ``modes`` are required; other keys are ignored.
+Documents written by :func:`save_system` re-parse to an identical
+:class:`SystemModel` (floats round-trip exactly through JSON).
 
 Both CSV tables (trace and decisions) are rendered here too, column by
 column in blocks of rows, so a writer streams them one block at a time.
@@ -96,14 +95,9 @@ def system_from_document(doc: dict) -> SystemModel:
         cost_matrix = np.array(_as_matrix(cost, "cost_weight_Q"), dtype=float)
         _require(cost_matrix.shape == (n, n),
                  f"cost_weight_Q: expected a {n}x{n} matrix, got {cost_matrix.shape}")
-    lipschitz = doc.get("lipschitz")
-    if lipschitz is not None:
-        _require(isinstance(lipschitz, (int, float)) and not isinstance(lipschitz, bool)
-                 and lipschitz >= 0,
-                 f"lipschitz: expected a number >= 0, got {lipschitz!r}")
     try:
         return SystemModel(modes=modes, disturbance_bound=bound, cost_weight=cost_matrix,
-                           lipschitz=lipschitz, name=name, labels=labels)
+                           name=name, labels=labels)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -124,8 +118,6 @@ def system_to_document(system: SystemModel) -> dict:
         doc["disturbance_bound"] = system.disturbance_bound
     if system.cost_weight is not None:
         doc["cost_weight_Q"] = system.cost_weight.tolist()
-    if system.lipschitz is not None:
-        doc["lipschitz"] = system.lipschitz
     return doc
 
 

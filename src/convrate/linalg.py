@@ -29,6 +29,8 @@ from .errors import (
 
 #: Tolerance for symmetry checks ahead of factorizations.
 SYMMETRY_TOL = 1e-12
+#: Tolerance of :func:`check_psd`, relative to the largest entry.
+PSD_TOL = 1e-10
 #: Acceptance tolerance for the discrete Lyapunov residual, relative to ||Q||.
 RESIDUAL_TOL = 1e-9
 #: Byte budget of one block of rows in :func:`row_norms`.
@@ -87,12 +89,12 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_psd(Q: np.ndarray, name: str, tol: float = 1e-10) -> None:
+def check_psd(Q: np.ndarray, name: str) -> None:
     """Raise :class:`ParameterError` unless ``Q`` is symmetric positive semidefinite."""
     scale = max(1.0, float(np.max(np.abs(Q))))
-    if float(np.max(np.abs(Q - Q.T))) > tol * scale:
+    if float(np.max(np.abs(Q - Q.T))) > PSD_TOL * scale:
         raise ParameterError(f"{name} must be symmetric")
-    if float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0]) < -tol * scale:
+    if float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0]) < -PSD_TOL * scale:
         raise ParameterError(f"{name} must be positive semidefinite")
 
 
@@ -123,20 +125,20 @@ def _failing_minor(sym: np.ndarray) -> int:
     return sym.shape[0]
 
 
-def cholesky(P, sym_tol: float = SYMMETRY_TOL) -> np.ndarray:
+def cholesky(P) -> np.ndarray:
     """Upper-triangular Cholesky factor ``R`` with ``R.T @ R == P``.
 
-    ``P`` must be symmetric to within ``sym_tol`` (relative to its largest
+    ``P`` must be symmetric to within ``SYMMETRY_TOL`` (relative to its largest
     entry) and positive definite. On failure the error names the smallest
     leading principal minor that is not positive.
     """
     P = as_square_matrix(P, "P")
     scale = max(1.0, float(np.max(np.abs(P))))
     asym = float(np.max(np.abs(P - P.T)))
-    if asym > sym_tol * scale:
+    if asym > SYMMETRY_TOL * scale:
         raise NotPositiveDefiniteError(
             f"matrix is not symmetric: max|P - P.T| = {asym:.3e} exceeds "
-            f"tolerance {sym_tol:.1e} (relative to scale {scale:.3e})"
+            f"tolerance {SYMMETRY_TOL:.1e} (relative to scale {scale:.3e})"
         )
     sym = (P + P.T) / 2.0
     try:
@@ -151,13 +153,13 @@ def cholesky(P, sym_tol: float = SYMMETRY_TOL) -> np.ndarray:
     return np.ascontiguousarray(lower.T)
 
 
-def solve_discrete_lyapunov(A, Q, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def solve_discrete_lyapunov(A, Q) -> np.ndarray:
     """Solve ``A.T @ P @ A - P = -Q`` for symmetric positive definite ``P``.
 
     Requires symmetric positive definite ``Q`` and a Schur-stable ``A``
     (spectral radius < 1); otherwise no positive definite solution exists
     and :class:`NoStableSolutionError` is raised. The returned ``P`` is
-    symmetrized and its residual is verified against ``residual_tol * ||Q||``.
+    symmetrized and its residual is verified against ``RESIDUAL_TOL * ||Q||``.
     """
     A = as_square_matrix(A, "A")
     Q = as_square_matrix(Q, "Q")
@@ -183,9 +185,9 @@ def solve_discrete_lyapunov(A, Q, residual_tol: float = RESIDUAL_TOL) -> np.ndar
     P = vec_p.reshape(n, n)
     P = (P + P.T) / 2.0
     residual = spectral_norm(at @ P @ A - P + Q)
-    if residual > residual_tol * spectral_norm(Q):
+    if residual > RESIDUAL_TOL * spectral_norm(Q):
         raise NumericError(
-            f"Lyapunov residual {residual:.3e} exceeds {residual_tol:.1e} * ||Q||; "
+            f"Lyapunov residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} * ||Q||; "
             "the system is likely too close to the stability boundary"
         )
     return P

@@ -83,13 +83,12 @@ def mk_alpha_tilde(rho0: float, rho1: float, mk: MkConstraint) -> float:
 
 
 def mk_verdict(params: AbstractionParams, mk: MkConstraint,
-               alpha_sys: float | None = None,
                r0: float | None = None) -> StabilityVerdict:
     """Apply the closed-form criterion to a two-mode abstraction.
 
-    ``alpha_sys`` overrides the overshoot of ``params`` in the combined
-    bound ``|x_k| <= alpha * alpha_tilde * rho_tilde^k * |x_0|``; with
-    ``r0`` the safe initial radius for non-global certificates is attached.
+    The combined bound is ``|x_k| <= alpha * alpha_tilde * rho_tilde^k *
+    |x_0|`` with the ``alpha`` of ``params``; with ``r0`` the safe initial
+    radius for non-global certificates is attached.
 
     A skip mode that contracts faster than the nominal one (``rho1 <
     rho0``, e.g. a reset) is charged the nominal rate instead: every step
@@ -113,12 +112,11 @@ def mk_verdict(params: AbstractionParams, mk: MkConstraint,
             f"inconsistent overshoot: (rho1/rho0)^(K-m)={alpha_t!r} vs "
             f"(rho_tilde/rho0)^K={alternative!r}"
         )
-    alpha = params.alpha if alpha_sys is None else float(alpha_sys)
-    radius = None if r0 is None else safe_initial_radius(r0, alpha, alpha_t)
+    radius = None if r0 is None else safe_initial_radius(r0, params.alpha, alpha_t)
     return StabilityVerdict(
         rho_tilde=rho_t,
         alpha_tilde=alpha_t,
-        combined_overshoot=alpha * alpha_t,
+        combined_overshoot=params.alpha * alpha_t,
         proven_stable=rho_t < 1.0,
         safe_initial_radius=radius,
     )

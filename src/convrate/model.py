@@ -35,8 +35,6 @@ class SystemModel:
     cost_weight : ndarray or None
         Symmetric positive semidefinite weight of the quadratic cost
         ``x.T Q x``, when a cost is tracked.
-    lipschitz : float or None
-        Optional Lipschitz bound on the dynamics (metadata only).
     labels : dict[int, str]
         Human-readable mode names, used by the document format.
     """
@@ -44,7 +42,6 @@ class SystemModel:
     modes: dict[int, np.ndarray]
     disturbance_bound: float | None = None
     cost_weight: np.ndarray | None = None
-    lipschitz: float | None = None
     name: str = "system"
     labels: dict[int, str] = field(default_factory=dict)
 
@@ -78,10 +75,6 @@ class SystemModel:
                     f"{self.cost_weight.shape[0]}, expected {n}x{n}"
                 )
             check_psd(self.cost_weight, "cost_weight")
-        if self.lipschitz is not None:
-            self.lipschitz = float(self.lipschitz)
-            if not (self.lipschitz >= 0.0 and math.isfinite(self.lipschitz)):
-                raise ParameterError("lipschitz must be a finite value >= 0")
         self.labels = {int(k): str(v) for k, v in self.labels.items()}
 
     @property
@@ -110,7 +103,6 @@ class SystemModel:
         if self.cost_weight is not None and not np.array_equal(self.cost_weight, other.cost_weight):
             return False
         return (self.disturbance_bound == other.disturbance_bound
-                and self.lipschitz == other.lipschitz
                 and self.name == other.name
                 and self.labels == other.labels)
 

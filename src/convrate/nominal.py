@@ -24,6 +24,8 @@ ITERATION_CAP = 10**6
 OVERFLOW_LIMIT = 1e300
 #: Byte budget of one block of powers in the k_tilde scan (8192 at n=4).
 SCAN_BLOCK_BYTES = 1 << 20
+#: Relative gap kept above the spectral radius by :func:`sweep_rho`.
+SWEEP_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,13 @@ def nominal_certificate(A0, rho: float,
     return NominalCertificate(rho=check.rho, k_tilde=k_tilde, alpha_min=alpha_min)
 
 
-def build_nominal_abstraction(A0, rho: float, beta: float | None = None,
-                              max_iterations: int = ITERATION_CAP) -> AbstractionParams:
+def build_nominal_abstraction(A0, rho: float, beta: float | None = None) -> AbstractionParams:
     """Single-mode abstraction of the undisturbed nominal loop.
 
     ``alpha`` is set to ``alpha_min``; ``beta`` defaults to ``alpha`` (its
     smallest admissible value) and may be raised but not lowered.
     """
-    cert = nominal_certificate(A0, rho, max_iterations)
+    cert = nominal_certificate(A0, rho)
     if beta is None:
         beta = cert.alpha_min
     elif beta < cert.alpha_min:
@@ -155,22 +156,20 @@ def build_nominal_abstraction(A0, rho: float, beta: float | None = None,
     )
 
 
-def sweep_rho(A0, num: int = 20, margin: float = 1e-3,
-              max_iterations: int = ITERATION_CAP) -> list[tuple[float, float]]:
+def sweep_rho(A0, num: int = 20) -> list[tuple[float, float]]:
     """(rho, alpha_min) pairs on a log-spaced grid of admissible decay rates.
 
-    The grid spans ``spectral_radius(A0) * (1 + margin)`` up to (excluding)
-    one, letting callers trade decay speed against overshoot.
+    The grid spans ``spectral_radius(A0) * (1 + SWEEP_MARGIN)`` up to
+    (excluding) one, letting callers trade decay speed against overshoot.
     """
     A0 = as_square_matrix(A0, "A0")
     if num < 1:
         raise ParameterError("num must be >= 1")
     radius = spectral_radius(A0)
-    low = max(radius * (1.0 + margin), 1e-6)
+    low = max(radius * (1.0 + SWEEP_MARGIN), 1e-6)
     if low >= 1.0:
         raise ParameterError(
             f"A0 is not Schur-stable enough to sweep: spectral radius {radius:.6g}"
         )
     grid = np.geomspace(low, 1.0, num=num, endpoint=False)
-    return [(float(r), nominal_certificate(A0, float(r), max_iterations).alpha_min)
-            for r in grid]
+    return [(float(r), nominal_certificate(A0, float(r)).alpha_min) for r in grid]

@@ -54,9 +54,8 @@ class PracticalTarget:
 
 @dataclass(frozen=True)
 class SchedulerState:
-    """Step counter plus the log-domain damage counter and/or vbar."""
+    """The log-domain damage counter and/or vbar."""
 
-    step: int = 0
     log_kappa_hat: float = 0.0
     v_bar: float | None = None
 
@@ -117,8 +116,8 @@ def _stored(state: SchedulerState, target: ExponentialTarget | PracticalTarget,
     except KeyError:
         raise KeyError(f"mode {sigma} has no convergence rate in these parameters") from None
     if isinstance(target, ExponentialTarget):
-        return SchedulerState(state.step + 1, value, state.v_bar)
-    return SchedulerState(state.step + 1, state.log_kappa_hat, value)
+        return SchedulerState(value, state.v_bar)
+    return SchedulerState(state.log_kappa_hat, value)
 
 
 def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
@@ -152,13 +151,12 @@ def practical_step(state: SchedulerState, sigma: int, w_bar_k: float,
 
 @dataclass(frozen=True)
 class SupervisorReport:
-    """ok, or an alarm naming the violated quantity, threshold, and step."""
+    """ok, or an alarm naming the violated quantity and its threshold."""
 
     ok: bool
     reason: str | None = None
     value: float | None = None
     threshold: float | None = None
-    step: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -185,10 +183,10 @@ def supervisor_check(state: SchedulerState, params: AbstractionParams,
     now, limit, after = _gate(state, params, target, w_bar_k)
     reason = _alarm(target, now, limit, _within(after, limit))
     if reason is None:
-        return SupervisorReport(True, step=state.step)
+        return SupervisorReport(True)
     if isinstance(target, ExponentialTarget):
-        return SupervisorReport(False, reason, state.kappa_hat, target.alpha_hat, state.step)
-    return SupervisorReport(False, reason, now, limit, state.step)
+        return SupervisorReport(False, reason, state.kappa_hat, target.alpha_hat)
+    return SupervisorReport(False, reason, now, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +195,15 @@ def supervisor_check(state: SchedulerState, params: AbstractionParams,
 Policy = Callable[[int, frozenset, np.random.Generator | None], int]
 
 
-def greedy_policy(preference: dict[int, float] | None = None) -> Policy:
-    """Most-preferred admissible mode.
+def greedy_policy() -> Policy:
+    """Highest admissible mode id (cheapest execution first).
 
-    Default preference is the highest mode id (cheapest execution first);
-    with an explicit ranking, ties break toward the lowest mode id. The
-    gate enforces soundness, so the policy choice is free.
+    The gate enforces soundness, so the policy choice is free; another
+    ranking is just another policy callable.
     """
 
     def choose(k: int, admissible: frozenset, rng=None) -> int:
-        if preference is None:
-            return max(admissible)
-        return min(admissible, key=lambda mode: (-preference.get(mode, -math.inf), mode))
+        return max(admissible)
 
     return choose
 
@@ -256,11 +251,10 @@ class StepRecord:
 
 @dataclass
 class ScheduleRun:
-    """Decision stream of one run and the gate state it ended in."""
+    """Decision stream of one run and whether its supervisor alarmed."""
 
     records: list[StepRecord]
     alarm_fired: bool
-    final_state: SchedulerState
 
     @property
     def chosen(self) -> tuple[int, ...]:
@@ -288,7 +282,7 @@ def run_schedule(params: AbstractionParams,
     if practical and v0 is None:
         raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
     state = practical_state(v0) if practical else exponential_state()
-    if isinstance(w_bar, (int, float)) or w_bar is None:
+    if np.ndim(w_bar) == 0:  # None or one constant bound
         w_series = np.full(steps, 0.0 if w_bar is None else float(w_bar))
     else:
         w_series = np.asarray(w_bar, dtype=float).reshape(-1)
@@ -307,7 +301,7 @@ def run_schedule(params: AbstractionParams,
         state = _stored(state, target, after, chosen)
         records.append(StepRecord(k, chosen, admissible,
                                   None if practical else state.kappa_hat, state.v_bar, alarm))
-    return ScheduleRun(records=records, alarm_fired=alarm_fired, final_state=state)
+    return ScheduleRun(records=records, alarm_fired=alarm_fired)
 
 
 #: Exact column contract of the decision CSV emission.

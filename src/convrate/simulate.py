@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .io import CSV_BLOCK_ROWS, csv_blocks, write_csv  # re-exports CSV_BLOCK_ROWS
+from .io import CSV_BLOCK_ROWS, csv_blocks  # re-exports CSV_BLOCK_ROWS
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
 
@@ -165,8 +165,8 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
     if horizon < 0 or horizon > len(seq):
         raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
     x0_norm = float(x0_norm)
-    if x0_norm < 0:
-        raise ParameterError(f"x0_norm must be >= 0, got {x0_norm}")
+    if not (x0_norm >= 0 and math.isfinite(x0_norm)):
+        raise ParameterError(f"x0_norm must be finite and >= 0, got {x0_norm}")
     if w_bar is None:
         w_values = np.zeros(horizon)
     else:
@@ -246,15 +246,20 @@ def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     """Verify ``|x_k| <= vbar_k * (1 + rel_tol)`` and report tightness.
 
     ``max_ratio`` is the supremum of ``|x_k| / vbar_k`` over the trace, a
-    direct measure of how conservative the abstraction is.
+    direct measure of how conservative the abstraction is. A NaN in either
+    series is a violation with ratio ``inf``.
     """
+    rel_tol = float(rel_tol)
+    if not (rel_tol >= 0.0 and math.isfinite(rel_tol)):
+        raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     x = trace.x_norm
     v = trace.vbar
-    violations = x > v * (1.0 + rel_tol)
+    violations = ~(x <= v * (1.0 + rel_tol))
     first = int(np.argmax(violations)) if bool(np.any(violations)) else None
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(v > 0, x / np.where(v > 0, v, 1.0),
                           np.where(x == 0, 0.0, math.inf))
+    ratios[np.isnan(x) | np.isnan(v)] = math.inf
     max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
     return GuaranteeReport(holds=first is None, first_violation=first, max_ratio=max_ratio)
 
@@ -314,8 +319,3 @@ def trace_csv_blocks(trace: Trace):
 def trace_csv_lines(trace: Trace) -> list[str]:
     """Render a trace as CSV lines under the fixed column contract."""
     return [line for block in trace_csv_blocks(trace) for line in block]
-
-
-def write_trace_csv(trace: Trace, fileobj) -> None:
-    """Write :func:`trace_csv_lines`, newline-terminated, one row block at a time."""
-    write_csv(trace_csv_blocks(trace), fileobj)

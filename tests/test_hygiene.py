@@ -1,0 +1,46 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter ships with the project, so this stdlib ``ast`` check stands in
+for the unused-import rule of one. ``__init__.py`` only re-exports, and
+``simulate`` re-exports ``CSV_BLOCK_ROWS`` on purpose.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import convrate
+
+PACKAGE = Path(convrate.__file__).parent
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+#: Imports kept for their importers, not for the module itself.
+RE_EXPORTS = {("simulate.py", "CSV_BLOCK_ROWS")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import anywhere in ``source`` that nothing reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    unused = unused_imports((PACKAGE / module).read_text())
+    assert [name for name in unused if (module, name) not in RE_EXPORTS] == []
+
+
+def test_check_sees_unused_and_used_names():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\nimport os.path\nfrom .a import b, c as d\n"
+              "def f():\n    from .e import g\n    return np.zeros(1), d\n")
+    assert unused_imports(source) == ["os", "b", "g"]

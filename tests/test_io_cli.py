@@ -50,13 +50,18 @@ class TestDocuments:
             modes={0: rng.standard_normal((3, 3)) * 0.3, 1: rng.standard_normal((3, 3))},
             disturbance_bound=0.125,
             cost_weight=np.eye(3),
-            lipschitz=2.5,
             name="round-trip",
             labels={0: "run", 1: "skip"},
         )
         path = tmp_path / "sys.json"
         save_system(system, path)
         assert load_system(path) == system
+
+    def test_unknown_keys_are_ignored(self):
+        doc = dict(SCALAR_DOC, lipschitz=1.2, notes="not part of the format")
+        assert system_from_document(doc) == system_from_document(SCALAR_DOC)
+        assert system_to_document(system_from_document(doc)) == system_to_document(
+            system_from_document(SCALAR_DOC))
 
     def test_missing_modes(self):
         with pytest.raises(DocumentError, match="modes"):
@@ -190,6 +195,12 @@ class TestSimulateCommand:
     def test_worst_pattern_requires_steps(self, scalar_path, capsys):
         code = run(["simulate", scalar_path, "--sigma", "mk-worst:1,2"])
         assert code == 2
+
+    def test_nan_tolerance_is_refused(self, scalar_path, tmp_path, capsys):
+        code = run(["simulate", scalar_path, "--sigma", "0,1,0", "--x0", "1.0",
+                    "--rel-tol", "nan", "--out", str(tmp_path / "trace.csv")])
+        assert code == 2
+        assert "rel_tol" in capsys.readouterr().err
 
     def test_seeded_disturbance_is_reproducible(self, tmp_path):
         doc = dict(SCALAR_DOC, disturbance_bound=0.2)

@@ -129,7 +129,8 @@ class TestVerdict:
             mk_verdict(params, MkConstraint(1, 2))
 
     def test_safe_radius_attached(self):
-        verdict = mk_verdict(TWO_MODE, MkConstraint(1, 2), alpha_sys=2.0, r0=1.0)
+        params = AbstractionParams(alpha=2.0, beta=TWO_MODE.beta, rho=TWO_MODE.rho)
+        verdict = mk_verdict(params, MkConstraint(1, 2), r0=1.0)
         assert verdict.safe_initial_radius == pytest.approx(1.0 / (2.0 * 2.4), abs=1e-12)
 
     @pytest.mark.parametrize("rho1", [0.0, 0.3, 0.79])

@@ -87,10 +87,6 @@ class TestPolicies:
     def test_greedy_single_option(self):
         assert greedy_policy()(0, frozenset({0}), None) == 0
 
-    def test_equal_preference_breaks_to_lowest(self):
-        policy = greedy_policy(preference={0: 1.0, 1: 1.0, 2: 1.0})
-        assert policy(0, frozenset({0, 1, 2}), None) == 0
-
     def test_round_robin_cycles(self):
         policy = round_robin_policy()
         chosen = [policy(k, frozenset({0, 1}), None) for k in range(4)]
@@ -142,6 +138,13 @@ class TestSupervisor:
     def test_practical_run_needs_v0(self):
         with pytest.raises(ParameterError, match="v0"):
             run_schedule(PARAMS, PracticalTarget(2.0), 5)
+
+    @pytest.mark.parametrize("w_bar", [np.float32(0.1), np.int64(0), np.array(0.1), 0, 0.1])
+    def test_any_scalar_w_bar_is_a_constant_bound(self, w_bar):
+        target = PracticalTarget(2.0)
+        run = run_schedule(PARAMS, target, 5, w_bar=w_bar, v0=1.0)
+        expected = run_schedule(PARAMS, target, 5, w_bar=[float(w_bar)] * 5, v0=1.0)
+        assert run.records == expected.records
 
     def test_forced_skips_alarm_at_first_violation(self):
         # third consecutive skip pushes kappa_hat = (4/3)^3 > 2; the scripted
@@ -237,7 +240,7 @@ class TestRunSoundness:
         # greedy tries to skip whenever allowed; the gate must block the
         # violating decisions so no alarm ever fires
         run = run_schedule(PARAMS, ExponentialTarget(0.9, 1.1), 6,
-                           policy=greedy_policy({0: 0.0, 1: 1.0}))
+                           policy=greedy_policy())
         assert not run.alarm_fired
         kappa = 1.0
         for record in run.records:

@@ -27,7 +27,8 @@ from convrate import (
     trace_csv_lines,
 )
 from convrate import counterexample
-from convrate.simulate import CSV_BLOCK_ROWS, TRACE_COLUMNS, write_trace_csv
+from convrate.io import write_csv
+from convrate.simulate import CSV_BLOCK_ROWS, TRACE_COLUMNS, trace_csv_blocks
 from conftest import random_spd, two_mode_system, valid_rho_for
 
 SCALAR = SystemModel(modes={0: [[0.5]], 1: [[1.2]]})
@@ -100,6 +101,11 @@ class TestSimulateAbstraction:
         with pytest.raises(ParameterError):
             simulate_abstraction(PARAMS, (0,), 1.0, w_bar=[-0.1])
 
+    @pytest.mark.parametrize("x0_norm", [math.nan, math.inf, -1.0])
+    def test_bad_initial_norm_rejected(self, x0_norm):
+        with pytest.raises(ParameterError, match="x0_norm"):
+            simulate_abstraction(PARAMS, (0, 0), x0_norm)
+
     def test_overflow_truncates(self):
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 1e10})
         series = simulate_abstraction(params, (0,) * 40, 1.0)
@@ -127,6 +133,24 @@ class TestCheckGuarantee:
         report = check_guarantee(lowered)
         assert not report.holds
         assert report.first_violation == 2
+
+    @pytest.mark.parametrize("column", ["x_norm", "vbar"])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_nan_cell_is_a_violation(self, column, first):
+        trace = co_simulate(SCALAR, PARAMS, (0, 0), [1.0])
+        series = {"x_norm": trace.x_norm.copy(), "vbar": trace.vbar.copy()}
+        series[column][first] = math.nan
+        report = check_guarantee(Trace(sigma=trace.sigma, w_norm=trace.w_norm, x=trace.x,
+                                       kappa=trace.kappa, **series))
+        assert not report.holds
+        assert report.first_violation == first
+        assert report.max_ratio == math.inf
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        trace = co_simulate(SCALAR, PARAMS, (0, 0), [1.0])
+        with pytest.raises(ParameterError, match="rel_tol"):
+            check_guarantee(trace, rel_tol=rel_tol)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_randomized_builder_traces_hold(self, seed):
@@ -257,7 +281,7 @@ class TestTraceCsv:
         trace = co_simulate(SCALAR, PARAMS, (0,), [1.0])
         target = tmp_path / "trace.csv"
         with open(target, "w") as handle:
-            write_trace_csv(trace, handle)
+            write_csv(trace_csv_blocks(trace), handle)
         text = target.read_text()
         assert text.endswith("\n")
         assert text.splitlines()[0] == ",".join(TRACE_COLUMNS)
@@ -374,7 +398,7 @@ class TestCsvAgainstCellReference:
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
         stream = io.StringIO()
-        write_trace_csv(trace, stream)
+        write_csv(trace_csv_blocks(trace), stream)
         assert stream.getvalue() == "\n".join(lines) + "\n"
 
     def test_streamed_diverged_trace(self):
@@ -385,5 +409,5 @@ class TestCsvAgainstCellReference:
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
         stream = io.StringIO()
-        write_trace_csv(trace, stream)
+        write_csv(trace_csv_blocks(trace), stream)
         assert stream.getvalue() == "\n".join(lines) + "\n"
