@@ -34,13 +34,8 @@ from .scheduler import (
     run_schedule,
     schedule_csv_blocks,
 )
-from .sequences import (
-    admissible_prefixes,
-    averaged_spectral_radius,
-    transition_product,
-    worst_case_sequence,
-)
-from .simulate import check_guarantee, co_simulate, trace_csv_blocks
+from .sequences import averaged_spectral_radius, transition_product, worst_case_sequence
+from .simulate import check_guarantee, check_rel_tol, co_simulate, trace_csv_blocks
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -199,6 +194,7 @@ def cmd_mk_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    rel_tol = check_rel_tol(args.rel_tol)  # refuse before any CSV row is written
     system = load_system(args.system)
     params = _build_params(system, args)
     seq = _parse_sigma(args.sigma, args.steps)
@@ -212,7 +208,7 @@ def cmd_simulate(args) -> int:
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
               file=sys.stderr)
-    report = check_guarantee(trace, rel_tol=args.rel_tol)
+    report = check_guarantee(trace, rel_tol=rel_tol)
     if not report.holds:
         print(f"guarantee violated at k={report.first_violation}: "
               f"|x_k| > vbar_k (max ratio {report.max_ratio:.6g})", file=sys.stderr)
@@ -221,42 +217,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _jsr_worker(payload):
-    system, mk, length, max_length, prefix = payload
-    result = averaged_spectral_radius(system, mk, length, max_length=max_length,
-                                      prefix=prefix)
-    return result.rho_hat, result.sequence, result.count
-
-
 def cmd_jsr(args) -> int:
     system = load_system(args.system)
     mk = MkConstraint(args.m, args.K)
-    if args.jobs > 1 and len(system.modes) > 1:
-        depth = 1
-        while (depth < min(args.length, 10)
-               and len(admissible_prefixes(mk, depth, args.length)) < 2 * args.jobs):
-            depth += 1
-        # descending, the search's own order, so ties resolve as in one process
-        prefixes = admissible_prefixes(mk, depth, args.length)[::-1]
-        payloads = [(system, mk, args.length, args.max_length, prefix) for prefix in prefixes]
-        best = (-1.0, (), 0)
-        total = 0
-        from concurrent.futures import ProcessPoolExecutor  # only this branch pays its import
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for rho_hat, sequence, count in pool.map(_jsr_worker, payloads):
-                total += count
-                if rho_hat > best[0]:
-                    best = (rho_hat, sequence, count)
-        rho_hat, sequence = best[0], best[1]
-        count = total
-    else:
-        result = averaged_spectral_radius(system, mk, args.length,
-                                          max_length=args.max_length)
-        rho_hat, sequence, count = result.rho_hat, result.sequence, result.count
-    print(f"rho_hat_{args.length}({mk.m},{mk.K}) = {rho_hat!r}")
-    print("attained by sigma = " + ",".join(str(s) for s in sequence))
-    print(f"sequences evaluated: {count}")
-    if rho_hat >= 1.0:
+    result = averaged_spectral_radius(system, mk, args.length, max_length=args.max_length)
+    print(f"rho_hat_{args.length}({mk.m},{mk.K}) = {result.rho_hat!r}")
+    print("attained by sigma = " + ",".join(str(s) for s in result.sequence))
+    print(f"sequences evaluated: {result.count}")
+    if result.rho_hat >= 1.0:
         print("rho_hat >= 1: some admissible length-"
               f"{args.length} product fails to contract; if the attaining "
               "sequence extends periodically within the constraint, the "
@@ -354,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", dest="max_length", type=int, default=24,
                    help="enumeration cap; lengths beyond it are refused with "
                         "the would-be sequence count")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the pruned search runs in one process (kept so that "
+                        "existing scripts still run)")
     p.set_defaults(func=cmd_jsr)
 
     p = sub.add_parser("schedule", help="run the online scheduling gate, decisions to CSV")

@@ -13,13 +13,28 @@ applies from the first symbol on (missing history counts as executes) and
 no walk enters a branch that cannot be completed; shorter sequences hold no
 complete window and are unconstrained.
 
-- :func:`count_mk_sequences` propagates a vector of per-state counts (exact
-  integers) through the automaton, without enumerating.
+- :func:`count_mk_sequences` propagates a vector of per-state completion
+  counts (exact integers) through the automaton, without enumerating
+  (:func:`_completion_counts`); the search counts the subtrees it prunes
+  with the same vectors.
 - :func:`enumerate_mk_sequences` walks it depth-first, in ascending order.
 - :func:`averaged_spectral_radius` walks it level by level: each frontier
   block is multiplied by both mode matrices with one stacked matmul, and
   the complete products go through the batched eigensolver. Blocks are
   capped in size and taken depth-first, so memory stays bounded.
+
+The search is a branch and bound (Gripenberg, LAA 234, 1996, on the
+constrained-switching automaton of Philippe et al., Automatica 72, 2016).
+Its incumbent is the largest radius among the admissible leaves that tile a
+word of period at most ``INCUMBENT_PERIOD``. A table bounds, for each
+automaton state and remaining length, the spectral norm of every admissible
+completion's product, exactly up to ``NORM_BLOCK`` symbols and chained
+block by block beyond; the same table on the modes' absolute values bounds
+the rounding the walk adds. A node whose Frobenius norm times that bound
+falls below the incumbent by more than ``PRUNE_MARGIN`` cannot hold the
+maximiser; its completions are counted by the exact per-state completion
+counts and never visited. The result is bit for bit that of visiting every
+leaf: :func:`averaged_spectral_radius` gives the argument.
 """
 
 from __future__ import annotations
@@ -42,6 +57,20 @@ MAX_WINDOW = 12
 EIG_CHUNK_BYTES = 4 << 20
 #: Largest window automaton that counting builds (2^18 states took ~35 MB).
 COUNT_STATE_CAP = 1 << 20
+#: Relative slack of the search's pruning test. It must cover the rounding
+#: of the Frobenius norms, of the bound tables and of the eigensolver's
+#: backward error, each a few multiples of n^2 u (u = 2^-53) or less; the
+#: matmul rounding along the walk is bounded separately. 1e-6 leaves a
+#: factor of more than 1e3 at n = 1000.
+PRUNE_MARGIN = 1e-6
+#: The pruning test's rounding model assumes no underflow. So an incumbent
+#: below this prunes nothing, and a node whose squared Frobenius norm is
+#: below it (squares of its entries may have flushed to zero) is kept.
+PRUNE_FLOOR = 2.0**-900
+#: Longest period of the words tiled into the search's incumbent leaves.
+INCUMBENT_PERIOD = 10
+#: Word length up to which the norm bound tables are exact.
+NORM_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -138,16 +167,21 @@ def count_mk_sequences(mk: MkConstraint, length: int) -> int:
             f"counting ({mk.m},{mk.K}) sequences needs {states} automaton states, "
             f"above the cap {COUNT_STATE_CAP}"
         )
-    table = _window_automaton(mk, length)
-    steps = [(row[row >= 0], np.flatnonzero(row >= 0)) for row in table]
-    counts = np.zeros(table.shape[1], dtype=object)  # Python ints: exact
-    counts[0] = 1
+    for counts in _completion_counts(_window_automaton(mk, length), length):
+        pass  # one layer at a time: memory stays at two count vectors
+    return int(counts[0])
+
+
+def _completion_counts(table: np.ndarray, length: int) -> Iterator[np.ndarray]:
+    """Yield, for ``r = 0 .. length``, the admissible ``r``-symbol words per start state.
+
+    The counts are exact Python ints.
+    """
+    counts = np.ones(table.shape[1], dtype=object)  # Python ints: exact
+    yield counts
     for _ in range(length):
-        following = np.zeros_like(counts)
-        for targets, sources in steps:
-            np.add.at(following, targets, counts[sources])
-        counts = following
-    return int(counts.sum())
+        counts = counts[table[0]] + np.where(table[1] >= 0, counts[table[1]], 0)
+        yield counts
 
 
 def _check_enumeration_caps(mk: MkConstraint, length: int, max_length: int) -> None:
@@ -192,22 +226,6 @@ def enumerate_mk_sequences(mk: MkConstraint, length: int,
     return _paths(_window_automaton(mk, length), length)
 
 
-def admissible_prefixes(mk: MkConstraint, depth: int,
-                        length: int | None = None) -> list[tuple[int, ...]]:
-    """The first ``depth`` symbols of the admissible sequences of ``length``.
-
-    ``length`` defaults to ``depth``. The prefixes come in ascending order,
-    each once. Together the subtrees below them partition the admissible
-    sequences of ``length``, which makes them natural units for parallel
-    evaluation.
-    """
-    length = depth if length is None else length
-    _check_enumeration_caps(mk, depth, depth)
-    if depth > length:
-        raise ParameterError(f"prefix depth {depth} exceeds sequence length {length}")
-    return list(_paths(_window_automaton(mk, length), depth))
-
-
 def random_mk_sequence(mk: MkConstraint, length: int, rng,
                        skip_prob: float = 0.5) -> tuple[int, ...]:
     """Random admissible sequence; skips with ``skip_prob`` where the window allows.
@@ -248,9 +266,69 @@ class JsrResult:
     count: int
 
 
+def _norm_table(pair: tuple[np.ndarray, np.ndarray], table: np.ndarray, length: int,
+                block: int) -> np.ndarray:
+    """Bounds on ``||W||_2`` over the admissible completions, by remaining length and state.
+
+    Entry ``[r, s]`` bounds the spectral norm of the product of every
+    admissible word of ``r`` symbols that starts at state ``s``. Up to
+    ``block`` symbols it is the largest norm over those words; past that a
+    word's first ``block`` symbols are chained onto the bound for the rest,
+    which submultiplicativity allows. A product that overflows gives an
+    infinite bound, and no entry is below ``PRUNE_FLOOR``.
+    """
+    entries = np.empty((length + 1, table.shape[1]))
+    entries[0] = 1.0  # the empty word: the identity
+    products = np.eye(pair[0].shape[0])[np.newaxis]
+    ends = np.arange(table.shape[1])[np.newaxis]  # [word, start state], -1 once dead
+    for r in range(1, min(block, length) + 1):
+        products = np.concatenate([np.matmul(mode, products) for mode in pair])
+        ends = np.concatenate([np.where(ends >= 0, table[sym, ends], -1) for sym in (0, 1)])
+        finite = np.isfinite(products).all(axis=(1, 2))
+        norms = np.full(len(products), np.inf)
+        norms[finite] = np.linalg.norm(products[finite], 2, axis=(1, 2))  # scales: no underflow
+        entries[r] = np.where(ends >= 0, norms[:, np.newaxis], -np.inf).max(axis=0)
+    for r in range(block + 1, length + 1):
+        entries[r] = np.where(ends >= 0, norms[:, np.newaxis] * entries[r - block][ends],
+                              -np.inf).max(axis=0)
+    return np.maximum(entries, PRUNE_FLOOR)  # a product that underflowed bounds nothing
+
+
+def _incumbent(execute: np.ndarray, skip: np.ndarray, table: np.ndarray, length: int,
+               chunk: int) -> float:
+    """Largest radius among the admissible leaves that tile a short word.
+
+    Every word of period at most ``INCUMBENT_PERIOD`` is repeated out to
+    ``length``; the admissible results, each once, go in batches of
+    ``chunk`` through the eigensolver.
+
+    The products are formed as the walk forms them, one stacked matmul per
+    symbol from the identity, so each radius is bit for bit the one the
+    walk computes for that leaf.
+    """
+    positions = np.arange(length)
+    words = np.unique(np.concatenate([
+        (np.arange(1 << period)[:, np.newaxis] >> positions % period) & 1
+        for period in range(1, min(INCUMBENT_PERIOD, length) + 1)
+    ]), axis=0)
+    states = np.zeros(len(words), dtype=np.int64)
+    for depth in range(length):
+        states = np.where(states >= 0, table[words[:, depth], states], -1)
+    words = words[states >= 0]  # never empty: executing throughout is admissible
+    best = 0.0
+    for start in range(0, len(words), chunk):
+        batch = words[start:start + chunk]
+        products = np.tile(np.eye(execute.shape[0]), (len(batch), 1, 1))
+        for depth in range(length):
+            skips = batch[:, depth] == 1
+            products[~skips] = np.matmul(execute, products[~skips])
+            products[skips] = np.matmul(skip, products[skips])
+        best = max(best, float(np.abs(np.linalg.eigvals(products)).max()))
+    return best
+
+
 def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
                              max_length: int = ENUMERATION_CAP,
-                             prefix: Sequence[int] = (),
                              eig_chunk: int | None = None) -> JsrResult:
     """Maximum of ``spectral_radius(product)^(1/L)`` over admissible sequences.
 
@@ -264,23 +342,49 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     ``eig_chunk`` caps the products per block; by default, as many as fit
     in ``EIG_CHUNK_BYTES``. A block is halved until its children fit in
     one block, and the halves are taken depth-first, so the walk holds at
-    most one block of products per level.
+    most one block of products per level. The set-up below (incumbent
+    batches, bound tables) keeps to ``EIG_CHUNK_BYTES`` whatever
+    ``eig_chunk`` is.
 
     Ties go to the first maximiser in descending order: the first
     ``argmax`` within a block, a strictly larger radius across blocks.
 
-    ``prefix`` pins the first symbols, restricting the search to one
-    subtree (the parallel work-unit contract); results from a prefix
-    partition combine by ``sum`` on ``count`` and by ``max`` on ``rho_hat``,
-    taking the prefixes in descending order to keep the tie rule.
+    Branch and bound. The incumbent is the largest radius among the
+    admissible leaves that tile a short word (:func:`_incumbent`). A node
+    at state ``s`` with product ``P`` and ``r`` symbols left, a leaf
+    included (``r = 0``), is dropped when
+    ``||P||_F * B[r, s] < incumbent * (1 - PRUNE_MARGIN)``; its completions
+    are added to ``count`` from the exact per-state counts, unvisited.
+
+    - ``B[r, s] = U[r, s] + 2 eta_r V[r, s]``, where ``U`` and ``V`` are
+      :func:`_norm_table` of the modes and of their entrywise absolute
+      values, ``eta_r = (1 + gamma_n)^r - 1`` and
+      ``gamma_n = n u / (1 - n u)``, ``u = 2^-53``.
+    - The walk forms a leaf below the node as ``W P`` for its completion
+      ``W``. With rounding it gets ``W P + E``, ``|E| <= eta_r |W| |P|``
+      entrywise, and ``U``'s own products carry the same error once more.
+      So the leaf's Frobenius norm is at most ``||P||_F * B[r, s]``.
+    - ``eigvals`` balances the leaf, which does not raise its Frobenius
+      norm, and returns the exact eigenvalues of the balanced leaf plus a
+      backward error of relative size ``p(n) u``. Each ``|lambda|`` it
+      returns is therefore at most the leaf's Frobenius norm times
+      ``1 + p(n) u``. ``PRUNE_MARGIN`` covers that factor and the rounding
+      of the norms and of the tables.
+
+    So a dropped node holds only leaves whose radius, as the walk computes
+    it, is below the incumbent. The incumbent's radii are the walk's own,
+    bit for bit, so the incumbent never exceeds the walk's maximum. Every
+    leaf that attains the maximum is still visited, in the same order, and
+    ``rho_hat``, the attaining sequence, the tie rule and ``count`` are
+    exactly those of the unpruned walk. Where underflow could break that
+    argument nothing is dropped (``PRUNE_FLOOR``); a zero incumbent, as
+    with nilpotent modes, prunes nothing either.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     _check_enumeration_caps(mk, length, max_length)
     declared = set(system.modes)
     if declared == {0}:
-        if any(int(s) != 0 for s in prefix):
-            raise ParameterError("prefix uses mode 1 but the system only declares mode 0")
         product = np.linalg.matrix_power(system.modes[0], length)
         radius = float(np.max(np.abs(np.linalg.eigvals(product))))
         return JsrResult(radius ** (1.0 / length), (0,) * length, 1)
@@ -288,23 +392,27 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
         raise UnsupportedConfigurationError(
             f"(m,K) sequence search covers binary mode sets, got modes {sorted(declared)}"
         )
+    n = system.n
+    budget = max(1, EIG_CHUNK_BYTES // (8 * n**2))
     if eig_chunk is None:
-        eig_chunk = max(1, EIG_CHUNK_BYTES // (8 * system.n**2))
+        eig_chunk = budget
     if eig_chunk < 1:
         raise ParameterError(f"eig_chunk must be >= 1, got {eig_chunk}")
 
-    prefix = _as_binary(prefix)
-    if len(prefix) > length:
-        raise ParameterError(f"prefix length {len(prefix)} exceeds sequence length {length}")
-    if not validate_mk(prefix, mk):
-        raise ParameterError("prefix violates the (m,K) constraint")
     table = _window_automaton(mk, length)
-    state = 0
-    for sym in prefix:
-        state = int(table[sym, state])
-        if state < 0:
-            raise ParameterError("no admissible sequence extends the given prefix")
     execute, skip = system.modes[0], system.modes[1]
+    incumbent = _incumbent(execute, skip, table, length, budget)
+    floor = incumbent * (1.0 - PRUNE_MARGIN) if incumbent >= PRUNE_FLOOR else 0.0
+    if floor > 0.0:
+        block = max(1, min(NORM_BLOCK, budget.bit_length() - 1))  # 2^block products
+        unit = np.finfo(float).eps / 2
+        gamma = n * unit / (1.0 - n * unit)
+        eta = np.expm1(np.arange(length + 1) * np.log1p(gamma))
+        with np.errstate(over="ignore", invalid="ignore"):  # its words need not be leaves
+            bound = (_norm_table((execute, skip), table, length, block)
+                     + 2.0 * eta[:, np.newaxis]
+                     * _norm_table((np.abs(execute), np.abs(skip)), table, length, block))
+        completions = list(_completion_counts(table, length))
     # bit i of a node's packed bits is symbol i; wider than int64 past 63 symbols
     bits_dtype = np.int64 if length <= 63 else object
 
@@ -312,9 +420,7 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     best_bits = 0
     count = 0
     # blocks: (depth, products, automaton states, packed bits), last popped first
-    stack = [(len(prefix), transition_product(system, prefix)[np.newaxis],
-              np.array([state]),
-              np.array([sum(sym << i for i, sym in enumerate(prefix))], dtype=bits_dtype))]
+    stack = [(0, np.eye(n)[np.newaxis], np.array([0]), np.array([0], dtype=bits_dtype))]
     while stack:
         depth, products, states, bits = stack.pop()
         if len(states) > (eig_chunk if depth == length else max(1, eig_chunk // 2)):
@@ -322,6 +428,17 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
             stack.append((depth, products[half:], states[half:], bits[half:]))
             stack.append((depth, products[:half], states[:half], bits[:half]))
             continue
+        if floor > 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: kept
+                squares = np.einsum("kij,kij->k", products, products)
+                dropped = ((np.sqrt(squares) * bound[length - depth, states] < floor)
+                           & (squares >= PRUNE_FLOOR))
+            if dropped.any():
+                count += int(completions[length - depth][states[dropped]].sum())
+                kept = ~dropped
+                products, states, bits = products[kept], states[kept], bits[kept]
+                if not len(states):
+                    continue
         if depth == length:
             radii = np.abs(np.linalg.eigvals(products)).max(axis=1)
             top = int(np.argmax(radii))

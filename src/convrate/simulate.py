@@ -242,6 +242,14 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     )
 
 
+def check_rel_tol(rel_tol: float) -> float:
+    """``rel_tol`` as a float; a NaN, infinite or negative slack raises ``ParameterError``."""
+    rel_tol = float(rel_tol)
+    if not (rel_tol >= 0.0 and math.isfinite(rel_tol)):
+        raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    return rel_tol
+
+
 def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     """Verify ``|x_k| <= vbar_k * (1 + rel_tol)`` and report tightness.
 
@@ -249,9 +257,7 @@ def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     direct measure of how conservative the abstraction is. A NaN in either
     series is a violation with ratio ``inf``.
     """
-    rel_tol = float(rel_tol)
-    if not (rel_tol >= 0.0 and math.isfinite(rel_tol)):
-        raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    rel_tol = check_rel_tol(rel_tol)
     x = trace.x_norm
     v = trace.vbar
     violations = ~(x <= v * (1.0 + rel_tol))

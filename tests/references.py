@@ -16,6 +16,13 @@ from convrate.errors import NumericError
 from convrate.linalg import spectral_radius, top_singular_value
 from convrate.nominal import OVERFLOW_LIMIT
 from convrate.scheduler import SCHEDULE_COLUMNS
+from convrate.sequences import (
+    EIG_CHUNK_BYTES,
+    ENUMERATION_CAP,
+    JsrResult,
+    _check_enumeration_caps,
+    _window_automaton,
+)
 from convrate.simulate import OVERFLOW_LIMIT as VBAR_LIMIT
 from convrate.simulate import TRACE_COLUMNS
 
@@ -109,3 +116,57 @@ def schedule_csv_lines(records) -> list[str]:
         ]
         lines.append(",".join(cells))
     return lines
+
+
+def averaged_spectral_radius(system, mk, length: int,
+                             max_length: int = ENUMERATION_CAP) -> JsrResult:
+    """The unpruned level-synchronous walk: every admissible leaf goes through ``eigvals``.
+
+    Blocks of products at one depth are expanded by one stacked matmul per
+    mode, skip child before execute child, so the frontier stays in
+    descending order; ties go to the first maximiser in that order.
+    """
+    _check_enumeration_caps(mk, length, max_length)
+    if set(system.modes) == {0}:
+        product = np.linalg.matrix_power(system.modes[0], length)
+        radius = float(np.max(np.abs(np.linalg.eigvals(product))))
+        return JsrResult(radius ** (1.0 / length), (0,) * length, 1)
+    eig_chunk = max(1, EIG_CHUNK_BYTES // (8 * system.n**2))
+    table = _window_automaton(mk, length)
+    execute, skip = system.modes[0], system.modes[1]
+    bits_dtype = np.int64 if length <= 63 else object
+    best_radius = -1.0
+    best_bits = 0
+    count = 0
+    stack = [(0, np.eye(system.n)[np.newaxis], np.array([0]), np.array([0], dtype=bits_dtype))]
+    while stack:
+        depth, products, states, bits = stack.pop()
+        if len(states) > (eig_chunk if depth == length else max(1, eig_chunk // 2)):
+            half = len(states) // 2
+            stack.append((depth, products[half:], states[half:], bits[half:]))
+            stack.append((depth, products[:half], states[:half], bits[:half]))
+            continue
+        if depth == length:
+            radii = np.abs(np.linalg.eigvals(products)).max(axis=1)
+            top = int(np.argmax(radii))
+            if radii[top] > best_radius:
+                best_radius = float(radii[top])
+                best_bits = int(bits[top])
+            count += len(radii)
+            continue
+        can_skip = table[1, states] >= 0
+        at_execute = np.arange(len(states)) + np.cumsum(can_skip)
+        at_skip = at_execute[can_skip] - 1
+        size = len(states) + len(at_skip)
+        child_products = np.empty((size,) + products.shape[1:])
+        child_products[at_execute] = np.matmul(execute, products)
+        child_products[at_skip] = np.matmul(skip, products[can_skip])
+        child_states = np.empty(size, dtype=states.dtype)
+        child_states[at_execute] = table[0, states]
+        child_states[at_skip] = table[1, states[can_skip]]
+        child_bits = np.empty(size, dtype=bits_dtype)
+        child_bits[at_execute] = bits
+        child_bits[at_skip] = bits[can_skip] | (1 << depth)
+        stack.append((depth + 1, child_products, child_states, child_bits))
+    sequence = tuple((best_bits >> i) & 1 for i in range(length))
+    return JsrResult(best_radius ** (1.0 / length), sequence, count)

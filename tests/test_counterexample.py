@@ -29,3 +29,11 @@ def test_format_contains_conservatism_pair():
     assert "rho_hat_16(1,2)" in text
     assert "conservative" in text
     assert text.count("PASS") >= len(rep.checks)
+
+
+def test_brute_force_line_claims_no_certificate():
+    # rho_hat is a lower bound on the constrained JSR: evidence, never a proof
+    text = counterexample.format_report(counterexample.report(length=16))
+    assert "in fact stable" not in text
+    assert "not a certificate of stability" in text
+    assert text.endswith("overall: PASS")

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convrate import SystemModel
+import references
+from convrate import MkConstraint, SystemModel
 from convrate.cli import run
 from convrate.io import (
     DocumentError,
@@ -202,6 +203,16 @@ class TestSimulateCommand:
         assert code == 2
         assert "rel_tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_writes_no_row(self, scalar_path, rel_tol, capsys):
+        # the tolerance is refused before the co-simulation, so no CSV is streamed
+        code = run(["simulate", scalar_path, "--sigma", "0,1,0", "--x0", "1.0",
+                    "--rel-tol", rel_tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: rel_tol must be finite and >= 0, got {float(rel_tol)}\n"
+
     def test_seeded_disturbance_is_reproducible(self, tmp_path):
         doc = dict(SCALAR_DOC, disturbance_bound=0.2)
         path = tmp_path / "disturbed.json"
@@ -249,23 +260,27 @@ class TestJsrCommand:
         assert "sequences evaluated: 55" in out
 
     def test_parallel_matches_serial(self, demo_path, capsys):
-        # (2,4) L=12 ties between the skip-first and execute-first patterns
+        # --jobs N once split the search over worker processes; it is now
+        # ignored, and (2,4) L=12 still ties the skip-first and execute-first
+        # patterns, resolved to the first in descending order
         outputs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             code = run(["jsr", demo_path, "--m", "2", "--K", "4", "--length", "12",
                         "--jobs", jobs])
             assert code == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert "attained by sigma = 1,1,0,0,1,1,0,0,1,1,0,0" in outputs[0]
         assert "sequences evaluated: 838" in outputs[0]
 
     @pytest.mark.parametrize("m, K", [(1, 3), (2, 3), (3, 4)])
     def test_parallel_matches_serial_on_scalar_ties(self, m, K, tmp_path, capsys):
         # halving and doubling cancel, so many sequences tie; with m_bar < K-1
-        # some short prefixes admit no completion
+        # some short prefixes admit no completion. Every --jobs value prints
+        # the bytes of the unpruned walk.
+        system = SystemModel(modes={0: [[0.5]], 1: [[2.0]]})
         path = tmp_path / "halve-double.json"
-        save_system(SystemModel(modes={0: [[0.5]], 1: [[2.0]]}), path)
+        save_system(system, path)
         outputs = []
         for jobs in ("1", "2", "3"):
             code = run(["jsr", str(path), "--m", str(m), "--K", str(K), "--length", "9",
@@ -273,6 +288,11 @@ class TestJsrCommand:
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
+        reference = references.averaged_spectral_radius(system, MkConstraint(m, K), 9)
+        assert outputs[0] == (
+            f"rho_hat_9({m},{K}) = {reference.rho_hat!r}\n"
+            f"attained by sigma = {','.join(map(str, reference.sequence))}\n"
+            f"sequences evaluated: {reference.count}\n")
 
     def test_cap_exceeded(self, demo_path, capsys):
         code = run(["jsr", demo_path, "--m", "1", "--K", "13", "--length", "4"])
@@ -318,7 +338,7 @@ class TestScheduleCommand:
         assert "--v0" in capsys.readouterr().err
 
     def test_import_leaves_process_pool_unloaded(self):
-        # only `jsr --jobs N` (N > 1) needs concurrent.futures
+        # nothing in convrate starts worker processes
         import convrate
 
         src = str(Path(convrate.__file__).resolve().parents[1])
@@ -328,6 +348,21 @@ class TestScheduleCommand:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_jsr_jobs_runs_in_one_process(self, demo_path):
+        import convrate
+
+        src = str(Path(convrate.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from convrate.cli import run\n"
+                f"code = run(['jsr', {demo_path!r}, '--m', '1', '--K', '2', '--length', '8', "
+                "'--jobs', '2'])\n"
+                "print(code, 'concurrent.futures' in sys.modules, "
+                "'multiprocessing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "0 False False"
 
 
 class TestReproCommand:

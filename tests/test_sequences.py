@@ -21,7 +21,6 @@ from convrate import (
     worst_case_sequence,
 )
 from convrate import counterexample
-from convrate.sequences import admissible_prefixes
 
 DEMO = counterexample.system()
 #: The scalar system whose skip and execute rates cancel exactly in pairs.
@@ -82,6 +81,28 @@ def matrix_pairs(draw):
     n = draw(st.integers(1, 3))
     flat = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=n * n, max_size=n * n)
     return tuple(np.reshape(draw(flat), (n, n)) for _ in range(2))
+
+
+@st.composite
+def wide_search_cases(draw, modes):
+    K = draw(st.integers(1, 12))
+    mk = MkConstraint(draw(st.integers(0, K)), K)
+    return draw(modes), mk, draw(st.integers(1, 12))
+
+
+@st.composite
+def nilpotent_pairs(draw):
+    """Strictly upper triangular modes (zero at n = 1) under one drawn shear.
+
+    With a zero shear every product is exactly nilpotent, so the incumbent
+    is 0. Otherwise the modes are nilpotent only up to rounding, and long
+    products are mostly matmul rounding noise.
+    """
+    n = draw(st.integers(1, 3))
+    flat = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=n * n, max_size=n * n)
+    shear = np.eye(n) + np.tril(np.reshape(draw(flat), (n, n)), -1)
+    return tuple(shear @ np.triu(np.reshape(draw(flat), (n, n)), 1) @ np.linalg.inv(shear)
+                 for _ in range(2))
 
 
 power_of_two_scalars = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
@@ -167,14 +188,12 @@ class TestEnumerate:
         with pytest.raises(ResourceCapError, match="window"):
             list(enumerate_mk_sequences(MkConstraint(1, 13), 4))
 
-    def test_prefixes_extend_to_length(self):
-        # at most one skip per 4-window: "1,1" cannot start a sequence of 4 or more
+    def test_no_sequence_enters_a_dead_branch(self):
+        # at most one skip per 4-window: "1,1" starts sequences of 3 but none of 4 or more
         mk = MkConstraint(3, 4)
-        assert admissible_prefixes(mk, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert admissible_prefixes(mk, 2, 3) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert admissible_prefixes(mk, 2, 6) == [(0, 0), (0, 1), (1, 0)]
-        with pytest.raises(ParameterError, match="depth"):
-            admissible_prefixes(mk, 4, 3)
+        assert {seq[:2] for seq in enumerate_mk_sequences(mk, 3)} == {
+            (0, 0), (0, 1), (1, 0), (1, 1)}
+        assert {seq[:2] for seq in enumerate_mk_sequences(mk, 6)} == {(0, 0), (0, 1), (1, 0)}
 
 
 class TestCount:
@@ -282,23 +301,10 @@ class TestAveragedSpectralRadius:
         result = averaged_spectral_radius(DEMO, mk, length)
         assert result.rho_hat == pytest.approx(best ** (1 / length), rel=1e-12)
 
-    def test_prefix_partition_recombines(self):
-        mk = MkConstraint(1, 2)
-        length = 8
-        full = averaged_spectral_radius(DEMO, mk, length)
-        prefixes = admissible_prefixes(mk, 3)
-        parts = [averaged_spectral_radius(DEMO, mk, length, prefix=p) for p in prefixes]
-        assert sum(part.count for part in parts) == full.count
-        assert max(part.rho_hat for part in parts) == pytest.approx(full.rho_hat, rel=1e-12)
-
     def test_three_modes_unsupported(self):
         system = SystemModel(modes={0: [[0.5]], 1: [[1.0]], 2: [[2.0]]})
         with pytest.raises(Exception, match="binary"):
             averaged_spectral_radius(system, MkConstraint(1, 2), 4)
-
-    def test_invalid_prefix_rejected(self):
-        with pytest.raises(ParameterError, match="prefix"):
-            averaged_spectral_radius(DEMO, MkConstraint(1, 2), 6, prefix=(1, 1))
 
     def test_chunked_flush_matches(self):
         mk = MkConstraint(1, 2)
@@ -313,11 +319,6 @@ class TestAveragedSpectralRadius:
         with pytest.raises(ParameterError, match="eig_chunk"):
             averaged_spectral_radius(DEMO, MkConstraint(1, 2), 4, eig_chunk=0)
 
-    def test_dead_prefix_rejected(self):
-        # "1,1" passes validate_mk but no 4-window after it holds one skip
-        with pytest.raises(ParameterError, match="extends"):
-            averaged_spectral_radius(DEMO, MkConstraint(3, 4), 6, prefix=(1, 1))
-
     def test_hard_real_time_past_63_symbols(self):
         result = averaged_spectral_radius(DEMO, MkConstraint(2, 2), 70, max_length=70)
         assert result.sequence == (0,) * 70
@@ -325,13 +326,68 @@ class TestAveragedSpectralRadius:
 
     @pytest.mark.parametrize("length", [63, 64, 70])
     def test_attaining_sequence_past_63_symbols(self, length):
-        # skip/execute alternation attains the maximum; the free tail sets bits >= 59
+        # skip/execute alternation attains the maximum, so the maximiser sets
+        # bits >= 63 of the packed (object-dtype) bits; the bound prunes every
+        # branch that falls behind it, which keeps up to 5e14 sequences tractable
+        mk = MkConstraint(1, 2)
         alternating = tuple(1 - i % 2 for i in range(length))
-        result = averaged_spectral_radius(HALVE_DOUBLE, MkConstraint(1, 2), length,
-                                          max_length=length, prefix=alternating[:-4])
+        result = averaged_spectral_radius(HALVE_DOUBLE, mk, length, max_length=length)
         assert result.sequence == alternating
-        assert result.count == (5 if length % 2 else 8)
+        assert result.count == count_mk_sequences(mk, length)
         assert result.rho_hat == pytest.approx(2.0 ** ((length % 2) / length), rel=1e-12)
+
+    def test_dead_branches_are_counted_once(self):
+        # with one skip per 4-window no sequence of 6 starts "1,1"; the search
+        # must neither enter nor count that branch
+        mk = MkConstraint(3, 4)
+        result = averaged_spectral_radius(HALVE_DOUBLE, mk, 6)
+        assert result.count == len(naive_admissible(mk, 6))
+        assert result.sequence == (1, 0, 0, 0, 1, 0)
+
+    @pytest.mark.parametrize("A0, A1, m, K, length", [
+        # the leaf's squared entries underflow to zero, yet it is the maximum
+        (0.0, 1e-170, 0, 1, 1),
+        # the four executes forced after a skip underflow in the bound table,
+        # yet after the skip's gain that leaf is the maximum
+        (1e-85, 1e100, 4, 5, 5),
+    ])
+    def test_underflow_prunes_nothing_it_cannot_bound(self, A0, A1, m, K, length):
+        system = SystemModel(modes={0: [[A0]], 1: [[A1]]})
+        mk = MkConstraint(m, K)
+        result = averaged_spectral_radius(system, mk, length)
+        assert result == references.averaged_spectral_radius(system, mk, length)
+
+    def test_rounding_noise_is_bounded(self):
+        # A0 is nilpotent up to rounding and A1 exactly, so every long product
+        # is mostly matmul rounding noise, far above its exact value, and the
+        # noise sets rho_hat; the bound must cover the walk's rounding
+        system = SystemModel(modes={0: [[0.1, 0.3], [-0.1 * 0.1 / 0.3, -0.1]],
+                                    1: [[0.7, 0.7], [-0.7, -0.7]]})
+        mk = MkConstraint(2, 3)
+        result = averaged_spectral_radius(system, mk, 12)
+        assert result == references.averaged_spectral_radius(system, mk, 12)
+
+    def test_demo_search_prunes_nearly_every_leaf(self, monkeypatch):
+        sent = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            sent.append(len(a) if np.ndim(a) == 3 else 1)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        result = averaged_spectral_radius(DEMO, MkConstraint(2, 4), 24)
+        assert result.count == 539_695
+        assert result.sequence == (1, 1, 0, 0) * 6
+        assert sum(sent) < 0.01 * result.count
+
+    def test_wide_window_matches_unpruned_walk(self):
+        # K = 12 with up to 11 skips per window: 2^11 automaton states
+        system = SystemModel(modes={0: [[0.6, 0.3], [-0.2, 0.5]], 1: [[1.1, -0.4], [0.7, 0.2]]})
+        mk = MkConstraint(1, 12)
+        result = averaged_spectral_radius(system, mk, 14)
+        assert result == references.averaged_spectral_radius(system, mk, 14)
+        assert result.count == count_mk_sequences(mk, 14)
 
     @given(search_cases(matrix_pairs()))
     @settings(max_examples=60, deadline=None)
@@ -344,6 +400,16 @@ class TestAveragedSpectralRadius:
         best = max(radius for radius, _ in reference)
         assert result.rho_hat == pytest.approx(best ** (1 / length), rel=1e-12)
         assert validate_mk(result.sequence, mk)
+
+    @given(wide_search_cases(st.one_of(matrix_pairs(), power_of_two_scalars,
+                                       nilpotent_pairs())),
+           st.sampled_from([None, 1, 2, 3, 7]))
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_equals_unpruned_walk(self, case, eig_chunk):
+        (A0, A1), mk, length = case
+        system = SystemModel(modes={0: A0, 1: A1})
+        result = averaged_spectral_radius(system, mk, length, eig_chunk=eig_chunk)
+        assert result == references.averaged_spectral_radius(system, mk, length)
 
     @given(search_cases(power_of_two_scalars), st.sampled_from([None, 1, 2, 3, 7]))
     @settings(max_examples=80, deadline=None)
