@@ -12,7 +12,7 @@ state-reducing modes (e.g. resets) far more accurately.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -36,13 +36,12 @@ def gamma_bounds(system: SystemModel) -> dict[int, float]:
 
 
 def robustness_abstraction(nominal: AbstractionParams,
-                           gammas: Mapping[int, float],
-                           modes: Iterable[int] | None = None) -> AbstractionParams:
+                           gammas: Mapping[int, float]) -> AbstractionParams:
     """Extend a single-mode nominal abstraction to all modes via gamma gains.
 
     ``nominal`` must describe mode 0 only, with ``alpha >= 1``,
     ``beta >= alpha`` and ``rho < 1``; alpha and beta carry over unchanged.
-    When ``modes`` is given, every listed mode must have a gamma entry.
+    The result rates exactly the modes ``gammas`` covers.
     """
     if set(nominal.rho) != {0}:
         raise ParameterError(
@@ -55,10 +54,6 @@ def robustness_abstraction(nominal: AbstractionParams,
         raise ParameterError(
             f"this construction needs beta >= alpha, got beta={nominal.beta} < alpha={nominal.alpha}"
         )
-    if modes is not None:
-        missing = sorted(set(int(m) for m in modes) - set(gammas))
-        if missing:
-            raise ParameterError(f"no gamma bound for declared modes {missing}")
     if 0 not in gammas or gammas[0] != 0.0:
         raise ParameterError("gamma for mode 0 must be present and exactly 0")
     rho = {}
@@ -77,7 +72,7 @@ def build_robustness_abstraction(system: SystemModel, rho: float,
                                  beta: float | None = None) -> AbstractionParams:
     """Nominal certificate + gamma gains in one step, covering all system modes."""
     nominal = build_nominal_abstraction(system.modes[0], rho, beta)
-    return robustness_abstraction(nominal, gamma_bounds(system), modes=system.modes)
+    return robustness_abstraction(nominal, gamma_bounds(system))
 
 
 def lyapunov_abstraction(system: SystemModel, Q=None) -> AbstractionParams:

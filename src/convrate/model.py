@@ -156,6 +156,13 @@ class AbstractionParams:
             except NotPositiveDefiniteError as exc:
                 raise ParameterError(f"lyapunov_P must be positive definite: {exc}") from None
 
+    def __eq__(self, other):
+        if not isinstance(other, AbstractionParams):
+            return NotImplemented
+        return ((self.alpha, self.beta, self.rho, self.method)
+                == (other.alpha, other.beta, other.rho, other.method)
+                and np.array_equal(self.lyapunov_P, other.lyapunov_P))
+
     def mode_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.rho))
 

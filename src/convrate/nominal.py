@@ -18,7 +18,7 @@ from .errors import NumericError, ParameterError
 from .linalg import as_square_matrix, spectral_radius, top_singular_value
 from .model import AbstractionParams
 
-#: Default cap on the search for k_tilde.
+#: Cap on the search for k_tilde.
 ITERATION_CAP = 10**6
 #: Norm values beyond this abort the power scan (rho chosen far too small).
 OVERFLOW_LIMIT = 1e300
@@ -121,14 +121,13 @@ def _scan_norms(A0: np.ndarray, rho: float, max_iterations: int) -> list[float]:
     )
 
 
-def nominal_certificate(A0, rho: float,
-                        max_iterations: int = ITERATION_CAP) -> NominalCertificate:
+def nominal_certificate(A0, rho: float) -> NominalCertificate:
     """Validate ``rho`` and evaluate ``k_tilde`` and ``alpha_min`` for it."""
     A0 = as_square_matrix(A0, "A0")
     check = validate_rho(A0, rho)
     if not check:
         raise ParameterError(check.reason)
-    norms = _scan_norms(A0, check.rho, max_iterations)
+    norms = _scan_norms(A0, check.rho, ITERATION_CAP)
     k_tilde = len(norms) - 1
     alpha_min = max(norms[:k_tilde])
     return NominalCertificate(rho=check.rho, k_tilde=k_tilde, alpha_min=alpha_min)

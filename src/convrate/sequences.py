@@ -20,8 +20,9 @@ complete window and are unconstrained.
 - :func:`enumerate_mk_sequences` walks it depth-first, in ascending order.
 - :func:`averaged_spectral_radius` walks it level by level: each frontier
   block is multiplied by both mode matrices with one stacked matmul, and
-  the complete products go through the batched eigensolver. Blocks are
-  capped in size and taken depth-first, so memory stays bounded.
+  the complete products go through the batched eigensolver. One byte
+  budget, ``EIG_CHUNK_BYTES``, caps the blocks and the search's set-up;
+  blocks are taken depth-first, so memory stays bounded.
 
 The search is a branch and bound (Gripenberg, LAA 234, 1996, on the
 constrained-switching automaton of Philippe et al., Automatica 72, 2016).
@@ -33,7 +34,8 @@ block by block beyond; the same table on the modes' absolute values bounds
 the rounding the walk adds. A node whose Frobenius norm times that bound
 falls below the incumbent by more than ``PRUNE_MARGIN`` cannot hold the
 maximiser; its completions are counted by the exact per-state completion
-counts and never visited. The result is bit for bit that of visiting every
+counts and never visited; below ``PRUNE_FLOOR`` the incumbent makes the
+same test drop nothing. The result is bit for bit that of visiting every
 leaf: :func:`averaged_spectral_radius` gives the argument.
 """
 
@@ -49,11 +51,11 @@ from .errors import ParameterError, ResourceCapError, UnsupportedConfigurationEr
 from .mk import MkConstraint
 from .model import SystemModel
 
-#: Default cap on enumerated sequence length.
+#: Cap on enumerated sequence length, and the search's default cap.
 ENUMERATION_CAP = 24
 #: Largest supported window for enumeration (automaton state is 2^(K-1)).
 MAX_WINDOW = 12
-#: Default byte budget of one block of products in the batched search.
+#: Byte budget of one block of products in the batched search and its set-up.
 EIG_CHUNK_BYTES = 4 << 20
 #: Largest window automaton that counting builds (2^18 states took ~35 MB).
 COUNT_STATE_CAP = 1 << 20
@@ -219,10 +221,9 @@ def _paths(table: np.ndarray, depth: int) -> Iterator[tuple[int, ...]]:
                 stack.append((fixed + 1, successor, sym))
 
 
-def enumerate_mk_sequences(mk: MkConstraint, length: int,
-                           max_length: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
+def enumerate_mk_sequences(mk: MkConstraint, length: int) -> Iterator[tuple[int, ...]]:
     """Yield every admissible binary sequence of the given length once, ascending."""
-    _check_enumeration_caps(mk, length, max_length)
+    _check_enumeration_caps(mk, length, ENUMERATION_CAP)
     return _paths(_window_automaton(mk, length), length)
 
 
@@ -328,8 +329,7 @@ def _incumbent(execute: np.ndarray, skip: np.ndarray, table: np.ndarray, length:
 
 
 def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
-                             max_length: int = ENUMERATION_CAP,
-                             eig_chunk: int | None = None) -> JsrResult:
+                             max_length: int = ENUMERATION_CAP) -> JsrResult:
     """Maximum of ``spectral_radius(product)^(1/L)`` over admissible sequences.
 
     Walks the window automaton level by level. A block is a run of
@@ -339,12 +339,11 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     descending lexicographic order (first symbol most significant). A block
     of complete products goes through the batched eigensolver.
 
-    ``eig_chunk`` caps the products per block; by default, as many as fit
-    in ``EIG_CHUNK_BYTES``. A block is halved until its children fit in
-    one block, and the halves are taken depth-first, so the walk holds at
-    most one block of products per level. The set-up below (incumbent
-    batches, bound tables) keeps to ``EIG_CHUNK_BYTES`` whatever
-    ``eig_chunk`` is.
+    A block holds as many products as fit in ``EIG_CHUNK_BYTES``, the one
+    byte budget, which the set-up below (incumbent batches, bound tables)
+    keeps to as well. A block is halved until its children fit in one
+    block, and the halves are taken depth-first, so the walk holds at most
+    one block of products per level.
 
     Ties go to the first maximiser in descending order: the first
     ``argmax`` within a block, a strictly larger radius across blocks.
@@ -377,8 +376,8 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     leaf that attains the maximum is still visited, in the same order, and
     ``rho_hat``, the attaining sequence, the tie rule and ``count`` are
     exactly those of the unpruned walk. Where underflow could break that
-    argument nothing is dropped (``PRUNE_FLOOR``); a zero incumbent, as
-    with nilpotent modes, prunes nothing either.
+    argument nothing is dropped (``PRUNE_FLOOR``); an incumbent below it,
+    as with nilpotent modes, sets a zero threshold, which drops nothing.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
@@ -393,26 +392,21 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
             f"(m,K) sequence search covers binary mode sets, got modes {sorted(declared)}"
         )
     n = system.n
-    budget = max(1, EIG_CHUNK_BYTES // (8 * n**2))
-    if eig_chunk is None:
-        eig_chunk = budget
-    if eig_chunk < 1:
-        raise ParameterError(f"eig_chunk must be >= 1, got {eig_chunk}")
+    chunk = max(1, EIG_CHUNK_BYTES // (8 * n**2))
 
     table = _window_automaton(mk, length)
     execute, skip = system.modes[0], system.modes[1]
-    incumbent = _incumbent(execute, skip, table, length, budget)
+    incumbent = _incumbent(execute, skip, table, length, chunk)
     floor = incumbent * (1.0 - PRUNE_MARGIN) if incumbent >= PRUNE_FLOOR else 0.0
-    if floor > 0.0:
-        block = max(1, min(NORM_BLOCK, budget.bit_length() - 1))  # 2^block products
-        unit = np.finfo(float).eps / 2
-        gamma = n * unit / (1.0 - n * unit)
-        eta = np.expm1(np.arange(length + 1) * np.log1p(gamma))
-        with np.errstate(over="ignore", invalid="ignore"):  # its words need not be leaves
-            bound = (_norm_table((execute, skip), table, length, block)
-                     + 2.0 * eta[:, np.newaxis]
-                     * _norm_table((np.abs(execute), np.abs(skip)), table, length, block))
-        completions = list(_completion_counts(table, length))
+    block = max(1, min(NORM_BLOCK, chunk.bit_length() - 1))  # 2^block products
+    unit = np.finfo(float).eps / 2
+    gamma = n * unit / (1.0 - n * unit)
+    eta = np.expm1(np.arange(length + 1) * np.log1p(gamma))
+    with np.errstate(over="ignore", invalid="ignore"):  # its words need not be leaves
+        bound = (_norm_table((execute, skip), table, length, block)
+                 + 2.0 * eta[:, np.newaxis]
+                 * _norm_table((np.abs(execute), np.abs(skip)), table, length, block))
+    completions = list(_completion_counts(table, length))
     # bit i of a node's packed bits is symbol i; wider than int64 past 63 symbols
     bits_dtype = np.int64 if length <= 63 else object
 
@@ -423,22 +417,21 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     stack = [(0, np.eye(n)[np.newaxis], np.array([0]), np.array([0], dtype=bits_dtype))]
     while stack:
         depth, products, states, bits = stack.pop()
-        if len(states) > (eig_chunk if depth == length else max(1, eig_chunk // 2)):
+        if len(states) > (chunk if depth == length else max(1, chunk // 2)):
             half = len(states) // 2
             stack.append((depth, products[half:], states[half:], bits[half:]))
             stack.append((depth, products[:half], states[:half], bits[:half]))
             continue
-        if floor > 0.0:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: kept
-                squares = np.einsum("kij,kij->k", products, products)
-                dropped = ((np.sqrt(squares) * bound[length - depth, states] < floor)
-                           & (squares >= PRUNE_FLOOR))
-            if dropped.any():
-                count += int(completions[length - depth][states[dropped]].sum())
-                kept = ~dropped
-                products, states, bits = products[kept], states[kept], bits[kept]
-                if not len(states):
-                    continue
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: kept
+            squares = np.einsum("kij,kij->k", products, products)
+            dropped = ((np.sqrt(squares) * bound[length - depth, states] < floor)
+                       & (squares >= PRUNE_FLOOR))
+        if dropped.any():
+            count += int(completions[length - depth][states[dropped]].sum())
+            kept = ~dropped
+            products, states, bits = products[kept], states[kept], bits[kept]
+            if not len(states):
+                continue
         if depth == length:
             radii = np.abs(np.linalg.eigvals(products)).max(axis=1)
             top = int(np.argmax(radii))

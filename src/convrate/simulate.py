@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .io import CSV_BLOCK_ROWS, csv_blocks  # re-exports CSV_BLOCK_ROWS
+from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from .io import csv_blocks
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
 
@@ -286,8 +286,6 @@ def cost_transform(Q) -> np.ndarray:
     directly. Semidefinite weights have no such factor; use
     :func:`cost_bound` for those.
     """
-    from .errors import NotPositiveDefiniteError
-
     try:
         return cholesky(Q)
     except NotPositiveDefiniteError as exc:

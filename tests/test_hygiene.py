@@ -1,8 +1,7 @@
 """Every name a module of the package imports is used in that module.
 
 No linter ships with the project, so this stdlib ``ast`` check stands in
-for the unused-import rule of one. ``__init__.py`` only re-exports, and
-``simulate`` re-exports ``CSV_BLOCK_ROWS`` on purpose.
+for the unused-import rule of one. ``__init__.py`` only re-exports.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import convrate
 
 PACKAGE = Path(convrate.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-#: Imports kept for their importers, not for the module itself.
-RE_EXPORTS = {("simulate.py", "CSV_BLOCK_ROWS")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,8 +32,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    unused = unused_imports((PACKAGE / module).read_text())
-    assert [name for name in unused if (module, name) not in RE_EXPORTS] == []
+    assert unused_imports((PACKAGE / module).read_text()) == []
 
 
 def test_check_sees_unused_and_used_names():

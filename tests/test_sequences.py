@@ -20,7 +20,7 @@ from convrate import (
     validate_mk,
     worst_case_sequence,
 )
-from convrate import counterexample
+from convrate import counterexample, sequences
 
 DEMO = counterexample.system()
 #: The scalar system whose skip and execute rates cancel exactly in pairs.
@@ -67,6 +67,18 @@ def reference_search(system, mk, length):
             product = transition_product(system, seq)
             out.append((float(np.max(np.abs(np.linalg.eigvals(product)))), seq))
     return out
+
+
+def chunked_search(system, mk, length, chunk):
+    """The search with a byte budget of ``chunk`` products, or the default one for None.
+
+    A small budget shrinks the walk's blocks, the incumbent batches and the
+    exact part of the bound tables alike.
+    """
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
+        if chunk is not None:
+            patch.setattr(sequences, "EIG_CHUNK_BYTES", chunk * 8 * system.n**2)
+        return averaged_spectral_radius(system, mk, length)
 
 
 @st.composite
@@ -309,15 +321,11 @@ class TestAveragedSpectralRadius:
     def test_chunked_flush_matches(self):
         mk = MkConstraint(1, 2)
         big = averaged_spectral_radius(DEMO, mk, 10)
-        for eig_chunk in (1, 2, 7):
-            small = averaged_spectral_radius(DEMO, mk, 10, eig_chunk=eig_chunk)
+        for chunk in (1, 2, 7):
+            small = chunked_search(DEMO, mk, 10, chunk)
             assert small.rho_hat == big.rho_hat
             assert small.sequence == big.sequence
             assert small.count == big.count
-
-    def test_eig_chunk_must_be_positive(self):
-        with pytest.raises(ParameterError, match="eig_chunk"):
-            averaged_spectral_radius(DEMO, MkConstraint(1, 2), 4, eig_chunk=0)
 
     def test_hard_real_time_past_63_symbols(self):
         result = averaged_spectral_radius(DEMO, MkConstraint(2, 2), 70, max_length=70)
@@ -405,20 +413,20 @@ class TestAveragedSpectralRadius:
                                        nilpotent_pairs())),
            st.sampled_from([None, 1, 2, 3, 7]))
     @settings(max_examples=150, deadline=None)
-    def test_pruned_equals_unpruned_walk(self, case, eig_chunk):
+    def test_pruned_equals_unpruned_walk(self, case, chunk):
         (A0, A1), mk, length = case
         system = SystemModel(modes={0: A0, 1: A1})
-        result = averaged_spectral_radius(system, mk, length, eig_chunk=eig_chunk)
+        result = chunked_search(system, mk, length, chunk)
         assert result == references.averaged_spectral_radius(system, mk, length)
 
     @given(search_cases(power_of_two_scalars), st.sampled_from([None, 1, 2, 3, 7]))
     @settings(max_examples=80, deadline=None)
-    def test_tie_rule(self, case, eig_chunk):
+    def test_tie_rule(self, case, chunk):
         # power-of-two products are exact, so ties are exact: the first
         # maximiser in descending order is the greatest of the maximisers
         (A0, A1), mk, length = case
         system = SystemModel(modes={0: A0, 1: A1})
         radius, sequence = max(reference_search(system, mk, length))
-        result = averaged_spectral_radius(system, mk, length, eig_chunk=eig_chunk)
+        result = chunked_search(system, mk, length, chunk)
         assert result.sequence == sequence
         assert result.rho_hat == radius ** (1 / length)

@@ -27,8 +27,8 @@ from convrate import (
     trace_csv_lines,
 )
 from convrate import counterexample
-from convrate.io import write_csv
-from convrate.simulate import CSV_BLOCK_ROWS, TRACE_COLUMNS, trace_csv_blocks
+from convrate.io import CSV_BLOCK_ROWS, write_csv
+from convrate.simulate import TRACE_COLUMNS, trace_csv_blocks
 from conftest import random_spd, two_mode_system, valid_rho_for
 
 SCALAR = SystemModel(modes={0: [[0.5]], 1: [[1.2]]})
