@@ -16,7 +16,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import NoStableSolutionError, NumericError, ParameterError
+from .errors import NoStableSolutionError, NumericError, ParameterError, check_nonnegative
 from .linalg import as_square_matrix, cholesky, solve_discrete_lyapunov, spectral_norm
 from .model import AbstractionParams, SystemModel
 from .nominal import build_nominal_abstraction
@@ -58,10 +58,7 @@ def robustness_abstraction(nominal: AbstractionParams,
         raise ParameterError("gamma for mode 0 must be present and exactly 0")
     rho = {}
     for mode, gamma in gammas.items():
-        gamma = float(gamma)
-        if not (gamma >= 0.0 and math.isfinite(gamma)):
-            raise ParameterError(f"gamma[{mode}] must be finite and >= 0, got {gamma}")
-        rho[int(mode)] = rho0 + nominal.beta * gamma
+        rho[int(mode)] = rho0 + nominal.beta * check_nonnegative(gamma, f"gamma[{mode}]")
     diagnostics = dict(nominal.diagnostics)
     diagnostics["gamma"] = {int(m): float(g) for m, g in gammas.items()}
     return AbstractionParams(alpha=nominal.alpha, beta=nominal.beta, rho=rho,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import counterexample
 from .builders import build_robustness_abstraction, lyapunov_abstraction
-from .errors import ParameterError
+from .errors import ParameterError, check_nonnegative
 from .io import DocumentError, load_system, params_to_document, write_csv
 from .linalg import row_norms
 from .mk import MkConstraint, mk_verdict
@@ -35,7 +35,7 @@ from .scheduler import (
     schedule_csv_blocks,
 )
 from .sequences import averaged_spectral_radius, transition_product, worst_case_sequence
-from .simulate import check_guarantee, check_rel_tol, co_simulate, trace_csv_blocks
+from .simulate import check_guarantee, co_simulate, trace_csv_blocks
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -58,7 +58,7 @@ def _build_params(system: SystemModel, args) -> AbstractionParams:
             raise ParameterError("--rho is required for --method robust")
         return build_robustness_abstraction(system, args.rho, beta=args.beta)
     Q = None
-    if getattr(args, "Q", None) is not None:
+    if args.Q is not None:
         Q = _parse_matrix_arg(args.Q, "--Q")
     return lyapunov_abstraction(system, Q)
 
@@ -194,7 +194,7 @@ def cmd_mk_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    rel_tol = check_rel_tol(args.rel_tol)  # refuse before any CSV row is written
+    rel_tol = check_nonnegative(args.rel_tol, "rel_tol")  # refuse before any CSV row is written
     system = load_system(args.system)
     params = _build_params(system, args)
     seq = _parse_sigma(args.sigma, args.steps)

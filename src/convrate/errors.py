@@ -4,7 +4,12 @@ ValueError subclasses indicate bad inputs (caller mistakes); RuntimeError
 subclasses indicate that an analysis could not be completed on valid inputs
 (instability, caps, numerical failure). The CLI maps the former to exit
 code 2 and the latter to exit code 1.
+
+:func:`check_nonnegative` is the one copy of the range check shared by the
+scalars that must be finite and >= 0 (rates, gains, bounds, tolerances).
 """
+
+import math
 
 
 class DimensionError(ValueError):
@@ -13,6 +18,14 @@ class DimensionError(ValueError):
 
 class ParameterError(ValueError):
     """A scalar or structured parameter violates its documented range."""
+
+
+def check_nonnegative(value, name: str) -> float:
+    """``value`` as a float; a NaN, infinite or negative value raises ``ParameterError``."""
+    value = float(value)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 class NotPositiveDefiniteError(ValueError):

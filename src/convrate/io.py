@@ -18,6 +18,11 @@ Only ``name`` and ``modes`` are required; other keys are ignored.
 Documents written by :func:`save_system` re-parse to an identical
 :class:`SystemModel` (floats round-trip exactly through JSON).
 
+The parser checks the JSON shape: types, required keys, unique mode ids
+and square lists of numbers. :class:`SystemModel` checks the meaning (mode
+0 present, one matrix size, the ranges of the bound and the cost weight),
+and its errors come back as :class:`DocumentError` too.
+
 Both CSV tables (trace and decisions) are rendered here too, column by
 column in blocks of rows, so a writer streams them one block at a time.
 """
@@ -26,8 +31,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-
-import numpy as np
 
 from .model import AbstractionParams, SystemModel
 
@@ -65,38 +68,30 @@ def system_from_document(doc: dict) -> SystemModel:
     raw_modes = doc.get("modes")
     _require(isinstance(raw_modes, list) and raw_modes,
              "modes: expected a non-empty list of mode objects")
-    modes: dict[int, np.ndarray] = {}
+    modes: dict[int, list] = {}
     labels: dict[int, str] = {}
     for i, entry in enumerate(raw_modes):
         context = f"modes[{i}]"
         _require(isinstance(entry, dict), f"{context}: expected an object")
         _require("id" in entry, f"{context}: missing field 'id'")
         mode_id = entry["id"]
-        _require(isinstance(mode_id, int) and not isinstance(mode_id, bool) and mode_id >= 0,
+        _require(isinstance(mode_id, int) and not isinstance(mode_id, bool),
                  f"{context}.id: expected a non-negative integer, got {mode_id!r}")
         _require(mode_id not in modes, f"{context}.id: duplicate mode id {mode_id}")
         _require("A" in entry, f"{context}: missing field 'A'")
-        modes[mode_id] = np.array(_as_matrix(entry["A"], f"{context}.A"), dtype=float)
+        modes[mode_id] = _as_matrix(entry["A"], f"{context}.A")
         label = entry.get("label", f"mode-{mode_id}")
         _require(isinstance(label, str), f"{context}.label: expected a string")
         labels[mode_id] = label
-    _require(0 in modes, "modes: mode id 0 (nominal execution) must be declared")
-    n = modes[0].shape[0]
-    for mode_id, A in modes.items():
-        _require(A.shape == (n, n),
-                 f"modes: mode {mode_id} matrix is {A.shape[0]}x{A.shape[1]}, expected {n}x{n}")
     bound = doc.get("disturbance_bound")
     if bound is not None:
-        _require(isinstance(bound, (int, float)) and not isinstance(bound, bool) and bound >= 0,
-                 f"disturbance_bound: expected a number >= 0, got {bound!r}")
+        _require(isinstance(bound, (int, float)) and not isinstance(bound, bool),
+                 f"disturbance_bound: expected a number, got {bound!r}")
     cost = doc.get("cost_weight_Q")
-    cost_matrix = None
     if cost is not None:
-        cost_matrix = np.array(_as_matrix(cost, "cost_weight_Q"), dtype=float)
-        _require(cost_matrix.shape == (n, n),
-                 f"cost_weight_Q: expected a {n}x{n} matrix, got {cost_matrix.shape}")
+        _as_matrix(cost, "cost_weight_Q")
     try:
-        return SystemModel(modes=modes, disturbance_bound=bound, cost_weight=cost_matrix,
+        return SystemModel(modes=modes, disturbance_bound=bound, cost_weight=cost,
                            name=name, labels=labels)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
@@ -148,20 +143,8 @@ def params_to_document(params: AbstractionParams) -> dict:
     if params.lyapunov_P is not None:
         doc["lyapunov_P"] = params.lyapunov_P.tolist()
     if params.diagnostics:
-        doc["diagnostics"] = _plain(params.diagnostics)
+        doc["diagnostics"] = params.diagnostics
     return doc
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    return value
 
 
 def csv_blocks(header, rows: int, columns):

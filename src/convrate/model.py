@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from .errors import DimensionError, NotPositiveDefiniteError, ParameterError, check_nonnegative
 from .linalg import as_square_matrix, check_psd, cholesky
 
 #: Construction methods an AbstractionParams can carry.
@@ -64,9 +64,7 @@ class SystemModel:
                 )
         self.modes = clean
         if self.disturbance_bound is not None:
-            self.disturbance_bound = float(self.disturbance_bound)
-            if not (self.disturbance_bound >= 0.0 and math.isfinite(self.disturbance_bound)):
-                raise ParameterError("disturbance_bound must be a finite value >= 0")
+            self.disturbance_bound = check_nonnegative(self.disturbance_bound, "disturbance_bound")
         if self.cost_weight is not None:
             self.cost_weight = as_square_matrix(self.cost_weight, "cost_weight")
             if self.cost_weight.shape[0] != n:
@@ -140,10 +138,7 @@ class AbstractionParams:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
         clean: dict[int, float] = {}
         for mode, rate in self.rho.items():
-            rate = float(rate)
-            if not (rate >= 0.0 and math.isfinite(rate)):
-                raise ParameterError(f"rho[{mode}] must be finite and >= 0, got {rate}")
-            clean[int(mode)] = rate
+            clean[int(mode)] = check_nonnegative(rate, f"rho[{mode}]")
         if 0 not in clean:
             raise ParameterError("rho must cover mode 0 (nominal execution)")
         self.rho = clean

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_nonnegative
 from .io import csv_blocks
 from .model import AbstractionParams
 
@@ -73,10 +73,7 @@ def exponential_state() -> SchedulerState:
 
 def practical_state(v0: float) -> SchedulerState:
     """Fresh state carrying the abstraction value ``v0`` (e.g. alpha * |x0|)."""
-    v0 = float(v0)
-    if not (v0 >= 0.0 and math.isfinite(v0)):
-        raise ParameterError(f"v0 must be finite and >= 0, got {v0}")
-    return SchedulerState(v_bar=v0)
+    return SchedulerState(v_bar=check_nonnegative(v0, "v0"))
 
 
 def _gate(state: SchedulerState, params: AbstractionParams,
@@ -97,10 +94,7 @@ def _gate(state: SchedulerState, params: AbstractionParams,
         return now, math.log(target.alpha_hat), after
     if state.v_bar is None:
         raise ParameterError("practical mode needs a state initialized via practical_state()")
-    w_bar_k = float(w_bar_k)
-    if not (w_bar_k >= 0.0 and math.isfinite(w_bar_k)):
-        raise ParameterError(f"w_bar must be finite and >= 0, got {w_bar_k}")
-    now, gain = state.v_bar, params.beta * w_bar_k
+    now, gain = state.v_bar, params.beta * check_nonnegative(w_bar_k, "w_bar")
     return now, target.bound, {mode: rate * now + gain for mode, rate in params.rho.items()}
 
 
@@ -192,7 +186,7 @@ def supervisor_check(state: SchedulerState, params: AbstractionParams,
 # ---------------------------------------------------------------------------
 # selection policies and the run harness
 
-Policy = Callable[[int, frozenset, np.random.Generator | None], int]
+Policy = Callable[[int, frozenset, "np.random.Generator | None"], int]
 
 
 def greedy_policy() -> Policy:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from .errors import DimensionError, NotPositiveDefiniteError, ParameterError, check_nonnegative
 from .io import csv_blocks
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
@@ -102,6 +102,15 @@ def _as_disturbances(disturbances, horizon: int, n: int) -> np.ndarray:
     return w
 
 
+def _horizon(seq: Sequence[int], horizon: int | None) -> int:
+    """``horizon``, or the whole of ``seq`` when None; it must lie in ``[0, len(seq)]``."""
+    if horizon is None:
+        return len(seq)
+    if horizon < 0 or horizon > len(seq):
+        raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
+    return horizon
+
+
 def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
                   horizon: int | None):
     """Validated ``(horizon, x0, w, |w_k|, matrix per mode)`` of a plant run.
@@ -110,10 +119,7 @@ def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
     use, so an undeclared mode raises the same ``KeyError`` as the step
     that would apply it.
     """
-    if horizon is None:
-        horizon = len(seq)
-    if horizon < 0 or horizon > len(seq):
-        raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
+    horizon = _horizon(seq, horizon)
     x0 = _as_state(x0, system.n)
     w = _as_disturbances(disturbances, horizon, system.n)
     w_norms = row_norms(w)
@@ -160,13 +166,8 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
     the series is truncated at the last finite step (a shorter-than-
     requested result signals divergence).
     """
-    if horizon is None:
-        horizon = len(seq)
-    if horizon < 0 or horizon > len(seq):
-        raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
-    x0_norm = float(x0_norm)
-    if not (x0_norm >= 0 and math.isfinite(x0_norm)):
-        raise ParameterError(f"x0_norm must be finite and >= 0, got {x0_norm}")
+    horizon = _horizon(seq, horizon)
+    x0_norm = check_nonnegative(x0_norm, "x0_norm")
     if w_bar is None:
         w_values = np.zeros(horizon)
     else:
@@ -242,14 +243,6 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     )
 
 
-def check_rel_tol(rel_tol: float) -> float:
-    """``rel_tol`` as a float; a NaN, infinite or negative slack raises ``ParameterError``."""
-    rel_tol = float(rel_tol)
-    if not (rel_tol >= 0.0 and math.isfinite(rel_tol)):
-        raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    return rel_tol
-
-
 def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     """Verify ``|x_k| <= vbar_k * (1 + rel_tol)`` and report tightness.
 
@@ -257,7 +250,7 @@ def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     direct measure of how conservative the abstraction is. A NaN in either
     series is a violation with ratio ``inf``.
     """
-    rel_tol = check_rel_tol(rel_tol)
+    rel_tol = check_nonnegative(rel_tol, "rel_tol")
     x = trace.x_norm
     v = trace.vbar
     violations = ~(x <= v * (1.0 + rel_tol))

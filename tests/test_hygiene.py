@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Source checks that no linter ships for.
 
-No linter ships with the project, so this stdlib ``ast`` check stands in
-for the unused-import rule of one. ``__init__.py`` only re-exports.
+Every name a module of the package imports is used in that module: a
+stdlib ``ast`` check stands in for the unused-import rule of a linter
+(``__init__.py`` only re-exports). And the shared scalar range check has
+one copy, in ``errors.py``.
 """
 
 from __future__ import annotations
@@ -40,3 +42,9 @@ def test_check_sees_unused_and_used_names():
               "import numpy as np\nimport os.path\nfrom .a import b, c as d\n"
               "def f():\n    from .e import g\n    return np.zeros(1), d\n")
     assert unused_imports(source) == ["os", "b", "g"]
+
+
+def test_scalar_range_check_has_one_copy():
+    holders = [module for module in sorted(path.name for path in PACKAGE.glob("*.py"))
+               if "must be finite and >= 0, got" in (PACKAGE / module).read_text()]
+    assert holders == ["errors.py"]

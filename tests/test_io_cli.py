@@ -84,6 +84,25 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="expected 1x1"):
             system_from_document(doc)
 
+    @pytest.mark.parametrize("doc, fragments", [
+        ({"modes": [{"id": -1, "A": [[0.5]]}]}, ("id", "non-negative", "got -1")),
+        ({"modes": [{"id": 1, "A": [[0.5]]}]}, ("0 (nominal execution) must be declared",)),
+        ({"modes": [{"id": 0, "A": [[1.0]]}, {"id": 1, "A": [[1.0, 0.0], [0.0, 1.0]]}]},
+         ("mode 1 matrix is 2x2, expected 1x1",)),
+        (dict(SCALAR_DOC, disturbance_bound=-0.5), ("disturbance_bound", "got -0.5")),
+        (dict(SCALAR_DOC, disturbance_bound=math.nan), ("disturbance_bound", "got nan")),
+        (dict(SCALAR_DOC, disturbance_bound=True), ("disturbance_bound", "got True")),
+        (dict(SCALAR_DOC, cost_weight_Q=[[1.0, 0.0], [0.0, 1.0]]), ("cost_weight", "1x1")),
+    ])
+    def test_invalid_system_is_a_document_error(self, doc, fragments, tmp_path, capsys):
+        with pytest.raises(DocumentError) as info:
+            system_from_document(doc)
+        assert all(fragment in str(info.value) for fragment in fragments)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {info.value}\n"
+
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -299,6 +318,13 @@ class TestJsrCommand:
         assert code == 1
         assert "window" in capsys.readouterr().err
 
+    def test_overlong_refusal_is_a_cap(self, scalar_path, capsys):
+        code = run(["jsr", scalar_path, "--m", "1", "--K", "2", "--length", "30000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: length 30000 exceeds the enumeration cap 24 (reduce the length, "
+            "or raise the cap to proceed)\n")
+
 
 class TestScheduleCommand:
     def test_generous_budget_skips_without_alarm(self, scalar_path, tmp_path):
@@ -344,6 +370,17 @@ class TestScheduleCommand:
         src = str(Path(convrate.__file__).resolve().parents[1])
         code = ("import sys, convrate.cli; "
                 "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # only the commands that draw random numbers load numpy.random
+        import convrate
+
+        src = str(Path(convrate.__file__).resolve().parents[1])
+        code = "import sys, convrate.cli; print('numpy.random' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)

@@ -200,6 +200,32 @@ class TestEnumerate:
         with pytest.raises(ResourceCapError, match="window"):
             list(enumerate_mk_sequences(MkConstraint(1, 13), 4))
 
+    def test_refusal_names_the_exact_count(self):
+        with pytest.raises(ResourceCapError) as info:
+            sequences._check_enumeration_caps(MkConstraint(6, 12), 200, 24)
+        count = 485572847851254639676419031054289827353272136186976325
+        assert info.value.estimated_count == count
+        assert str(info.value) == (
+            f"length 200 exceeds the enumeration cap 24; this would visit {count} "
+            "sequences (reduce the length, or raise the cap to proceed)")
+
+    def test_overlong_refusal_skips_the_count(self):
+        # an exact count this long takes seconds and has more digits than str() allows
+        with pytest.raises(ResourceCapError) as info:
+            sequences._check_enumeration_caps(MkConstraint(6, 12), 20000, 24)
+        assert info.value.estimated_count is None
+        assert str(info.value) == ("length 20000 exceeds the enumeration cap 24 "
+                                   "(reduce the length, or raise the cap to proceed)")
+
+    def test_refusal_counts_up_to_its_length_limit(self):
+        mk, limit = MkConstraint(1, 2), sequences._REFUSAL_COUNT_LENGTH
+        with pytest.raises(ResourceCapError) as info:
+            sequences._check_enumeration_caps(mk, limit, 24)
+        assert info.value.estimated_count == count_mk_sequences(mk, limit)
+        with pytest.raises(ResourceCapError) as info:
+            sequences._check_enumeration_caps(mk, limit + 1, 24)
+        assert info.value.estimated_count is None
+
     def test_no_sequence_enters_a_dead_branch(self):
         # at most one skip per 4-window: "1,1" starts sequences of 3 but none of 4 or more
         mk = MkConstraint(3, 4)
