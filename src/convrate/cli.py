@@ -32,7 +32,6 @@ from .scheduler import (
     ExponentialTarget,
     PracticalTarget,
     run_schedule,
-    schedule_csv_blocks,
 )
 from .sequences import averaged_spectral_radius, transition_product, worst_case_sequence
 from .simulate import check_guarantee, co_simulate, trace_csv_blocks
@@ -249,10 +248,10 @@ def cmd_schedule(args) -> int:
         w_bar = system.disturbance_bound if isinstance(target, PracticalTarget) else 0.0
     run = run_schedule(params, target, args.steps, policy=policy, w_bar=w_bar,
                        v0=args.v0, seed=args.seed)
-    _write_csv(schedule_csv_blocks(run.records), args.out)
+    _write_csv(run.csv_blocks(), args.out)
     if run.alarm_fired:
-        first = next(rec for rec in run.records if rec.alarm)
-        print(f"alarm at k={first.k}: {first.alarm}", file=sys.stderr)
+        k = next(k for k, alarm in enumerate(run.alarms) if alarm)
+        print(f"alarm at k={k}: {run.alarms[k]}", file=sys.stderr)
         return 1
     return 0
 
@@ -347,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro-counterexample",
                        help="recompute the built-in demo system's reference values")
     p.add_argument("--length", type=int, default=24,
-                   help="brute-force sequence length (reference brackets need 24)")
+                   help="brute-force sequence length, at most the enumeration cap 24 "
+                        "(reference brackets need 24; longer lengths are refused)")
     p.set_defaults(func=cmd_repro_counterexample)
 
     return parser

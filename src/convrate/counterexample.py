@@ -70,7 +70,8 @@ def report(length: int = 24) -> Report:
 
     The bracket checks on the brute-force radii are calibrated for the
     default length 24; for other lengths only the strict inequalities that
-    hold at any multiple of 4 are applied.
+    hold at any multiple of 4 are applied. A length above the enumeration
+    cap (``sequences.ENUMERATION_CAP``) raises ``ResourceCapError``.
     """
     a, c = A_VALUE, C_VALUE
     demo = system()
@@ -96,16 +97,14 @@ def report(length: int = 24) -> Report:
     add("eigenvalues_A1A1A0A0", eigs[2], dominant, ok_eigs,
         detail="remaining eigenvalues 0, 0")
 
-    jsr_12 = averaged_spectral_radius(demo, MkConstraint(1, 2), length,
-                                      max_length=max(length, 24))
+    jsr_12 = averaged_spectral_radius(demo, MkConstraint(1, 2), length)
     ok_12 = jsr_12.rho_hat < 0.9
     if length == 24:
         ok_12 = ok_12 and 0.70 <= jsr_12.rho_hat <= 0.72
     add(f"rho_hat_{length}(1,2)", jsr_12.rho_hat, 0.71, ok_12,
         detail="< 0.9: no expanding (1,2) product of this length")
 
-    jsr_24 = averaged_spectral_radius(demo, MkConstraint(2, 4), length,
-                                      max_length=max(length, 24))
+    jsr_24 = averaged_spectral_radius(demo, MkConstraint(2, 4), length)
     # the periodic skip pattern attains dominant^(1/4) exactly; the strict
     # instability bound is against the slightly smaller (c a^2)^(1/4)
     attained = dominant ** 0.25

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import ParameterError, check_nonnegative
 from .io import csv_blocks
 from .model import AbstractionParams
+from .simulate import w_bar_series
 
 #: exp() overflows above this; treat larger log values as infinity.
 _LOG_MAX = math.log(float("1e308"))
@@ -61,9 +63,14 @@ class SchedulerState:
 
     @property
     def kappa_hat(self) -> float:
-        if self.log_kappa_hat > _LOG_MAX:
-            return math.inf
-        return math.exp(self.log_kappa_hat)
+        return _kappa_hat(self.log_kappa_hat)
+
+
+def _kappa_hat(log_kappa_hat: float) -> float:
+    """``exp(log kappa_hat)``; a log value past exp's overflow reads as infinity."""
+    if log_kappa_hat > _LOG_MAX:
+        return math.inf
+    return math.exp(log_kappa_hat)
 
 
 def exponential_state() -> SchedulerState:
@@ -87,19 +94,43 @@ def _gate(state: SchedulerState, params: AbstractionParams,
     limit, so the gate never admits a step that then counts as over budget.
     """
     if isinstance(target, ExponentialTarget):
-        now = state.log_kappa_hat
-        log_rho_hat = math.log(target.rho_hat)
-        after = {mode: now + ((math.log(rate) if rate else -math.inf) - log_rho_hat)
-                 for mode, rate in params.rho.items()}
-        return now, math.log(target.alpha_hat), after
-    if state.v_bar is None:
+        now, limit, gain = state.log_kappa_hat, math.log(target.alpha_hat), None
+    elif state.v_bar is None:
         raise ParameterError("practical mode needs a state initialized via practical_state()")
-    now, gain = state.v_bar, params.beta * check_nonnegative(w_bar_k, "w_bar")
-    return now, target.bound, {mode: rate * now + gain for mode, rate in params.rho.items()}
+    else:
+        now, limit = state.v_bar, target.bound
+        gain = params.beta * check_nonnegative(w_bar_k, "w_bar")
+    return now, limit, dict(zip(params.rho, _after(now, _coefficients(params, target), gain)))
+
+
+def _coefficients(params: AbstractionParams,
+                  target: ExponentialTarget | PracticalTarget) -> list[float]:
+    """Per mode, in ``params.rho`` order, what a step adds or multiplies.
+
+    Exponential: the increment ``log rho_sigma - log rho_hat`` of ``log
+    kappa_hat`` (-inf for a zero rate, a perfect reset). Practical: the rate.
+    """
+    if isinstance(target, ExponentialTarget):
+        log_rho_hat = math.log(target.rho_hat)
+        return [(math.log(rate) if rate else -math.inf) - log_rho_hat
+                for rate in params.rho.values()]
+    return list(params.rho.values())
+
+
+def _after(now: float, coefficients: list[float], gain: float | None) -> list[float]:
+    """The value each mode's step stores: ``now + increment`` (exponential,
+    ``gain`` None) or ``rate * now + gain`` (practical)."""
+    if gain is None:
+        return [now + increment for increment in coefficients]
+    return [rate * now + gain for rate in coefficients]
 
 
 def _within(after: dict[int, float], limit: float) -> frozenset[int]:
     return frozenset(mode for mode, value in after.items() if value <= limit)
+
+
+def _no_rate(sigma) -> KeyError:
+    return KeyError(f"mode {sigma} has no convergence rate in these parameters")
 
 
 def _stored(state: SchedulerState, target: ExponentialTarget | PracticalTarget,
@@ -108,7 +139,7 @@ def _stored(state: SchedulerState, target: ExponentialTarget | PracticalTarget,
     try:
         value = after[sigma]
     except KeyError:
-        raise KeyError(f"mode {sigma} has no convergence rate in these parameters") from None
+        raise _no_rate(sigma) from None
     if isinstance(target, ExponentialTarget):
         return SchedulerState(value, state.v_bar)
     return SchedulerState(state.log_kappa_hat, value)
@@ -157,7 +188,8 @@ class SupervisorReport:
 
 
 def _alarm(target: ExponentialTarget | PracticalTarget, now: float, limit: float,
-           admissible: frozenset[int]) -> str | None:
+           admissible) -> str | None:
+    """The step's alarm; ``admissible`` is a set or a bitmask, false when empty."""
     exponential = isinstance(target, ExponentialTarget)
     if now > limit:
         return "kappa budget exceeded" if exponential else "state bound exceeded"
@@ -243,16 +275,65 @@ class StepRecord:
     alarm: str | None
 
 
+class _ModeSets(dict):
+    """Admissible sets by bitmask, bit ``i`` standing for ``modes[i]``; each set is built once."""
+
+    def __init__(self, modes: tuple[int, ...]):
+        super().__init__()
+        self.modes = modes
+
+    def __missing__(self, mask: int) -> frozenset[int]:
+        admissible = self[mask] = frozenset(
+            mode for i, mode in enumerate(self.modes) if mask >> i & 1)
+        return admissible
+
+
 @dataclass
 class ScheduleRun:
-    """Decision stream of one run and whether its supervisor alarmed."""
+    """Decision stream of one run, one list per column, and whether its supervisor alarmed.
 
-    records: list[StepRecord]
+    Step ``k`` chose ``choices[k]`` from the admissible set ``sets[masks[k]]``,
+    stored ``stored[k]`` (``log kappa_hat``, or ``vbar`` when ``practical``)
+    and raised ``alarms[k]``. ``records`` is the same stream as
+    :class:`StepRecord` objects, built on first access.
+    """
+
+    choices: list[int]
+    masks: list[int]
+    stored: list[float]
+    alarms: list[str | None]
+    sets: _ModeSets
+    practical: bool
     alarm_fired: bool
 
     @property
     def chosen(self) -> tuple[int, ...]:
-        return tuple(record.chosen for record in self.records)
+        return tuple(self.choices)
+
+    @cached_property
+    def records(self) -> list[StepRecord]:
+        missing = [None] * len(self.stored)
+        kappa_hat, v_bar = ((missing, self.stored) if self.practical
+                            else (list(map(_kappa_hat, self.stored)), missing))
+        return list(map(StepRecord, range(len(self.stored)), self.choices,
+                        map(self.sets.__getitem__, self.masks), kappa_hat, v_bar, self.alarms))
+
+    def csv_blocks(self):
+        """``schedule_csv_blocks(self.records)``, rendered from the columns."""
+        labels = {mask: _label(self.sets[mask]) for mask in set(self.masks)}
+
+        def columns(start: int, stop: int):
+            stored = self.stored[start:stop]
+            if self.practical:
+                kappa_hat, v_bar = [""] * len(stored), list(map(repr, stored))
+            else:  # a greedy run revisits a few counter values: format each once
+                cells = {log: repr(_kappa_hat(log)) for log in set(stored)}
+                kappa_hat, v_bar = list(map(cells.__getitem__, stored)), [""] * len(stored)
+            return (range(start, stop), self.choices[start:stop],
+                    list(map(labels.__getitem__, self.masks[start:stop])), kappa_hat, v_bar,
+                    self.alarms[start:stop])
+
+        return _decision_csv(len(self.stored), columns)
 
 
 def run_schedule(params: AbstractionParams,
@@ -268,38 +349,74 @@ def run_schedule(params: AbstractionParams,
     to mode 0 from that step on. A scripted scenario passes a policy that
     returns its own modes. The gate never reads the plant: to compare plant
     states with the certified envelope, run
-    ``simulate_plant(system, run.chosen, x0)``.
+    ``simulate_plant(system, run.chosen, x0)``. ``w_bar`` (one bound, or
+    one per step) is read by a practical target only. Each step applies
+    the gate rule to plain floats and appends to the run's columns.
     """
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
     practical = isinstance(target, PracticalTarget)
-    if practical and v0 is None:
-        raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
-    state = practical_state(v0) if practical else exponential_state()
-    if np.ndim(w_bar) == 0:  # None or one constant bound
-        w_series = np.full(steps, 0.0 if w_bar is None else float(w_bar))
+    if practical:
+        if v0 is None:
+            raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
+        now, limit = check_nonnegative(v0, "v0"), target.bound
+        if np.ndim(w_bar) == 0:  # None or one constant bound
+            w_bar = np.full(steps, 0.0 if w_bar is None else float(w_bar))
+        gains = [params.beta * w for w in w_bar_series(w_bar, steps)]
     else:
-        w_series = np.asarray(w_bar, dtype=float).reshape(-1)
-        if len(w_series) < steps:
-            raise ParameterError(f"w_bar must provide {steps} entries, got {len(w_series)}")
+        now, limit = 0.0, math.log(target.alpha_hat)
+        gains = [None] * steps
+    coefficients = _coefficients(params, target)
+    position = {mode: i for i, mode in enumerate(params.rho)}
+    bits = [1 << i for i in range(len(position))]
     policy = policy or greedy_policy()
     rng = np.random.default_rng(seed)
-    records: list[StepRecord] = []
-    alarm_fired = False
-    for k in range(steps):
-        now, limit, after = _gate(state, params, target, w_series[k])
-        admissible = _within(after, limit)
-        alarm = _alarm(target, now, limit, admissible)
-        alarm_fired = alarm_fired or alarm is not None
-        chosen = 0 if alarm_fired else policy(k, admissible, rng)
-        state = _stored(state, target, after, chosen)
-        records.append(StepRecord(k, chosen, admissible,
-                                  None if practical else state.kappa_hat, state.v_bar, alarm))
-    return ScheduleRun(records=records, alarm_fired=alarm_fired)
+    run = ScheduleRun([], [], [], [], _ModeSets(tuple(params.rho)), practical, False)
+    sets = run.sets
+    append_choice, append_mask = run.choices.append, run.masks.append
+    append_stored, append_alarm = run.stored.append, run.alarms.append
+    fired = False
+    for k, gain in enumerate(gains):
+        after = _after(now, coefficients, gain)
+        mask = 0
+        for bit, value in zip(bits, after):
+            if value <= limit:
+                mask |= bit
+        alarm = _alarm(target, now, limit, mask)
+        fired = fired or alarm is not None
+        chosen = 0 if fired else policy(k, sets[mask], rng)
+        try:
+            now = after[position[chosen]]
+        except KeyError:
+            raise _no_rate(chosen) from None
+        append_choice(chosen)
+        append_mask(mask)
+        append_stored(now)
+        append_alarm(alarm)
+    run.alarm_fired = fired
+    return run
 
 
 #: Exact column contract of the decision CSV emission.
 SCHEDULE_COLUMNS = ("k", "chosen_sigma", "admissible_set", "kappa_hat", "vbar", "alarm")
+
+
+def _label(admissible: frozenset[int]) -> str:
+    return "|".join(map(str, sorted(admissible)))
+
+
+def _decision_csv(rows: int, columns):
+    """Decision CSV blocks; ``columns(start, stop)`` returns the rows' six columns.
+
+    Those are ``k`` and ``chosen`` as ints, ``admissible``, ``kappa_hat``
+    and ``vbar`` as rendered cells, and ``alarm`` as texts or None.
+    """
+    def cells(start: int, stop: int):
+        k, chosen, admissible, kappa_hat, v_bar, alarm = columns(start, stop)
+        return (map(str, k), map(str, chosen), admissible, kappa_hat, v_bar,
+                [text or "" for text in alarm])
+
+    return csv_blocks(SCHEDULE_COLUMNS, rows, cells)
 
 
 def schedule_csv_blocks(records: Sequence[StepRecord]):
@@ -307,15 +424,15 @@ def schedule_csv_blocks(records: Sequence[StepRecord]):
     def columns(start: int, stop: int):
         block = records[start:stop]
         return (
-            [str(rec.k) for rec in block],
-            [str(rec.chosen) for rec in block],
-            ["|".join(map(str, sorted(rec.admissible))) for rec in block],
+            [rec.k for rec in block],
+            [rec.chosen for rec in block],
+            [_label(rec.admissible) for rec in block],
             ["" if rec.kappa_hat is None else repr(float(rec.kappa_hat)) for rec in block],
             ["" if rec.v_bar is None else repr(float(rec.v_bar)) for rec in block],
-            [rec.alarm or "" for rec in block],
+            [rec.alarm for rec in block],
         )
 
-    return csv_blocks(SCHEDULE_COLUMNS, len(records), columns)
+    return _decision_csv(len(records), columns)
 
 
 def schedule_csv_lines(records: Sequence[StepRecord]) -> list[str]:

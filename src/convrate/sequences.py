@@ -118,13 +118,17 @@ def validate_mk(seq: Sequence[int], mk: MkConstraint) -> SequenceValidation:
     return SequenceValidation(True)
 
 
+def _check_length(length: int) -> None:
+    if length < 0:
+        raise ParameterError(f"length must be >= 0, got {length}")
+
+
 def worst_case_sequence(mk: MkConstraint, length: int) -> tuple[int, ...]:
     """Front-loaded pattern skipping the first ``m_bar`` slots of each window.
 
     Attains the skip-count bound for every prefix and is admissible.
     """
-    if length < 0:
-        raise ParameterError(f"length must be >= 0, got {length}")
+    _check_length(length)
     window = (1,) * mk.m_bar + (0,) * mk.m
     return (window * -(-length // mk.K))[:length]
 
@@ -163,8 +167,7 @@ def count_mk_sequences(mk: MkConstraint, length: int) -> int:
     Raises :class:`ResourceCapError`, before building anything, when the
     automaton would have more than ``COUNT_STATE_CAP`` states.
     """
-    if length < 0:
-        raise ParameterError(f"length must be >= 0, got {length}")
+    _check_length(length)
     if length < mk.K:
         return 2**length  # no complete window
     states = sum(comb(mk.K - 1, ones) for ones in range(min(mk.m_bar, mk.K - 1) + 1))
@@ -191,8 +194,7 @@ def _completion_counts(table: np.ndarray, length: int) -> Iterator[np.ndarray]:
 
 
 def _check_enumeration_caps(mk: MkConstraint, length: int, max_length: int) -> None:
-    if length < 0:
-        raise ParameterError(f"length must be >= 0, got {length}")
+    _check_length(length)
     if mk.K > MAX_WINDOW:
         raise ResourceCapError(
             f"window K={mk.K} exceeds the supported maximum {MAX_WINDOW} for enumeration"
@@ -239,8 +241,7 @@ def random_mk_sequence(mk: MkConstraint, length: int, rng,
     window is complete), so the result never paints itself into a corner
     where the first complete window is forced to overflow.
     """
-    if length < 0:
-        raise ParameterError(f"length must be >= 0, got {length}")
+    _check_length(length)
     K, m_bar = mk.K, mk.m_bar
     out: list[int] = []
     for _ in range(length):

@@ -157,6 +157,22 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     return _run_plant(seq, x0, w, matrices)
 
 
+def w_bar_series(w_bar, steps: int) -> list[float]:
+    """The first ``steps`` entries of a per-step disturbance bound, as plain floats.
+
+    The one owner of the rule for a ``w_bar`` series: it provides ``steps``
+    entries, and those are finite and >= 0 (later entries are never read).
+    """
+    values = np.asarray(w_bar, dtype=float).reshape(-1)
+    if len(values) < steps:
+        raise ParameterError(f"w_bar must provide {steps} entries, got {len(values)}")
+    values = values[:steps]
+    bad = np.flatnonzero(~(values >= 0.0) | ~np.isfinite(values))
+    if len(bad):
+        check_nonnegative(values[bad[0]], "w_bar")
+    return values.tolist()
+
+
 def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
                          x0_norm: float, w_bar=None,
                          horizon: int | None = None) -> np.ndarray:
@@ -168,20 +184,12 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
     """
     horizon = _horizon(seq, horizon)
     x0_norm = check_nonnegative(x0_norm, "x0_norm")
-    if w_bar is None:
-        w_values = np.zeros(horizon)
-    else:
-        w_values = np.asarray(w_bar, dtype=float).reshape(-1)
-        if len(w_values) < horizon:
-            raise ParameterError(f"w_bar must provide {horizon} entries, got {len(w_values)}")
-        w_values = w_values[:horizon]
-        if np.any(w_values < 0) or not np.all(np.isfinite(w_values)):
-            raise ParameterError("w_bar entries must be finite and >= 0")
+    gains = [0.0] * horizon if w_bar is None else w_bar_series(w_bar, horizon)
     beta = params.beta
     rates: dict = {}  # looked up at first use: a diverged series never reaches later modes
     value = params.alpha * x0_norm
     series = [value]
-    for mode, gain in zip(seq[:horizon], w_values.tolist()):  # plain floats: overflow -> inf
+    for mode, gain in zip(seq[:horizon], gains):  # plain floats: overflow -> inf
         rate = rates.get(mode)
         if rate is None:
             rate = rates[mode] = params.rate(int(mode))

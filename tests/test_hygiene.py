@@ -2,8 +2,9 @@
 
 Every name a module of the package imports is used in that module: a
 stdlib ``ast`` check stands in for the unused-import rule of a linter
-(``__init__.py`` only re-exports). And the shared scalar range check has
-one copy, in ``errors.py``.
+(``__init__.py`` only re-exports). And each shared validation rule has
+one copy: the scalar range check in ``errors.py``, the ``w_bar`` series
+rule in ``simulate.py`` and the sequence length check in ``sequences.py``.
 """
 
 from __future__ import annotations
@@ -48,3 +49,13 @@ def test_scalar_range_check_has_one_copy():
     holders = [module for module in sorted(path.name for path in PACKAGE.glob("*.py"))
                if "must be finite and >= 0, got" in (PACKAGE / module).read_text()]
     assert holders == ["errors.py"]
+
+
+@pytest.mark.parametrize("text, owner", [
+    ("w_bar must provide", "simulate.py"),
+    ("length must be >= 0, got", "sequences.py"),
+])
+def test_validation_rule_has_one_copy(text, owner):
+    counts = {module: (PACKAGE / module).read_text().count(text)
+              for module in sorted(path.name for path in PACKAGE.glob("*.py"))}
+    assert {module: count for module, count in counts.items() if count} == {owner: 1}

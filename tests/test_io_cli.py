@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,14 @@ class TestReproCommand:
         assert "closed-form (1,2) verdict: not proven" in out
         assert "rho_hat_16(1,2)" in out
         assert "overall: PASS" in out
+
+    def test_length_above_the_cap_is_refused(self, capsys):
+        start = time.perf_counter()
+        code = run(["repro-counterexample", "--length", "40"])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "length 40 exceeds the enumeration cap 24" in capsys.readouterr().err
+        assert elapsed < 5.0  # refused before any enumeration, not after a 30 s walk
 
 
 def test_usage_error_exit_code():

@@ -29,7 +29,8 @@ from convrate import (
     supervisor_check,
     worst_case_sequence,
 )
-from convrate.io import CSV_BLOCK_ROWS, write_csv
+from convrate.cli import run as cli_run
+from convrate.io import CSV_BLOCK_ROWS, save_system, write_csv
 from convrate.scheduler import POLICIES, StepRecord, schedule_csv_blocks, schedule_csv_lines
 from conftest import two_mode_system
 
@@ -317,6 +318,110 @@ class TestGateRule:
                                     w_bar, v0)
 
 
+def reckless_policy(mode):
+    """Always ``mode``, whatever the gate admits: drives the counter over its limit."""
+    return lambda k, admissible, rng: mode
+
+
+@st.composite
+def wide_gate_cases(draw):
+    """3-4 modes with non-contiguous ids in any order, one rate zero, and
+    limits tight enough that runs alarm, on both targets."""
+    ids = [0, *draw(st.sets(st.integers(1, 9), min_size=2, max_size=3))]
+    rates = [draw(st.floats(0.0, 3.0)) for _ in ids]
+    rates[draw(st.integers(0, len(ids) - 1))] = 0.0
+    rho = dict(zip(draw(st.permutations(ids)), rates))
+    params = AbstractionParams(alpha=1.0, beta=draw(st.floats(0.01, 5.0)), rho=rho)
+    steps = draw(st.integers(1, 40))
+    policy = draw(st.one_of(st.sampled_from([POLICIES[name] for name in sorted(POLICIES)]),
+                            st.sampled_from(ids).map(lambda mode: lambda: reckless_policy(mode))))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        target = ExponentialTarget(draw(st.floats(0.01, 0.99)), draw(st.floats(1.0, 3.0)))
+        return params, target, steps, policy, seed, [0.0] * steps, None
+    bound = draw(st.floats(0.01, 10.0))
+    v0 = draw(st.floats(0.0, 1.5)) * bound  # v0 > C alarms at once
+    w_bar = draw(st.lists(st.floats(0.0, 2.0), min_size=steps, max_size=steps))
+    return params, PracticalTarget(bound), steps, policy, seed, w_bar, v0
+
+
+def run_lines(run) -> list[str]:
+    return [line for block in run.csv_blocks() for line in block]
+
+
+class TestColumnarRun:
+    @given(wide_gate_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_run_matches_composed_steps(self, case):
+        params, target, steps, policy, seed, w_bar, v0 = case
+        run = run_schedule(params, target, steps, policy=policy(), w_bar=w_bar, v0=v0,
+                           seed=seed)
+        eager = [StepRecord(*row)
+                 for row in composed_run(params, target, steps, policy(), seed, w_bar, v0)]
+        assert run.records == eager
+        assert run.chosen == tuple(record.chosen for record in eager)
+        assert run.alarm_fired == any(record.alarm for record in eager)
+        assert run_lines(run) == references.schedule_csv_lines(eager)
+
+    @pytest.mark.parametrize("rho, target, policy, w_bar, v0, alarm", [
+        ({0: 2.0, 3: 2.5}, ExponentialTarget(0.9, 1.0), greedy_policy(), 0.0, None,
+         "no admissible mode"),
+        ({0: 0.5, 2: 1.2, 5: 0.0}, ExponentialTarget(0.9, 2.0), reckless_policy(2), 0.0, None,
+         "kappa budget exceeded"),
+        ({0: 0.5, 2: 1.2, 5: 0.0}, PracticalTarget(2.0), greedy_policy(), 0.0, 5.0,
+         "state bound exceeded"),
+        ({0: 0.5, 2: 1.2, 5: 0.0}, PracticalTarget(2.0), greedy_policy(), 10.0, 1.0,
+         "no admissible mode keeps the bound"),
+    ])
+    def test_every_alarm_matches_composed_steps(self, rho, target, policy, w_bar, v0, alarm):
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho=rho)
+        run = run_schedule(params, target, 8, policy=policy, w_bar=w_bar, v0=v0)
+        eager = [StepRecord(*row)
+                 for row in composed_run(params, target, 8, policy, None, [w_bar] * 8, v0)]
+        assert run.alarm_fired
+        assert next(record.alarm for record in run.records if record.alarm) == alarm
+        assert run.records == eager
+        assert run_lines(run) == references.schedule_csv_lines(eager)
+
+    @pytest.mark.parametrize("target, v0", [(TARGET, None), (PracticalTarget(2.0), 1.0)])
+    def test_unknown_mode_raises_the_step_key_error(self, target, v0):
+        with pytest.raises(KeyError) as from_run:
+            run_schedule(PARAMS, target, 3, policy=reckless_policy(7), v0=v0)
+        with pytest.raises(KeyError) as from_step:
+            if v0 is None:
+                kappa_hat_step(exponential_state(), 7, PARAMS, target)
+            else:
+                practical_step(practical_state(v0), 7, 0.0, PARAMS, target)
+        assert from_run.value.args == from_step.value.args
+        assert "mode 7 has no convergence rate" in str(from_run.value)
+
+    def test_counter_past_exp_overflow_reads_inf(self):
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 3.0})
+        run = run_schedule(params, ExponentialTarget(0.01, 1.0), 200)
+        assert run.records[-1].kappa_hat == math.inf
+        lines = run_lines(run)
+        assert lines == references.schedule_csv_lines(run.records)
+        assert lines[-1].split(",")[3] == "inf"
+
+    def test_records_are_built_once(self):
+        run = run_schedule(PARAMS, TARGET, 10)
+        assert run.records is run.records
+        assert len(run.records) == 10
+
+    def test_w_bar_is_checked_up_front_where_it_is_read(self):
+        target = PracticalTarget(2.0)
+        # an entry past the last step is never read
+        run_schedule(PARAMS, target, 3, w_bar=[0.1, 0.1, 0.1, math.nan], v0=1.0)
+        with pytest.raises(ParameterError, match="w_bar must be finite and >= 0, got nan"):
+            run_schedule(PARAMS, target, 3, policy=reckless_policy(7),
+                         w_bar=[0.1, 0.1, math.nan], v0=1.0)
+        with pytest.raises(ParameterError, match="w_bar must provide 3 entries, got 2"):
+            run_schedule(PARAMS, target, 3, w_bar=[0.1, 0.1], v0=1.0)
+        # an exponential target never reads w_bar
+        assert run_schedule(PARAMS, TARGET, 3, w_bar=[math.nan]).chosen == \
+            run_schedule(PARAMS, TARGET, 3).chosen
+
+
 class TestScheduleCsv:
     def test_column_contract(self):
         run = run_schedule(PARAMS, TARGET, 3)
@@ -334,6 +439,36 @@ class TestScheduleCsv:
         first = lines[1].split(",")
         assert first[3] == ""  # no kappa_hat in practical mode
         assert float(first[4]) > 0
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("practical", [False, True])
+    def test_cli_csv_equals_record_reference(self, seed, practical, tmp_path, capsys):
+        # more rows than one block, so the column renderer crosses a block edge
+        steps = CSV_BLOCK_ROWS + 5
+        system = two_mode_system(np.random.default_rng(seed), n=4)
+        save_system(system, tmp_path / "system.json")
+        params = lyapunov_abstraction(system)
+        if practical:
+            target, w_bar, v0 = PracticalTarget(5.0), 0.05, 1.0
+            flags = ["--C", "5.0", "--w-bar", "0.05", "--v0", "1.0", "--policy", "random",
+                     "--seed", str(seed)]
+            policy = random_policy()
+        else:
+            rho_hat = min(0.99, params.rho[0] + 0.2)
+            target, w_bar, v0 = ExponentialTarget(rho_hat, 10.0), None, None
+            flags = ["--rho-hat", repr(rho_hat), "--alpha-hat", "10.0"]
+            policy = greedy_policy()
+        out = tmp_path / "decisions.csv"
+        code = cli_run(["schedule", str(tmp_path / "system.json"), "--steps", str(steps),
+                        *flags, "--out", str(out)])
+        run = run_schedule(params, target, steps, policy=policy, w_bar=w_bar, v0=v0,
+                           seed=seed if practical else None)
+        same = out.read_text() == "\n".join(references.schedule_csv_lines(run.records)) + "\n"
+        assert same
+        assert code == (1 if run.alarm_fired else 0)
+        alarms = [record for record in run.records if record.alarm]
+        expected = f"alarm at k={alarms[0].k}: {alarms[0].alarm}\n" if alarms else ""
+        assert capsys.readouterr().err == expected
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

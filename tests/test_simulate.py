@@ -101,6 +101,15 @@ class TestSimulateAbstraction:
         with pytest.raises(ParameterError):
             simulate_abstraction(PARAMS, (0,), 1.0, w_bar=[-0.1])
 
+    def test_w_bar_is_checked_where_it_is_read(self):
+        # entries past the horizon are never read, so they are not checked
+        series = simulate_abstraction(PARAMS, (0,), 1.0, w_bar=[0.0, math.nan])
+        assert len(series) == 2
+        with pytest.raises(ParameterError, match="w_bar must be finite and >= 0, got nan"):
+            simulate_abstraction(PARAMS, (0, 0), 1.0, w_bar=[0.0, math.nan])
+        with pytest.raises(ParameterError, match="w_bar must provide 2 entries, got 1"):
+            simulate_abstraction(PARAMS, (0, 0), 1.0, w_bar=[0.0])
+
     @pytest.mark.parametrize("x0_norm", [math.nan, math.inf, -1.0])
     def test_bad_initial_norm_rejected(self, x0_norm):
         with pytest.raises(ParameterError, match="x0_norm"):
