@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import build_robustness_abstraction
+from .errors import ResourceCapError
 from .linalg import eigenvalues, spectral_norm
 from .mk import MkConstraint, StabilityVerdict, mk_verdict
 from .model import SystemModel
@@ -71,7 +72,9 @@ def report(length: int = 24) -> Report:
     The bracket checks on the brute-force radii are calibrated for the
     default length 24; for other lengths only the strict inequalities that
     hold at any multiple of 4 are applied. A length above the enumeration
-    cap (``sequences.ENUMERATION_CAP``) raises ``ResourceCapError``.
+    cap (``sequences.ENUMERATION_CAP``) raises ``ResourceCapError`` before
+    any search; the report has no way to raise the cap, so the message
+    offers only a shorter length.
     """
     a, c = A_VALUE, C_VALUE
     demo = system()
@@ -97,7 +100,11 @@ def report(length: int = 24) -> Report:
     add("eigenvalues_A1A1A0A0", eigs[2], dominant, ok_eigs,
         detail="remaining eigenvalues 0, 0")
 
-    jsr_12 = averaged_spectral_radius(demo, MkConstraint(1, 2), length)
+    try:
+        jsr_12 = averaged_spectral_radius(demo, MkConstraint(1, 2), length)
+    except ResourceCapError as exc:
+        raise ResourceCapError(str(exc).replace("reduce the length, or raise the cap",
+                                                "reduce the length"), exc.estimated_count) from None
     ok_12 = jsr_12.rho_hat < 0.9
     if length == 24:
         ok_12 = ok_12 and 0.70 <= jsr_12.rho_hat <= 0.72

@@ -5,10 +5,14 @@ much of the allowed overshoot budget ``alpha_hat`` has been consumed; it
 is maintained in log domain so that long runs can neither overflow nor
 underflow. One rule gates both targets: a mode is admissible iff the value
 its step stores stays within budget, ``log kappa_hat <= log alpha_hat``
-(exponential mode) or ``vbar <= C`` (practical mode). The supervisor
-reports an alarm whenever no admissible mode remains or the invariant is
-already violated; it never executes the fallback itself - the surrounding
-harness switches to strictly nominal execution.
+(exponential mode) or ``vbar <= C`` (practical mode). The public step
+functions and :func:`run_schedule` apply it through one kernel: the limit
+and per-mode coefficients (``_rule``), the value after each mode
+(``_after``), the admissible bitmask (``_mask``) and the chosen mode's
+stored value (``_pick``). The supervisor reports an alarm whenever no
+admissible mode remains or the invariant is already violated; it never
+executes the fallback itself - the surrounding harness switches to
+strictly nominal execution.
 """
 
 from __future__ import annotations
@@ -83,38 +87,19 @@ def practical_state(v0: float) -> SchedulerState:
     return SchedulerState(v_bar=check_nonnegative(v0, "v0"))
 
 
-def _gate(state: SchedulerState, params: AbstractionParams,
-          target: ExponentialTarget | PracticalTarget,
-          w_bar_k: float = 0.0) -> tuple[float, float, dict[int, float]]:
-    """The one admissibility rule of both targets.
+def _rule(params: AbstractionParams,
+          target: ExponentialTarget | PracticalTarget) -> tuple[float, list[float]]:
+    """The gate's limit and, per mode in ``params.rho`` order, what a step adds or multiplies.
 
-    Returns the gated quantity now (``log kappa_hat`` or ``vbar``), its limit
-    (``log alpha_hat`` or C) and its value after each mode, computed exactly
-    as the step stores it. A mode is admissible iff that value is within the
-    limit, so the gate never admits a step that then counts as over budget.
-    """
-    if isinstance(target, ExponentialTarget):
-        now, limit, gain = state.log_kappa_hat, math.log(target.alpha_hat), None
-    elif state.v_bar is None:
-        raise ParameterError("practical mode needs a state initialized via practical_state()")
-    else:
-        now, limit = state.v_bar, target.bound
-        gain = params.beta * check_nonnegative(w_bar_k, "w_bar")
-    return now, limit, dict(zip(params.rho, _after(now, _coefficients(params, target), gain)))
-
-
-def _coefficients(params: AbstractionParams,
-                  target: ExponentialTarget | PracticalTarget) -> list[float]:
-    """Per mode, in ``params.rho`` order, what a step adds or multiplies.
-
-    Exponential: the increment ``log rho_sigma - log rho_hat`` of ``log
-    kappa_hat`` (-inf for a zero rate, a perfect reset). Practical: the rate.
+    Exponential: the limit ``log alpha_hat`` and the increments ``log rho_sigma
+    - log rho_hat`` of ``log kappa_hat`` (-inf for a zero rate, a perfect
+    reset). Practical: the limit C and the rates.
     """
     if isinstance(target, ExponentialTarget):
         log_rho_hat = math.log(target.rho_hat)
-        return [(math.log(rate) if rate else -math.inf) - log_rho_hat
-                for rate in params.rho.values()]
-    return list(params.rho.values())
+        return math.log(target.alpha_hat), [(math.log(rate) if rate else -math.inf) - log_rho_hat
+                                            for rate in params.rho.values()]
+    return target.bound, list(params.rho.values())
 
 
 def _after(now: float, coefficients: list[float], gain: float | None) -> list[float]:
@@ -125,24 +110,52 @@ def _after(now: float, coefficients: list[float], gain: float | None) -> list[fl
     return [rate * now + gain for rate in coefficients]
 
 
-def _within(after: dict[int, float], limit: float) -> frozenset[int]:
-    return frozenset(mode for mode, value in after.items() if value <= limit)
+def _mask(after: list[float], limit: float) -> int:
+    """The admissible modes as a bitmask: bit ``i`` is set iff ``after[i]`` is within the limit."""
+    mask = 0
+    for i, value in enumerate(after):
+        if value <= limit:
+            mask |= 1 << i
+    return mask
 
 
-def _no_rate(sigma) -> KeyError:
-    return KeyError(f"mode {sigma} has no convergence rate in these parameters")
+def _order(params: AbstractionParams) -> dict[int, int]:
+    """Each mode's position in ``params.rho``: its entry of ``after``, its bit of a mask."""
+    return {mode: i for i, mode in enumerate(params.rho)}
 
 
-def _stored(state: SchedulerState, target: ExponentialTarget | PracticalTarget,
-            after: dict[int, float], sigma: int) -> SchedulerState:
-    """The state after applying ``sigma``: it stores the gate's value for it."""
-    try:
-        value = after[sigma]
-    except KeyError:
-        raise _no_rate(sigma) from None
+def _modes(order: dict[int, int], mask: int) -> frozenset[int]:
+    """The modes a :func:`_mask` bitmask names."""
+    return frozenset(mode for mode, i in order.items() if mask >> i & 1)
+
+
+def _pick(after: list[float], order: dict[int, int], params: AbstractionParams,
+          sigma: int) -> float:
+    """The value the step of ``sigma`` stores; an undeclared mode raises ``params.rate``'s KeyError."""
+    if sigma not in order:
+        params.rate(sigma)  # raises
+    return after[order[sigma]]
+
+
+def _gate(state: SchedulerState, params: AbstractionParams,
+          target: ExponentialTarget | PracticalTarget,
+          w_bar_k: float = 0.0) -> tuple[float, float, list[float]]:
+    """The gate rule applied to a state.
+
+    Returns the gated quantity now (``log kappa_hat`` or ``vbar``), its limit
+    (``log alpha_hat`` or C) and its value after each mode, in ``params.rho``
+    order, computed exactly as the step stores it. A mode is admissible iff
+    that value is within the limit, so the gate never admits a step that
+    then counts as over budget.
+    """
     if isinstance(target, ExponentialTarget):
-        return SchedulerState(value, state.v_bar)
-    return SchedulerState(state.log_kappa_hat, value)
+        now, gain = state.log_kappa_hat, None
+    elif state.v_bar is None:
+        raise ParameterError("practical mode needs a state initialized via practical_state()")
+    else:
+        now, gain = state.v_bar, params.beta * check_nonnegative(w_bar_k, "w_bar")
+    limit, coefficients = _rule(params, target)
+    return now, limit, _after(now, coefficients, gain)
 
 
 def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
@@ -154,7 +167,7 @@ def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
     absorbs all previous damage.
     """
     _, _, after = _gate(state, params, target)
-    return _stored(state, target, after, sigma)
+    return SchedulerState(_pick(after, _order(params), params, sigma), state.v_bar)
 
 
 def admissible_modes(state: SchedulerState, params: AbstractionParams,
@@ -162,7 +175,7 @@ def admissible_modes(state: SchedulerState, params: AbstractionParams,
                      w_bar_k: float = 0.0) -> frozenset[int]:
     """Modes whose step keeps ``kappa_hat <= alpha_hat`` (or ``vbar <= C``)."""
     _, limit, after = _gate(state, params, target, w_bar_k)
-    return _within(after, limit)
+    return _modes(_order(params), _mask(after, limit))
 
 
 def practical_step(state: SchedulerState, sigma: int, w_bar_k: float,
@@ -170,8 +183,8 @@ def practical_step(state: SchedulerState, sigma: int, w_bar_k: float,
                    target: PracticalTarget) -> tuple[SchedulerState, bool]:
     """Apply one mode to the abstraction state; flag whether it kept the bound."""
     _, limit, after = _gate(state, params, target, w_bar_k)
-    new_state = _stored(state, target, after, sigma)
-    return new_state, new_state.v_bar <= limit
+    v_bar = _pick(after, _order(params), params, sigma)
+    return SchedulerState(state.log_kappa_hat, v_bar), v_bar <= limit
 
 
 @dataclass(frozen=True)
@@ -188,12 +201,12 @@ class SupervisorReport:
 
 
 def _alarm(target: ExponentialTarget | PracticalTarget, now: float, limit: float,
-           admissible) -> str | None:
-    """The step's alarm; ``admissible`` is a set or a bitmask, false when empty."""
+           mask: int) -> str | None:
+    """The step's alarm, from the gated quantity now and the :func:`_mask` of its modes."""
     exponential = isinstance(target, ExponentialTarget)
     if now > limit:
         return "kappa budget exceeded" if exponential else "state bound exceeded"
-    if not admissible:
+    if not mask:
         return "no admissible mode" if exponential else "no admissible mode keeps the bound"
     return None
 
@@ -207,7 +220,7 @@ def supervisor_check(state: SchedulerState, params: AbstractionParams,
     deterministic safety mode guaranteeing nominal execution.
     """
     now, limit, after = _gate(state, params, target, w_bar_k)
-    reason = _alarm(target, now, limit, _within(after, limit))
+    reason = _alarm(target, now, limit, _mask(after, limit))
     if reason is None:
         return SupervisorReport(True)
     if isinstance(target, ExponentialTarget):
@@ -275,34 +288,21 @@ class StepRecord:
     alarm: str | None
 
 
-class _ModeSets(dict):
-    """Admissible sets by bitmask, bit ``i`` standing for ``modes[i]``; each set is built once."""
-
-    def __init__(self, modes: tuple[int, ...]):
-        super().__init__()
-        self.modes = modes
-
-    def __missing__(self, mask: int) -> frozenset[int]:
-        admissible = self[mask] = frozenset(
-            mode for i, mode in enumerate(self.modes) if mask >> i & 1)
-        return admissible
-
-
 @dataclass
 class ScheduleRun:
     """Decision stream of one run, one list per column, and whether its supervisor alarmed.
 
-    Step ``k`` chose ``choices[k]`` from the admissible set ``sets[masks[k]]``,
+    Step ``k`` chose ``choices[k]`` from the admissible set ``admissible[k]``,
     stored ``stored[k]`` (``log kappa_hat``, or ``vbar`` when ``practical``)
-    and raised ``alarms[k]``. ``records`` is the same stream as
-    :class:`StepRecord` objects, built on first access.
+    and raised ``alarms[k]``. Steps with the same admissible modes share one
+    set. ``records`` is the same stream as :class:`StepRecord` objects,
+    built on first access.
     """
 
     choices: list[int]
-    masks: list[int]
+    admissible: list[frozenset[int]]
     stored: list[float]
     alarms: list[str | None]
-    sets: _ModeSets
     practical: bool
     alarm_fired: bool
 
@@ -315,12 +315,13 @@ class ScheduleRun:
         missing = [None] * len(self.stored)
         kappa_hat, v_bar = ((missing, self.stored) if self.practical
                             else (list(map(_kappa_hat, self.stored)), missing))
-        return list(map(StepRecord, range(len(self.stored)), self.choices,
-                        map(self.sets.__getitem__, self.masks), kappa_hat, v_bar, self.alarms))
+        return list(map(StepRecord, range(len(self.stored)), self.choices, self.admissible,
+                        kappa_hat, v_bar, self.alarms))
 
     def csv_blocks(self):
-        """``schedule_csv_blocks(self.records)``, rendered from the columns."""
-        labels = {mask: _label(self.sets[mask]) for mask in set(self.masks)}
+        """The lines of ``schedule_csv_lines(self.records)`` in blocks of rows
+        (see ``io.csv_blocks``), rendered from the columns."""
+        labels = {admissible: _label(admissible) for admissible in set(self.admissible)}
 
         def columns(start: int, stop: int):
             stored = self.stored[start:stop]
@@ -329,11 +330,11 @@ class ScheduleRun:
             else:  # a greedy run revisits a few counter values: format each once
                 cells = {log: repr(_kappa_hat(log)) for log in set(stored)}
                 kappa_hat, v_bar = list(map(cells.__getitem__, stored)), [""] * len(stored)
-            return (range(start, stop), self.choices[start:stop],
-                    list(map(labels.__getitem__, self.masks[start:stop])), kappa_hat, v_bar,
-                    self.alarms[start:stop])
+            return (map(str, range(start, stop)), map(str, self.choices[start:stop]),
+                    map(labels.__getitem__, self.admissible[start:stop]), kappa_hat, v_bar,
+                    [alarm or "" for alarm in self.alarms[start:stop]])
 
-        return _decision_csv(len(self.stored), columns)
+        return csv_blocks(SCHEDULE_COLUMNS, len(self.stored), columns)
 
 
 def run_schedule(params: AbstractionParams,
@@ -351,7 +352,7 @@ def run_schedule(params: AbstractionParams,
     states with the certified envelope, run
     ``simulate_plant(system, run.chosen, x0)``. ``w_bar`` (one bound, or
     one per step) is read by a practical target only. Each step applies
-    the gate rule to plain floats and appends to the run's columns.
+    the gate kernel to plain floats and appends to the run's columns.
     """
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
@@ -359,38 +360,33 @@ def run_schedule(params: AbstractionParams,
     if practical:
         if v0 is None:
             raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
-        now, limit = check_nonnegative(v0, "v0"), target.bound
+        now = check_nonnegative(v0, "v0")
         if np.ndim(w_bar) == 0:  # None or one constant bound
             w_bar = np.full(steps, 0.0 if w_bar is None else float(w_bar))
         gains = [params.beta * w for w in w_bar_series(w_bar, steps)]
     else:
-        now, limit = 0.0, math.log(target.alpha_hat)
-        gains = [None] * steps
-    coefficients = _coefficients(params, target)
-    position = {mode: i for i, mode in enumerate(params.rho)}
-    bits = [1 << i for i in range(len(position))]
+        now, gains = 0.0, [None] * steps
+    limit, coefficients = _rule(params, target)
+    order = _order(params)
+    sets: dict[int, frozenset[int]] = {}
     policy = policy or greedy_policy()
     rng = np.random.default_rng(seed)
-    run = ScheduleRun([], [], [], [], _ModeSets(tuple(params.rho)), practical, False)
-    sets = run.sets
-    append_choice, append_mask = run.choices.append, run.masks.append
+    run = ScheduleRun([], [], [], [], practical, False)
+    append_choice, append_admissible = run.choices.append, run.admissible.append
     append_stored, append_alarm = run.stored.append, run.alarms.append
     fired = False
     for k, gain in enumerate(gains):
         after = _after(now, coefficients, gain)
-        mask = 0
-        for bit, value in zip(bits, after):
-            if value <= limit:
-                mask |= bit
+        mask = _mask(after, limit)
+        admissible = sets.get(mask)
+        if admissible is None:
+            admissible = sets[mask] = _modes(order, mask)
         alarm = _alarm(target, now, limit, mask)
         fired = fired or alarm is not None
-        chosen = 0 if fired else policy(k, sets[mask], rng)
-        try:
-            now = after[position[chosen]]
-        except KeyError:
-            raise _no_rate(chosen) from None
+        chosen = 0 if fired else policy(k, admissible, rng)
+        now = _pick(after, order, params, chosen)
         append_choice(chosen)
-        append_mask(mask)
+        append_admissible(admissible)
         append_stored(now)
         append_alarm(alarm)
     run.alarm_fired = fired
@@ -405,36 +401,12 @@ def _label(admissible: frozenset[int]) -> str:
     return "|".join(map(str, sorted(admissible)))
 
 
-def _decision_csv(rows: int, columns):
-    """Decision CSV blocks; ``columns(start, stop)`` returns the rows' six columns.
-
-    Those are ``k`` and ``chosen`` as ints, ``admissible``, ``kappa_hat``
-    and ``vbar`` as rendered cells, and ``alarm`` as texts or None.
-    """
-    def cells(start: int, stop: int):
-        k, chosen, admissible, kappa_hat, v_bar, alarm = columns(start, stop)
-        return (map(str, k), map(str, chosen), admissible, kappa_hat, v_bar,
-                [text or "" for text in alarm])
-
-    return csv_blocks(SCHEDULE_COLUMNS, rows, cells)
-
-
-def schedule_csv_blocks(records: Sequence[StepRecord]):
-    """Decision CSV lines, header first, one list per block of rows (see ``io.csv_blocks``)."""
-    def columns(start: int, stop: int):
-        block = records[start:stop]
-        return (
-            [rec.k for rec in block],
-            [rec.chosen for rec in block],
-            [_label(rec.admissible) for rec in block],
-            ["" if rec.kappa_hat is None else repr(float(rec.kappa_hat)) for rec in block],
-            ["" if rec.v_bar is None else repr(float(rec.v_bar)) for rec in block],
-            [rec.alarm for rec in block],
-        )
-
-    return _decision_csv(len(records), columns)
-
-
 def schedule_csv_lines(records: Sequence[StepRecord]) -> list[str]:
     """Render a decision stream as CSV under the fixed column contract."""
-    return [line for block in schedule_csv_blocks(records) for line in block]
+    def cell(value) -> str:
+        return "" if value is None else repr(float(value))
+
+    return [",".join(SCHEDULE_COLUMNS)] + [
+        ",".join((str(rec.k), str(rec.chosen), _label(rec.admissible), cell(rec.kappa_hat),
+                  cell(rec.v_bar), rec.alarm or ""))
+        for rec in records]

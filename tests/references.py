@@ -15,7 +15,7 @@ import numpy as np
 from convrate.errors import NumericError
 from convrate.linalg import spectral_radius, top_singular_value
 from convrate.nominal import OVERFLOW_LIMIT
-from convrate.scheduler import SCHEDULE_COLUMNS
+from convrate.scheduler import SCHEDULE_COLUMNS, ExponentialTarget, SchedulerState
 from convrate.sequences import (
     EIG_CHUNK_BYTES,
     ENUMERATION_CAP,
@@ -100,6 +100,47 @@ def trace_csv_lines(trace) -> list[str]:
         ]
         lines.append(",".join(cells))
     return lines
+
+
+def gate(params, target, now: float, w_bar_k: float):
+    """The gate of one step in dict form: each mode's value after the step
+    keyed by mode, the modes within the limit, and the alarm."""
+    if isinstance(target, ExponentialTarget):
+        limit = math.log(target.alpha_hat)
+        after = {mode: now + ((math.log(rate) if rate else -math.inf) - math.log(target.rho_hat))
+                 for mode, rate in params.rho.items()}
+        alarms = ("kappa budget exceeded", "no admissible mode")
+    else:
+        limit = target.bound
+        after = {mode: rate * now + params.beta * w_bar_k for mode, rate in params.rho.items()}
+        alarms = ("state bound exceeded", "no admissible mode keeps the bound")
+    admissible = frozenset(mode for mode, value in after.items() if value <= limit)
+    alarm = None
+    if now > limit:
+        alarm = alarms[0]
+    elif not admissible:
+        alarm = alarms[1]
+    return after, admissible, alarm
+
+
+def schedule_rows(params, target, steps, policy, seed, w_bar, v0) -> list[tuple]:
+    """The run harness with the dict-form gate, one step at a time: rows
+    ``(k, chosen, admissible, kappa_hat, v_bar, alarm)``, mode 0 from the first alarm on."""
+    exponential = isinstance(target, ExponentialTarget)
+    now = 0.0 if exponential else v0
+    rng = np.random.default_rng(seed)
+    fired = False
+    rows = []
+    for k in range(steps):
+        after, admissible, alarm = gate(params, target, now, w_bar[k])
+        fired = fired or alarm is not None
+        chosen = 0 if fired else policy(k, admissible, rng)
+        now = after[chosen]
+        if exponential:
+            rows.append((k, chosen, admissible, SchedulerState(now).kappa_hat, None, alarm))
+        else:
+            rows.append((k, chosen, admissible, None, now, alarm))
+    return rows
 
 
 def schedule_csv_lines(records) -> list[str]:

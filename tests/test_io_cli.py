@@ -417,7 +417,10 @@ class TestReproCommand:
         code = run(["repro-counterexample", "--length", "40"])
         elapsed = time.perf_counter() - start
         assert code == 1
-        assert "length 40 exceeds the enumeration cap 24" in capsys.readouterr().err
+        # the command has no flag that raises the cap, so the refusal offers none
+        assert capsys.readouterr().err == (
+            "error: length 40 exceeds the enumeration cap 24; this would visit 267914296 "
+            "sequences (reduce the length to proceed)\n")
         assert elapsed < 5.0  # refused before any enumeration, not after a 30 s walk
 
 

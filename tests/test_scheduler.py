@@ -31,7 +31,7 @@ from convrate import (
 )
 from convrate.cli import run as cli_run
 from convrate.io import CSV_BLOCK_ROWS, save_system, write_csv
-from convrate.scheduler import POLICIES, StepRecord, schedule_csv_blocks, schedule_csv_lines
+from convrate.scheduler import POLICIES, StepRecord, schedule_csv_lines
 from conftest import two_mode_system
 
 PARAMS = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.2})
@@ -268,7 +268,11 @@ def gate_cases(draw):
 
 
 def composed_run(params, target, steps, policy, seed, w_bar, v0):
-    """The run harness rebuilt from the public gate functions, step by step."""
+    """The run harness rebuilt from the public gate functions, step by step.
+
+    These functions share the gate kernel with ``run_schedule``; the tests
+    check both against ``references.schedule_rows``, which does not.
+    """
     practical = isinstance(target, PracticalTarget)
     state = practical_state(v0) if practical else exponential_state()
     rng = np.random.default_rng(seed)
@@ -316,7 +320,32 @@ class TestGateRule:
                 for r in run.records]
         assert rows == composed_run(params, target, steps, POLICIES[policy](), seed,
                                     w_bar, v0)
+        assert rows == references.schedule_rows(params, target, steps, POLICIES[policy](),
+                                                seed, w_bar, v0)
 
+    @pytest.mark.parametrize("target, v0, w_bar", [
+        (ExponentialTarget(0.9, 2.0), None, 0.0), (PracticalTarget(2.0), 1.0, 0.5)])
+    @pytest.mark.parametrize("policy", [greedy_policy(), round_robin_policy()],
+                             ids=["greedy", "round-robin"])
+    def test_mode_ids_out_of_order_match_the_dict_gate(self, target, v0, w_bar, policy):
+        # a mode read at its sorted position would take another mode's rate
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 5: 0.0, 2: 1.2})
+        expected = references.schedule_rows(params, target, 6, policy, None, [w_bar] * 6, v0)
+        run = run_schedule(params, target, 6, policy=policy, w_bar=w_bar, v0=v0)
+        assert run.records == [StepRecord(*row) for row in expected]
+        assert composed_run(params, target, 6, policy, None, [w_bar] * 6, v0) == expected
+
+    @pytest.mark.parametrize("rho, target, state", [
+        ({0: 0.5, 1: 0.9}, ExponentialTarget(0.9, 1.0), exponential_state()),
+        ({0: 0.5, 1: 1.0}, PracticalTarget(2.0), practical_state(2.0)),
+    ])
+    def test_value_at_the_limit_is_admissible(self, rho, target, state):
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho=rho)
+        assert admissible_modes(state, params, target) == {0, 1}
+        run = run_schedule(params, target, 6, v0=state.v_bar)
+        assert run.chosen == (1,) * 6 and not run.alarm_fired
+        assert run.records == [StepRecord(*row) for row in references.schedule_rows(
+            params, target, 6, greedy_policy(), None, [0.0] * 6, state.v_bar)]
 
 def reckless_policy(mode):
     """Always ``mode``, whatever the gate admits: drives the counter over its limit."""
@@ -358,6 +387,8 @@ class TestColumnarRun:
                            seed=seed)
         eager = [StepRecord(*row)
                  for row in composed_run(params, target, steps, policy(), seed, w_bar, v0)]
+        assert eager == [StepRecord(*row) for row in
+                         references.schedule_rows(params, target, steps, policy(), seed, w_bar, v0)]
         assert run.records == eager
         assert run.chosen == tuple(record.chosen for record in eager)
         assert run.alarm_fired == any(record.alarm for record in eager)
@@ -378,6 +409,8 @@ class TestColumnarRun:
         run = run_schedule(params, target, 8, policy=policy, w_bar=w_bar, v0=v0)
         eager = [StepRecord(*row)
                  for row in composed_run(params, target, 8, policy, None, [w_bar] * 8, v0)]
+        assert eager == [StepRecord(*row) for row in
+                         references.schedule_rows(params, target, 8, policy, None, [w_bar] * 8, v0)]
         assert run.alarm_fired
         assert next(record.alarm for record in run.records if record.alarm) == alarm
         assert run.records == eager
@@ -484,7 +517,7 @@ class TestScheduleCsv:
         same = lines == references.schedule_csv_lines(records)
         assert same
         stream = io.StringIO()
-        write_csv(schedule_csv_blocks(records), stream)
+        write_csv([lines], stream)
         streamed = stream.getvalue() == "\n".join(lines) + "\n"
         assert streamed
 
