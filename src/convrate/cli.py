@@ -23,7 +23,7 @@ import numpy as np
 from . import counterexample
 from .builders import build_robustness_abstraction, lyapunov_abstraction
 from .errors import ParameterError, check_nonnegative
-from .io import DocumentError, load_system, params_to_document, write_csv
+from .io import CSV_BLOCK_ROWS, DocumentError, load_system, params_to_document, write_csv
 from .linalg import row_norms
 from .mk import MkConstraint, mk_verdict
 from .model import AbstractionParams, SystemModel
@@ -34,7 +34,7 @@ from .scheduler import (
     run_schedule,
 )
 from .sequences import averaged_spectral_radius, transition_product, worst_case_sequence
-from .simulate import check_guarantee, co_simulate, trace_csv_blocks
+from .simulate import TraceStream
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -103,17 +103,40 @@ def _parse_x0(text: str, system: SystemModel) -> np.ndarray:
         raise DocumentError(f"--x0: could not parse vector {text!r}") from None
 
 
+def _blocks(block: np.ndarray, steps: int):
+    """``steps`` rows of one repeated ``block``, at most ``CSV_BLOCK_ROWS`` rows at a time."""
+    for start in range(0, steps, CSV_BLOCK_ROWS):
+        yield block[:min(CSV_BLOCK_ROWS, steps - start)]
+
+
+def _seeded_blocks(rng: np.random.Generator, scale: np.ndarray, n: int):
+    """Random directions scaled to ``scale[k]``, one block of rows at a time."""
+    for start in range(0, len(scale), CSV_BLOCK_ROWS):
+        w = rng.standard_normal((min(CSV_BLOCK_ROWS, len(scale) - start), n))
+        norms = row_norms(w)
+        norms[norms == 0] = 1.0
+        w /= norms[:, None]
+        w *= scale[start:start + len(w), None]
+        yield w
+
+
 def _make_disturbances(text: str, steps: int, system: SystemModel):
-    """Returns (disturbance array or None, w_bar series or None, meta)."""
+    """``(disturbances in blocks of CSV_BLOCK_ROWS rows, w_bar series or None)`` of ``--w``.
+
+    The blocks of ``seed:<s>`` equal the rows of the one-shot draw
+    ``standard_normal((steps, n))`` followed by ``random(steps)``: drawn
+    block by block, the normals come out the same, and the uniforms are
+    reached by drawing and discarding every normal on a twin generator.
+    """
     if text == "zero":
-        return None, None, {"disturbance": "zero"}
+        return _blocks(np.zeros((CSV_BLOCK_ROWS, system.n)), steps), None
     if text.startswith("const:"):
         magnitude = float(text[len("const:"):])
         if magnitude < 0:
             raise ParameterError("--w const: magnitude must be >= 0")
-        w = np.zeros((steps, system.n))
-        w[:, 0] = magnitude
-        return w, np.full(steps, magnitude), {"disturbance": text}
+        block = np.zeros((min(CSV_BLOCK_ROWS, steps), system.n))
+        block[:, 0] = magnitude
+        return _blocks(block, steps), np.full(steps, magnitude)
     if text.startswith("seed:"):
         seed = int(text[len("seed:"):])
         bound = system.disturbance_bound
@@ -121,13 +144,11 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
             raise ParameterError(
                 "--w seed: the system document declares no disturbance_bound"
             )
-        rng = np.random.default_rng(seed)
-        w = rng.standard_normal((steps, system.n))
-        norms = row_norms(w)
-        norms[norms == 0] = 1.0
-        w /= norms[:, None]
-        w *= bound * rng.random(steps)[:, None]
-        return w, np.full(steps, bound), {"disturbance": text, "seed": seed}
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        for start in range(0, steps, CSV_BLOCK_ROWS):
+            rng.standard_normal((min(CSV_BLOCK_ROWS, steps - start), system.n))
+        scale = bound * rng.random(steps)
+        return _seeded_blocks(replay, scale, system.n), np.full(steps, bound)
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 
@@ -201,13 +222,13 @@ def cmd_simulate(args) -> int:
     if steps > len(seq):
         raise ParameterError(f"--steps {steps} exceeds the sigma sequence length {len(seq)}")
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
-    disturbances, w_bar, meta = _make_disturbances(args.w, steps, system)
-    trace = co_simulate(system, params, seq, x0, disturbances, w_bar, steps, meta)
-    _write_csv(trace_csv_blocks(trace), args.out)
+    w_blocks, w_bar = _make_disturbances(args.w, steps, system)
+    trace = TraceStream(system, params, seq, x0, w_blocks, w_bar, steps, rel_tol)
+    _write_csv(trace.csv_blocks(), args.out)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
               file=sys.stderr)
-    report = check_guarantee(trace, rel_tol=rel_tol)
+    report = trace.report
     if not report.holds:
         print(f"guarantee violated at k={report.first_violation}: "
               f"|x_k| > vbar_k (max ratio {report.max_ratio:.6g})", file=sys.stderr)

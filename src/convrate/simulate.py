@@ -4,7 +4,8 @@ A :class:`Trace` records, per step k, the applied mode, the disturbance
 magnitude, the plant state and its norm, the abstraction state ``vbar_k``,
 the cumulative rate product ``kappa_{0,k}``, and (with a cost weight) the
 quadratic-cost bound. The defining property under test is always
-``|x_k| <= vbar_k``.
+``|x_k| <= vbar_k``. A :class:`TraceStream` gives the same rows and check
+block by block, without holding every state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError, ParameterError, check_nonnegative
-from .io import csv_blocks
+from .io import CSV_BLOCK_ROWS, csv_blocks
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
 
@@ -96,10 +97,22 @@ def _as_disturbances(disturbances, horizon: int, n: int) -> np.ndarray:
             f"disturbances must be at least {horizon} vectors of length {n}, "
             f"got shape {w.shape}"
         )
-    w = w[:horizon]
+    return w[:horizon]
+
+
+def _disturbance_norms(w: np.ndarray, bound: float | None, start: int = 0) -> np.ndarray:
+    """Row norms of the disturbances ``w_start ..``; they must be finite and within ``bound``."""
     if not np.all(np.isfinite(w)):
         raise DimensionError("disturbances contain non-finite entries")
-    return w
+    w_norms = row_norms(w)
+    if bound is not None and len(w):
+        worst = int(np.argmax(w_norms))
+        if w_norms[worst] > bound * (1.0 + 1e-12):
+            raise ParameterError(
+                f"|w_{start + worst}| = {w_norms[worst]:.6g} exceeds the declared "
+                f"disturbance bound {bound:.6g}"
+            )
+    return w_norms
 
 
 def _horizon(seq: Sequence[int], horizon: int | None) -> int:
@@ -122,27 +135,31 @@ def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
     horizon = _horizon(seq, horizon)
     x0 = _as_state(x0, system.n)
     w = _as_disturbances(disturbances, horizon, system.n)
-    w_norms = row_norms(w)
-    bound = system.disturbance_bound
-    if bound is not None and horizon:
-        worst = int(np.argmax(w_norms))
-        if w_norms[worst] > bound * (1.0 + 1e-12):
-            raise ParameterError(
-                f"|w_{worst}| = {w_norms[worst]:.6g} exceeds the declared "
-                f"disturbance bound {bound:.6g}"
-            )
-    matrices = {mode: system.matrix(int(mode)) for mode in dict.fromkeys(seq[:horizon])}
-    return horizon, x0, w, w_norms, matrices
+    w_norms = _disturbance_norms(w, system.disturbance_bound)
+    return horizon, x0, w, w_norms, _mode_matrices(system, seq[:horizon])
 
 
-def _run_plant(seq: Sequence[int], x0: np.ndarray, w: np.ndarray, matrices: dict) -> np.ndarray:
-    states = np.empty((len(w) + 1, len(x0)))
-    states[0] = x0
+def _mode_matrices(system: SystemModel, applied: Sequence[int]) -> dict:
+    return {mode: system.matrix(int(mode)) for mode in dict.fromkeys(applied)}
+
+
+def _run_plant(seq: Sequence[int], start: int, w: np.ndarray, matrices: dict,
+               states: np.ndarray) -> np.ndarray:
+    """Steps ``start ..`` of the plant, one per row of ``w``, from the state in ``states[0]``.
+
+    Fills ``states[1 : len(w) + 1]`` in place and returns ``states``.
+    """
     prev = states[0]
-    for k, row in enumerate(states[1:]):
-        matrices[seq[k]].dot(prev, out=row)
-        row += w[k]
+    for mode, w_k, row in zip(seq[start:start + len(w)], w, states[1:]):
+        matrices[mode].dot(prev, out=row)
+        row += w_k
         prev = row
+    return states
+
+
+def _initial_states(x0: np.ndarray, rows: int) -> np.ndarray:
+    states = np.empty((rows, len(x0)))
+    states[0] = x0
     return states
 
 
@@ -154,7 +171,7 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     must respect the system's declared bound when one is present.
     """
     _, x0, w, _, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
-    return _run_plant(seq, x0, w, matrices)
+    return _run_plant(seq, 0, w, matrices, _initial_states(x0, len(w) + 1))
 
 
 def w_bar_series(w_bar, steps: int) -> list[float]:
@@ -210,6 +227,17 @@ def kappa(params: AbstractionParams, seq: Sequence[int], a: int, b: int) -> floa
     return product
 
 
+def _scalar_series(system: SystemModel, params: AbstractionParams, seq: Sequence[int],
+                   x0: np.ndarray, w_bar, horizon: int):
+    """``(vbar, kappa, cost bound or None)`` of a co-simulation, aligned row for row."""
+    vbar = simulate_abstraction(params, seq, float(np.linalg.norm(x0)), w_bar, horizon)
+    applied = seq[:len(vbar) - 1]
+    rates = {mode: params.rate(int(mode)) for mode in dict.fromkeys(applied)}
+    kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
+    cost = None if system.cost_weight is None else cost_bound(system.cost_weight, vbar)
+    return vbar, kappa_series, cost
+
+
 def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[int],
                 x0, disturbances=None, w_bar=None, horizon: int | None = None,
                 meta: dict | None = None) -> Trace:
@@ -220,24 +248,17 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     disturbance knowledge.
     """
     horizon, x0, w, w_norms, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
-    states = _run_plant(seq, x0, w, matrices)
+    states = _run_plant(seq, 0, w, matrices, _initial_states(x0, horizon + 1))
     if w_bar is None:
         w_bar = w_norms
-    x0_norm = float(np.linalg.norm(states[0]))
-    vbar = simulate_abstraction(params, seq, x0_norm, w_bar, horizon)
+    vbar, kappa_series, cost = _scalar_series(system, params, seq, x0, w_bar, horizon)
     steps = len(vbar)  # may be < horizon + 1 when diverged
     diverged = steps < horizon + 1
-    applied = seq[:steps - 1]
-    rates = {mode: params.rate(int(mode)) for mode in dict.fromkeys(applied)}
-    kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
     sigma: list[int | None] = [int(mode) for mode in seq[:min(steps, horizon)]]
     w_col = w_norms[:min(steps, horizon)].tolist()
     if not diverged:
         sigma.append(None)
         w_col.append(math.nan)
-    cost = None
-    if system.cost_weight is not None:
-        cost = cost_bound(system.cost_weight, vbar)
     return Trace(
         sigma=tuple(sigma),
         w_norm=np.array(w_col),
@@ -251,6 +272,18 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     )
 
 
+def _guarantee(x: np.ndarray, v: np.ndarray, rel_tol: float) -> tuple[int | None, float]:
+    """First ``k`` without ``x[k] <= v[k] * (1 + rel_tol)`` (None if there is none),
+    and the largest ``x[k] / v[k]`` (0.0 for empty series)."""
+    violations = ~(x <= v * (1.0 + rel_tol))
+    first = int(np.argmax(violations)) if bool(np.any(violations)) else None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = np.where(v > 0, x / np.where(v > 0, v, 1.0),
+                          np.where(x == 0, 0.0, math.inf))
+    ratios[np.isnan(x) | np.isnan(v)] = math.inf
+    return first, float(np.max(ratios)) if len(ratios) else 0.0
+
+
 def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     """Verify ``|x_k| <= vbar_k * (1 + rel_tol)`` and report tightness.
 
@@ -259,15 +292,7 @@ def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
     series is a violation with ratio ``inf``.
     """
     rel_tol = check_nonnegative(rel_tol, "rel_tol")
-    x = trace.x_norm
-    v = trace.vbar
-    violations = ~(x <= v * (1.0 + rel_tol))
-    first = int(np.argmax(violations)) if bool(np.any(violations)) else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(v > 0, x / np.where(v > 0, v, 1.0),
-                          np.where(x == 0, 0.0, math.inf))
-    ratios[np.isnan(x) | np.isnan(v)] = math.inf
-    max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
+    first, max_ratio = _guarantee(trace.x_norm, trace.vbar, rel_tol)
     return GuaranteeReport(holds=first is None, first_violation=first, max_ratio=max_ratio)
 
 
@@ -296,27 +321,33 @@ def cost_transform(Q) -> np.ndarray:
 
 
 def _float_cells(values) -> list[str]:
-    """``repr`` of each value as a float; NaN renders as an empty cell."""
-    values = np.asarray(values, dtype=float)
-    cells = list(map(repr, values.tolist()))
-    for index in np.flatnonzero(np.isnan(values)).tolist():
-        cells[index] = ""
-    return cells
+    """``repr`` of each value as a float; NaN renders as an empty cell.
+
+    ``repr`` runs once per distinct bit pattern (so ``-0.0`` and ``0.0``
+    stay apart): columns such as ``vbar`` and ``kappa`` repeat a few values
+    over many rows.
+    """
+    bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    cells = ["" if value != value else repr(value) for value in bits.view(np.float64).tolist()]
+    return np.array(cells, dtype=object)[index].tolist()
+
+
+def _trace_cells(start: int, sigma, w_norm, x_norm, vbar, kappa, cost):
+    """Cells of the trace rows ``start ..``, column by column (see ``io.csv_blocks``)."""
+    return (
+        map(str, range(start, start + len(x_norm))),
+        ["" if mode is None else str(mode) for mode in sigma],
+        *map(_float_cells, (w_norm, x_norm, vbar, kappa)),
+        [""] * len(x_norm) if cost is None else _float_cells(cost),
+    )
 
 
 def trace_csv_blocks(trace: Trace):
     """Trace CSV lines, header first, one list per block of rows (see ``io.csv_blocks``)."""
     def columns(start: int, stop: int):
-        return (
-            map(str, range(start, stop)),
-            ["" if sigma is None else str(sigma) for sigma in trace.sigma[start:stop]],
-            _float_cells(trace.w_norm[start:stop]),
-            _float_cells(trace.x_norm[start:stop]),
-            _float_cells(trace.vbar[start:stop]),
-            _float_cells(trace.kappa[start:stop]),
-            ([""] * (stop - start) if trace.cost_bound is None
-             else _float_cells(trace.cost_bound[start:stop])),
-        )
+        series = (trace.w_norm, trace.x_norm, trace.vbar, trace.kappa, trace.cost_bound)
+        return _trace_cells(start, trace.sigma[start:stop],
+                            *(None if s is None else s[start:stop] for s in series))
 
     return csv_blocks(TRACE_COLUMNS, len(trace), columns)
 
@@ -324,3 +355,75 @@ def trace_csv_blocks(trace: Trace):
 def trace_csv_lines(trace: Trace) -> list[str]:
     """Render a trace as CSV lines under the fixed column contract."""
     return [line for block in trace_csv_blocks(trace) for line in block]
+
+
+class TraceStream:
+    """A co-simulation that renders its trace CSV while the plant runs.
+
+    The CSV rows, the divergence and the guarantee report equal those of
+    :func:`co_simulate`, :func:`trace_csv_blocks` and :func:`check_guarantee`,
+    but the plant runs one ``CSV_BLOCK_ROWS`` block of rows at a time, and
+    only one state row is carried from block to block.
+
+    ``w_blocks`` yields the disturbances in consecutive blocks of
+    ``CSV_BLOCK_ROWS`` rows (the last one shorter). ``w_bar`` is the
+    per-step bound series of :func:`simulate_abstraction` (None: zero), since
+    ``vbar`` is computed before the plant runs. Every input is checked on
+    construction, the first disturbance block included, so a refusal comes
+    before any row; later blocks are checked as they arrive.
+    """
+
+    def __init__(self, system: SystemModel, params: AbstractionParams, seq: Sequence[int],
+                 x0, w_blocks, w_bar, horizon: int | None = None, rel_tol: float = 1e-9):
+        self._rel_tol = check_nonnegative(rel_tol, "rel_tol")
+        self._seq = seq
+        self._horizon = horizon = _horizon(seq, horizon)
+        x0 = _as_state(x0, system.n)
+        self._w_blocks = iter(w_blocks)
+        self._bound = system.disturbance_bound
+        self._states = _initial_states(x0, min(CSV_BLOCK_ROWS, horizon) + 1)
+        self._first_block = self._disturbances(0)
+        self._matrices = _mode_matrices(system, seq[:horizon])
+        self._vbar, self._kappa, self._cost = _scalar_series(
+            system, params, seq, x0, w_bar, horizon)
+        self.diverged = len(self._vbar) < horizon + 1
+        self._first_violation: int | None = None
+        self._max_ratios: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self._vbar)
+
+    def _disturbances(self, start: int):
+        """Disturbances of the steps in the block of rows from ``start``, and their norms."""
+        rows = min(start + CSV_BLOCK_ROWS, self._horizon) - start
+        block = next(self._w_blocks, ()) if rows else None  # () fails the shape check
+        w = _as_disturbances(block, rows, self._states.shape[1])
+        return w, _disturbance_norms(w, self._bound, start)
+
+    def _columns(self, start: int, stop: int):
+        w, w_norms = self._first_block if start == 0 else self._disturbances(start)
+        states = _run_plant(self._seq, start, w, self._matrices, self._states)
+        x_norm = row_norms(states[:stop - start])
+        states[0] = states[len(w)]  # the state the next block starts from
+        vbar = self._vbar[start:stop]
+        first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
+        if first is not None and self._first_violation is None:
+            self._first_violation = start + first
+        self._max_ratios.append(max_ratio)
+        sigma: list[int | None] = [int(mode) for mode in self._seq[start:start + len(w)]]
+        if len(w) < stop - start:  # the final row of a completed trace
+            sigma.append(None)
+            w_norms = np.append(w_norms, math.nan)
+        cost = None if self._cost is None else self._cost[start:stop]
+        return _trace_cells(start, sigma, w_norms, x_norm, vbar, self._kappa[start:stop], cost)
+
+    def csv_blocks(self):
+        """Trace CSV lines, header first, one list per block of rows; run this once."""
+        return csv_blocks(TRACE_COLUMNS, len(self), self._columns)
+
+    @property
+    def report(self) -> GuaranteeReport:
+        """The guarantee check of every row, once :meth:`csv_blocks` has been consumed."""
+        first = self._first_violation
+        return GuaranteeReport(holds=first is None, first_violation=first,
+                               max_ratio=float(np.max(self._max_ratios)))

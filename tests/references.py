@@ -59,6 +59,28 @@ def plant_states(system, seq, x0, w) -> np.ndarray:
     return states
 
 
+def cli_disturbances(text: str, steps: int, n: int, bound):
+    """``simulate --w`` as one array: ``(disturbances or None, w_bar or None)``.
+
+    ``seed:<s>`` draws every normal in one ``standard_normal((steps, n))``
+    call, then every uniform.
+    """
+    if text == "zero":
+        return None, None
+    if text.startswith("const:"):
+        magnitude = float(text[len("const:"):])
+        w = np.zeros((steps, n))
+        w[:, 0] = magnitude
+        return w, np.full(steps, magnitude)
+    rng = np.random.default_rng(int(text[len("seed:"):]))
+    w = rng.standard_normal((steps, n))
+    norms = np.linalg.norm(w, axis=1)
+    norms[norms == 0] = 1.0
+    w /= norms[:, None]
+    w *= bound * rng.random(steps)[:, None]
+    return w, np.full(steps, bound)
+
+
 def abstraction_series(params, seq, x0_norm: float, w_bar) -> np.ndarray:
     """``vbar_{k+1} = rho[sigma_k] vbar_k + beta wbar_k``, truncated past the overflow guard."""
     gains = [float(v) for v in w_bar]

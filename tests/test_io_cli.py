@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 import references
-from convrate import MkConstraint, SystemModel
-from convrate.cli import run
+from convrate import (
+    MkConstraint,
+    SystemModel,
+    check_guarantee,
+    co_simulate,
+    lyapunov_abstraction,
+)
+from convrate.cli import _make_disturbances, run
 from convrate.io import (
+    CSV_BLOCK_ROWS,
     DocumentError,
     load_system,
     save_system,
@@ -269,6 +276,163 @@ class TestSimulateCommand:
             assert out_path.read_text() == printed.out
             assert len(printed.out.splitlines()) == lines
             assert written.out == "" and written.err == printed.err
+
+
+def _streaming_documents() -> dict[str, dict]:
+    """n = 1, 3 (with a cost weight) and 32, each with a disturbance bound."""
+    rng = np.random.default_rng(32)
+    Q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+    A0 = Q @ np.diag(rng.uniform(-0.5, 0.5, 32)) @ Q.T
+    A1 = A0 + 0.8 * np.outer(Q[:, 0], Q[:, 1])
+    return {
+        "n1": dict(SCALAR_DOC, disturbance_bound=0.2),
+        "n3": {"modes": [{"id": 0, "A": [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]]},
+                         {"id": 1, "A": [[1.1, 0.0, 0.2], [0.1, 0.9, 0.0], [0.0, 0.3, 1.0]]}],
+               "disturbance_bound": 0.1,
+               "cost_weight_Q": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]},
+        "n32": {"modes": [{"id": 0, "A": A0.tolist()}, {"id": 1, "A": A1.tolist()}],
+                "disturbance_bound": 0.1},
+    }
+
+
+STREAMING_DOCUMENTS = _streaming_documents()
+
+
+def _expected_simulate(path, seq, steps: int, w_text: str, x0=None, rel_tol: float = 1e-9):
+    """CSV, stderr and exit code of ``simulate`` from the one-shot library run:
+    ``co_simulate``, the cell-by-cell CSV reference and ``check_guarantee``."""
+    system = load_system(path)
+    if x0 is None:
+        x0 = np.ones(system.n) / math.sqrt(system.n)
+    w, w_bar = references.cli_disturbances(w_text, steps, system.n, system.disturbance_bound)
+    trace = co_simulate(system, lyapunov_abstraction(system), seq, x0, w, w_bar, steps)
+    csv = "\n".join(references.trace_csv_lines(trace)) + "\n"
+    err = ""
+    if trace.diverged:
+        err += f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}\n"
+    report = check_guarantee(trace, rel_tol)
+    if report.holds:
+        return csv, err + f"guarantee holds; max |x_k|/vbar_k = {report.max_ratio:.6g}\n", 0
+    return csv, err + (f"guarantee violated at k={report.first_violation}: |x_k| > vbar_k "
+                       f"(max ratio {report.max_ratio:.6g})\n"), 1
+
+
+class TestSimulateStreaming:
+    """``simulate`` runs in row blocks and prints what the one-shot library run gives."""
+
+    EDGES = [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
+    DISTURBANCES = ["zero", "const:0.1", "seed:1", "seed:7"]
+
+    def _check(self, tmp_path, capsys, doc: dict, seq, steps: int, w_text: str,
+               sigma: str | None = None, extra=()):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        if sigma is None:
+            sigma = tmp_path / "sigma.txt"
+            sigma.write_text(",".join(map(str, seq)))
+        code = run(["simulate", str(path), "--sigma", str(sigma), "--steps", str(steps),
+                    "--w", w_text, *extra])
+        printed = capsys.readouterr()
+        x0 = None if "--x0" not in extra else [float(extra[extra.index("--x0") + 1])]
+        expected = _expected_simulate(path, seq, steps, w_text, x0)
+        assert (printed.out, printed.err, code) == expected
+        return expected
+
+    @pytest.mark.parametrize("w_text", DISTURBANCES)
+    @pytest.mark.parametrize("steps", EDGES)
+    def test_block_edges_with_cost_weight(self, steps, w_text, tmp_path, capsys):
+        seq = references.worst_case_sequence(MkConstraint(1, 2), steps)
+        _, err, code = self._check(tmp_path, capsys, STREAMING_DOCUMENTS["n3"], seq, steps,
+                                   w_text, sigma="mk-worst:1,2")
+        assert code == 0 and err.startswith("guarantee holds")
+
+    @pytest.mark.parametrize("w_text", DISTURBANCES)
+    @pytest.mark.parametrize("name", ["n1", "n32"])
+    def test_block_edge_by_dimension(self, name, w_text, tmp_path, capsys):
+        steps = CSV_BLOCK_ROWS + 1
+        seq = references.worst_case_sequence(MkConstraint(1, 2), steps)
+        self._check(tmp_path, capsys, STREAMING_DOCUMENTS[name], seq, steps, w_text,
+                    sigma="mk-worst:1,2")
+
+    def test_divergence_past_the_first_block(self, tmp_path, capsys):
+        # ||A1|| = 1.16 in the Lyapunov norm of 0.5 I, so vbar passes the
+        # overflow guard near k = 4,623 while |x_k| grows only linearly
+        doc = {"modes": [{"id": 0, "A": [[0.5, 0.0], [0.0, 0.5]]},
+                         {"id": 1, "A": [[1.0, 0.3], [0.0, 1.0]]}]}
+        _, err, code = self._check(tmp_path, capsys, doc, (1,) * 6000, 6000, "zero")
+        diverged_at = int(err.split("at step ")[1].split("\n")[0])
+        assert CSV_BLOCK_ROWS < diverged_at < 6000
+        assert code == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("steps", [6000, 9000])
+    def test_violation_in_a_later_block(self, steps, tmp_path, capsys):
+        # x_k = 1.08^k: |x_k|^2 overflows near k = 4,612, so x_norm reads inf
+        # there while vbar is still finite; at 9,000 steps vbar then diverges
+        doc = {"modes": [{"id": 0, "A": [[0.5]]}, {"id": 1, "A": [[1.08]]}]}
+        _, err, code = self._check(tmp_path, capsys, doc, (1,) * steps, steps,
+                                   "const:0.001", extra=("--x0", "1.0"))
+        assert code == 1
+        first = int(err.split("violated at k=")[1].split(":")[0])
+        assert CSV_BLOCK_ROWS < first < 6000
+        assert ("trace diverged" in err) == (steps == 9000)
+
+    @pytest.mark.parametrize("w_text, message", [
+        ("const:0.3", "|w_0| = 0.3 exceeds the declared disturbance bound 0.2"),
+        ("const:nan", "disturbances contain non-finite entries"),
+        ("const:inf", "disturbances contain non-finite entries"),
+    ])
+    def test_refused_constant_writes_no_row(self, w_text, message, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(STREAMING_DOCUMENTS["n1"]))
+        out_path = tmp_path / "trace.csv"
+        for out in ([], ["--out", str(out_path)]):
+            code = run(["simulate", str(path), "--sigma", "mk-worst:1,2",
+                        "--steps", str(2 * CSV_BLOCK_ROWS + 1), "--w", w_text, *out])
+            assert code == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_path.exists()
+
+    def test_seed_without_bound_writes_no_row(self, scalar_path, capsys):
+        code = run(["simulate", scalar_path, "--sigma", "0,1,0", "--w", "seed:1"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --w seed: the system document declares no disturbance_bound\n")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("steps", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                       CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+    def test_seeded_blocks_equal_the_one_shot_draw(self, steps, n):
+        system = SystemModel(modes={0: np.eye(n) * 0.5}, disturbance_bound=0.3)
+        blocks, w_bar = _make_disturbances("seed:7", steps, system)
+        blocks = list(blocks)
+        w, w_bar_once = references.cli_disturbances("seed:7", steps, n, 0.3)
+        assert all(len(block) == CSV_BLOCK_ROWS for block in blocks[:-1])
+        joined = np.concatenate(blocks) if blocks else np.empty((0, n))
+        assert joined.tobytes() == w.tobytes()
+        assert w_bar.tobytes() == w_bar_once.tobytes()
+
+    @pytest.mark.parametrize("w_text", ["zero", "seed:1"])
+    def test_peak_memory_does_not_grow_with_the_states(self, w_text, tmp_path):
+        # a (steps, n) state or disturbance array would add steps * n * 8 bytes
+        import tracemalloc
+
+        doc = STREAMING_DOCUMENTS["n32"]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        peaks = []
+        for steps in (5_000, 20_000):
+            tracemalloc.start()
+            try:
+                code = run(["simulate", str(path), "--method", "robust", "--rho", "0.9",
+                            "--sigma", "mk-worst:1,2", "--steps", str(steps), "--w", w_text,
+                            "--out", str(tmp_path / "trace.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        state_array = (20_000 - 5_000) * 32 * 8
+        assert peaks[1] - peaks[0] < state_array / 4
 
 
 class TestJsrCommand:

@@ -28,7 +28,7 @@ from convrate import (
 )
 from convrate import counterexample
 from convrate.io import CSV_BLOCK_ROWS, write_csv
-from convrate.simulate import TRACE_COLUMNS, trace_csv_blocks
+from convrate.simulate import TRACE_COLUMNS, TraceStream, _float_cells, trace_csv_blocks
 from conftest import random_spd, two_mode_system, valid_rho_for
 
 SCALAR = SystemModel(modes={0: [[0.5]], 1: [[1.2]]})
@@ -154,6 +154,14 @@ class TestCheckGuarantee:
         assert not report.holds
         assert report.first_violation == first
         assert report.max_ratio == math.inf
+
+    def test_ratio_overflow_is_inf_without_a_warning(self):
+        # 1 / 1e-310 overflows; the ratio is inf, and no RuntimeWarning escapes
+        trace = co_simulate(SCALAR, PARAMS, (0, 0), [1.0])
+        report = check_guarantee(Trace(sigma=trace.sigma, w_norm=trace.w_norm, x=trace.x,
+                                       x_norm=trace.x_norm, vbar=np.full(3, 1e-310),
+                                       kappa=trace.kappa))
+        assert (report.first_violation, report.max_ratio) == (0, math.inf)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-9])
     def test_bad_tolerance_rejected(self, rel_tol):
@@ -389,6 +397,18 @@ def csv_traces(draw):
 
 
 class TestCsvAgainstCellReference:
+    @given(st.one_of(
+        st.lists(special_floats, max_size=40),
+        st.lists(st.integers(-2**63, 2**63 - 1), max_size=40).map(
+            lambda bits: np.array(bits, dtype=np.int64).view(np.float64)),  # any NaN payload
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_float_cells_are_repr(self, values):
+        values = np.asarray(values, dtype=float)
+        expected = ["" if math.isnan(value) else repr(value) for value in values.tolist()]
+        assert _float_cells(values) == expected
+        assert _float_cells(np.repeat(values, 3)) == [cell for cell in expected for _ in range(3)]
+
     @given(csv_traces())
     @settings(max_examples=200, deadline=None)
     def test_cells(self, trace):
@@ -420,3 +440,65 @@ class TestCsvAgainstCellReference:
         stream = io.StringIO()
         write_csv(trace_csv_blocks(trace), stream)
         assert stream.getvalue() == "\n".join(lines) + "\n"
+
+
+def _stream_lines(stream: TraceStream) -> list[str]:
+    return [line for block in stream.csv_blocks() for line in block]
+
+
+class TestTraceStream:
+    """The streamed run equals ``co_simulate`` + ``trace_csv_lines`` + ``check_guarantee``."""
+
+    def _check(self, system, params, seq, x0, w, rel_tol=1e-9):
+        w_bar = np.linalg.norm(w, axis=1)
+        blocks = [w[start:start + CSV_BLOCK_ROWS] for start in range(0, len(w), CSV_BLOCK_ROWS)]
+        stream = TraceStream(system, params, seq, x0, blocks, w_bar, len(w), rel_tol)
+        trace = co_simulate(system, params, seq, x0, w, w_bar, len(w))
+        assert _stream_lines(stream) == references.trace_csv_lines(trace)
+        assert (len(stream), stream.diverged) == (len(trace), trace.diverged)
+        assert stream.report == check_guarantee(trace, rel_tol)
+        return stream
+
+    @given(plant_cases(), st.floats(0.0, 3.0), st.booleans(), st.sampled_from([0.0, 1e-9, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_small_runs(self, case, skip_rate, diverge, rel_tol):
+        system, seq, x0, w = case
+        rho = {m: (0.5, skip_rate, 1e30 if diverge else 0.9)[m] for m in system.modes}
+        params = AbstractionParams(alpha=1.5, beta=2.0, rho=rho)
+        w = np.zeros((len(seq), system.n)) if w is None else np.ascontiguousarray(w)
+        self._check(system, params, seq, x0, w, rel_tol)
+
+    @pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                      2 * CSV_BLOCK_ROWS + 1])
+    def test_violation_in_a_later_block(self, rows):
+        # the plant returns to |x_0| every two steps, while vbar loses a factor
+        # (1 - 1e-4) a step from 2 |x_0|: the ratio passes 1 near k = 6,931
+        system = SystemModel(modes={0: [[0.5]], 1: [[2.0]]}, cost_weight=[[2.0]])
+        params = AbstractionParams(alpha=2.0, beta=1.0,
+                                   rho={0: 0.5 * (1 - 1e-4), 1: 2.0 * (1 - 1e-4)})
+        seq = (0, 1) * rows
+        stream = self._check(system, params, seq, [1.0], np.zeros((rows, 1)))
+        report = stream.report
+        if rows > 2 * CSV_BLOCK_ROWS:
+            assert CSV_BLOCK_ROWS < report.first_violation < rows
+            assert 1.0 < report.max_ratio < 2.0
+        else:
+            assert report.holds
+
+    def test_divergence_past_the_first_block(self):
+        # 1.15^k passes the overflow guard near k = 4943, past the first row block
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 1.15})
+        rng = np.random.default_rng(4)
+        stream = self._check(SystemModel(modes={0: [[1.0]]}), params, (0,) * 6000, [1.0],
+                             rng.standard_normal((6000, 1)))
+        assert stream.diverged and CSV_BLOCK_ROWS < len(stream) < 6000
+
+    def test_short_source_is_refused(self):
+        system = SystemModel(modes={0: [[0.5]]})
+        steps = CSV_BLOCK_ROWS + 1
+        with pytest.raises(DimensionError, match="at least"):
+            TraceStream(system, PARAMS, (0,) * steps, [1.0], [], None, steps)
+        stream = TraceStream(system, PARAMS, (0,) * steps, [1.0],
+                             [np.zeros((CSV_BLOCK_ROWS, 1))], None, steps)
+        with pytest.raises(DimensionError, match="at least 1 vectors"):
+            _stream_lines(stream)
