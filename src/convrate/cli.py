@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -42,10 +43,9 @@ def _parse_matrix_arg(value: str, flag: str):
     try:
         return json.loads(value)
     except json.JSONDecodeError:
-        path = Path(value)
-        if path.exists():
+        if os.path.exists(value):  # False for text too long to be a file name
             try:
-                return json.loads(path.read_text())
+                return json.loads(Path(value).read_text())
             except json.JSONDecodeError as exc:
                 raise DocumentError(f"{flag}: {value}: {exc.msg}") from None
         raise DocumentError(f"{flag}: expected inline JSON or an existing file, got {value!r}") from None
@@ -72,9 +72,8 @@ def _parse_sigma(text: str, steps: int | None) -> tuple[int, ...]:
         if steps is None:
             raise ParameterError("--steps is required with an mk-worst sigma pattern")
         return worst_case_sequence(mk, steps)
-    path = Path(text)
-    if path.exists():
-        text = path.read_text().replace("\n", ",").replace(" ", ",")
+    if os.path.exists(text):  # False for text too long to be a file name
+        text = Path(text).read_text().replace("\n", ",").replace(" ", ",")
     try:
         entries = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:

@@ -33,8 +33,6 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 #: Acceptance tolerance for the discrete Lyapunov residual, relative to ||Q||.
 RESIDUAL_TOL = 1e-9
-#: Byte budget of one block of rows in :func:`row_norms`.
-ROW_BLOCK_BYTES = 1 << 20
 
 
 def as_square_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -73,20 +71,24 @@ def top_singular_value(A: np.ndarray) -> float:
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(a, axis=1)`` of a 2-D float array, bit for bit.
+    """Euclidean norm of each row of a 2-D float array.
 
-    A C-contiguous array is worked through in blocks of rows, so the
-    squared entries are never held for the whole array at once. Other
-    layouts go to numpy whole: numpy may sum their rows in another order.
+    A row whose squared sum is a normal float gets ``np.linalg.norm(a, axis=1)``
+    bit for bit. A row of finite entries whose squared sum overflows or
+    underflows (entries beyond about 1e154, or below about 1e-154) is
+    scaled by its largest entry first, so its norm stays accurate.
     """
-    if not a.flags.c_contiguous:
-        return np.linalg.norm(a, axis=1)
-    rows = max(1, ROW_BLOCK_BYTES // (8 * max(1, a.shape[1])))
-    out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], rows):
-        block = a[start:start + rows]
-        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + rows])
-    return out
+    with np.errstate(over="ignore"):
+        squares = np.add.reduce(a * a, axis=1)
+        norms = np.sqrt(squares)
+        redo = np.flatnonzero(~((squares >= np.finfo(float).tiny) & (squares < np.inf)))
+        if len(redo):
+            scale = np.max(np.abs(a[redo]), axis=1)
+            keep = (scale > 0.0) & (scale < np.inf)  # zero, NaN or infinite rows are right
+            redo, scale = redo[keep], scale[keep, np.newaxis]
+            scaled = a[redo] / scale
+            norms[redo] = scale[:, 0] * np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+    return norms
 
 
 def check_psd(Q: np.ndarray, name: str) -> None:

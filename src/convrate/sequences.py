@@ -14,9 +14,9 @@ no walk enters a branch that cannot be completed; shorter sequences hold no
 complete window and are unconstrained.
 
 - :func:`count_mk_sequences` propagates a vector of per-state completion
-  counts (exact integers) through the automaton, without enumerating
-  (:func:`_completion_counts`); the search counts the subtrees it prunes
-  with the same vectors.
+  counts (exact integers) through the automaton, without enumerating; the
+  search's ``count`` is that number, since every admissible sequence is
+  either visited or pruned.
 - :func:`enumerate_mk_sequences` walks it depth-first, in ascending order.
 - :func:`averaged_spectral_radius` walks it level by level: each frontier
   block is multiplied by both mode matrices with one stacked matmul, and
@@ -33,10 +33,10 @@ completion's product, exactly up to ``NORM_BLOCK`` symbols and chained
 block by block beyond; the same table on the modes' absolute values bounds
 the rounding the walk adds. A node whose Frobenius norm times that bound
 falls below the incumbent by more than ``PRUNE_MARGIN`` cannot hold the
-maximiser; its completions are counted by the exact per-state completion
-counts and never visited; below ``PRUNE_FLOOR`` the incumbent makes the
-same test drop nothing. The result is bit for bit that of visiting every
-leaf: :func:`averaged_spectral_radius` gives the argument.
+maximiser, and its completions are never visited; below ``PRUNE_FLOOR``
+the incumbent makes the same test drop nothing. The result is bit for bit
+that of visiting every leaf: :func:`averaged_spectral_radius` gives the
+argument.
 """
 
 from __future__ import annotations
@@ -176,21 +176,11 @@ def count_mk_sequences(mk: MkConstraint, length: int) -> int:
             f"counting ({mk.m},{mk.K}) sequences needs {states} automaton states, "
             f"above the cap {COUNT_STATE_CAP}"
         )
-    for counts in _completion_counts(_window_automaton(mk, length), length):
-        pass  # one layer at a time: memory stays at two count vectors
-    return int(counts[0])
-
-
-def _completion_counts(table: np.ndarray, length: int) -> Iterator[np.ndarray]:
-    """Yield, for ``r = 0 .. length``, the admissible ``r``-symbol words per start state.
-
-    The counts are exact Python ints.
-    """
+    table = _window_automaton(mk, length)
     counts = np.ones(table.shape[1], dtype=object)  # Python ints: exact
-    yield counts
-    for _ in range(length):
+    for _ in range(length):  # counts[s]: the admissible r-symbol words from state s
         counts = counts[table[0]] + np.where(table[1] >= 0, counts[table[1]], 0)
-        yield counts
+    return int(counts[0])
 
 
 def _check_enumeration_caps(mk: MkConstraint, length: int, max_length: int) -> None:
@@ -358,7 +348,8 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     at state ``s`` with product ``P`` and ``r`` symbols left, a leaf
     included (``r = 0``), is dropped when
     ``||P||_F * B[r, s] < incumbent * (1 - PRUNE_MARGIN)``; its completions
-    are added to ``count`` from the exact per-state counts, unvisited.
+    are never visited. ``count`` is :func:`count_mk_sequences`, since every
+    admissible sequence is either a visited leaf or below a dropped node.
 
     - ``B[r, s] = U[r, s] + 2 eta_r V[r, s]``, where ``U`` and ``V`` are
       :func:`_norm_table` of the modes and of their entrywise absolute
@@ -411,13 +402,11 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
         bound = (_norm_table((execute, skip), table, length, block)
                  + 2.0 * eta[:, np.newaxis]
                  * _norm_table((np.abs(execute), np.abs(skip)), table, length, block))
-    completions = list(_completion_counts(table, length))
     # bit i of a node's packed bits is symbol i; wider than int64 past 63 symbols
     bits_dtype = np.int64 if length <= 63 else object
 
     best_radius = -1.0
     best_bits = 0
-    count = 0
     # blocks: (depth, products, automaton states, packed bits), last popped first
     stack = [(0, np.eye(n)[np.newaxis], np.array([0]), np.array([0], dtype=bits_dtype))]
     while stack:
@@ -432,7 +421,6 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
             dropped = ((np.sqrt(squares) * bound[length - depth, states] < floor)
                        & (squares >= PRUNE_FLOOR))
         if dropped.any():
-            count += int(completions[length - depth][states[dropped]].sum())
             kept = ~dropped
             products, states, bits = products[kept], states[kept], bits[kept]
             if not len(states):
@@ -443,7 +431,6 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
             if radii[top] > best_radius:
                 best_radius = float(radii[top])
                 best_bits = int(bits[top])
-            count += len(radii)
             continue
         # an execute adds no skip, so every reachable state may execute; each
         # execute child lands after its own and all earlier skip children
@@ -462,4 +449,4 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
         child_bits[at_skip] = bits[can_skip] | (1 << depth)
         stack.append((depth + 1, child_products, child_states, child_bits))
     sequence = tuple((best_bits >> i) & 1 for i in range(length))
-    return JsrResult(best_radius ** (1.0 / length), sequence, count)
+    return JsrResult(best_radius ** (1.0 / length), sequence, count_mk_sequences(mk, length))

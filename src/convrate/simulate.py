@@ -87,6 +87,7 @@ def _as_state(x0, n: int) -> np.ndarray:
 
 
 def _as_disturbances(disturbances, horizon: int, n: int) -> np.ndarray:
+    """At least ``horizon`` disturbance rows of length ``n`` (zeros for None), untruncated."""
     if disturbances is None:
         return np.zeros((horizon, n))
     w = np.asarray(disturbances, dtype=float)
@@ -97,14 +98,17 @@ def _as_disturbances(disturbances, horizon: int, n: int) -> np.ndarray:
             f"disturbances must be at least {horizon} vectors of length {n}, "
             f"got shape {w.shape}"
         )
-    return w[:horizon]
+    return w
 
 
 def _disturbance_norms(w: np.ndarray, bound: float | None, start: int = 0) -> np.ndarray:
-    """Row norms of the disturbances ``w_start ..``; they must be finite and within ``bound``."""
+    """Row norms of the disturbances ``w_start ..``, ``CSV_BLOCK_ROWS`` rows at a time;
+    the disturbances must be finite and within ``bound``."""
     if not np.all(np.isfinite(w)):
         raise DimensionError("disturbances contain non-finite entries")
-    w_norms = row_norms(w)
+    w_norms = np.empty(len(w))
+    for row in range(0, len(w), CSV_BLOCK_ROWS):
+        w_norms[row:row + CSV_BLOCK_ROWS] = row_norms(w[row:row + CSV_BLOCK_ROWS])
     if bound is not None and len(w):
         worst = int(np.argmax(w_norms))
         if w_norms[worst] > bound * (1.0 + 1e-12):
@@ -122,21 +126,6 @@ def _horizon(seq: Sequence[int], horizon: int | None) -> int:
     if horizon < 0 or horizon > len(seq):
         raise ParameterError(f"horizon must be in [0, {len(seq)}], got {horizon}")
     return horizon
-
-
-def _plant_inputs(system: SystemModel, seq: Sequence[int], x0, disturbances,
-                  horizon: int | None):
-    """Validated ``(horizon, x0, w, |w_k|, matrix per mode)`` of a plant run.
-
-    Every mode of ``seq[:horizon]`` is looked up once, in order of first
-    use, so an undeclared mode raises the same ``KeyError`` as the step
-    that would apply it.
-    """
-    horizon = _horizon(seq, horizon)
-    x0 = _as_state(x0, system.n)
-    w = _as_disturbances(disturbances, horizon, system.n)
-    w_norms = _disturbance_norms(w, system.disturbance_bound)
-    return horizon, x0, w, w_norms, _mode_matrices(system, seq[:horizon])
 
 
 def _mode_matrices(system: SystemModel, applied: Sequence[int]) -> dict:
@@ -157,10 +146,13 @@ def _run_plant(seq: Sequence[int], start: int, w: np.ndarray, matrices: dict,
     return states
 
 
-def _initial_states(x0: np.ndarray, rows: int) -> np.ndarray:
-    states = np.empty((rows, len(x0)))
-    states[0] = x0
-    return states
+def _plant_disturbances(system: SystemModel, seq: Sequence[int], x0, disturbances,
+                        horizon: int | None):
+    """Validated ``(horizon, x0, w, |w_k|)`` of a plant run over ``seq``, in that order."""
+    horizon = _horizon(seq, horizon)
+    x0 = _as_state(x0, system.n)
+    w = _as_disturbances(disturbances, horizon, system.n)[:horizon]
+    return horizon, x0, w, _disturbance_norms(w, system.disturbance_bound)
 
 
 def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
@@ -170,8 +162,10 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     Exact linear recursion, deterministic given its inputs. Disturbances
     must respect the system's declared bound when one is present.
     """
-    _, x0, w, _, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
-    return _run_plant(seq, 0, w, matrices, _initial_states(x0, len(w) + 1))
+    horizon, x0, w, _ = _plant_disturbances(system, seq, x0, disturbances, horizon)
+    states = np.empty((horizon + 1, system.n))
+    states[0] = x0
+    return _run_plant(seq, 0, w, _mode_matrices(system, seq[:horizon]), states)
 
 
 def w_bar_series(w_bar, steps: int) -> list[float]:
@@ -227,14 +221,24 @@ def kappa(params: AbstractionParams, seq: Sequence[int], a: int, b: int) -> floa
     return product
 
 
+def _state_norm(x0: np.ndarray) -> float:
+    """``np.linalg.norm(x0)``, or :func:`row_norms`'s scaled norm if its square is out of range."""
+    with np.errstate(over="ignore"):
+        square = float(x0.dot(x0))
+    if np.finfo(float).tiny <= square < math.inf:
+        return math.sqrt(square)
+    return float(row_norms(x0[np.newaxis])[0])
+
+
 def _scalar_series(system: SystemModel, params: AbstractionParams, seq: Sequence[int],
                    x0: np.ndarray, w_bar, horizon: int):
     """``(vbar, kappa, cost bound or None)`` of a co-simulation, aligned row for row."""
-    vbar = simulate_abstraction(params, seq, float(np.linalg.norm(x0)), w_bar, horizon)
+    vbar = simulate_abstraction(params, seq, _state_norm(x0), w_bar, horizon)
     applied = seq[:len(vbar) - 1]
     rates = {mode: params.rate(int(mode)) for mode in dict.fromkeys(applied)}
-    kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
-    cost = None if system.cost_weight is None else cost_bound(system.cost_weight, vbar)
+    with np.errstate(over="ignore"):  # a product or bound past the float range is inf
+        kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
+        cost = None if system.cost_weight is None else cost_bound(system.cost_weight, vbar)
     return vbar, kappa_series, cost
 
 
@@ -245,31 +249,23 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
 
     ``w_bar`` defaults to the exact disturbance magnitudes ``|w_k|`` (the
     tightest admissible choice); pass a looser series to model bound-only
-    disturbance knowledge.
+    disturbance knowledge. The rows are those of a :class:`TraceStream`
+    over the same inputs, collected block by block.
     """
-    horizon, x0, w, w_norms, matrices = _plant_inputs(system, seq, x0, disturbances, horizon)
-    states = _run_plant(seq, 0, w, matrices, _initial_states(x0, horizon + 1))
-    if w_bar is None:
-        w_bar = w_norms
-    vbar, kappa_series, cost = _scalar_series(system, params, seq, x0, w_bar, horizon)
-    steps = len(vbar)  # may be < horizon + 1 when diverged
-    diverged = steps < horizon + 1
-    sigma: list[int | None] = [int(mode) for mode in seq[:min(steps, horizon)]]
-    w_col = w_norms[:min(steps, horizon)].tolist()
-    if not diverged:
-        sigma.append(None)
-        w_col.append(math.nan)
-    return Trace(
-        sigma=tuple(sigma),
-        w_norm=np.array(w_col),
-        x=states[:steps],
-        x_norm=row_norms(states[:steps]),
-        vbar=vbar,
-        kappa=kappa_series,
-        cost_bound=cost,
-        diverged=diverged,
-        meta=dict(meta or {}),
-    )
+    horizon, x0, w, w_norms = _plant_disturbances(system, seq, x0, disturbances, horizon)
+    blocks = (w[start:start + CSV_BLOCK_ROWS] for start in range(0, horizon, CSV_BLOCK_ROWS))
+    stream = TraceStream(system, params, seq, x0, blocks,
+                         w_norms if w_bar is None else w_bar, horizon)
+    steps = len(stream)
+    x, x_norm, w_norm = np.empty((steps, system.n)), np.empty(steps), np.empty(steps)
+    sigma: list[int | None] = []
+    for start in range(0, steps, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, steps)
+        x[start:stop], x_norm[start:stop], modes, w_norm[start:stop] = stream._block(start, stop)
+        sigma += modes
+    return Trace(sigma=tuple(sigma), w_norm=w_norm, x=x, x_norm=x_norm, vbar=stream._vbar,
+                 kappa=stream._kappa, cost_bound=stream._cost, diverged=stream.diverged,
+                 meta=dict(meta or {}))
 
 
 def _guarantee(x: np.ndarray, v: np.ndarray, rel_tol: float) -> tuple[int | None, float]:
@@ -360,12 +356,11 @@ def trace_csv_lines(trace: Trace) -> list[str]:
 class TraceStream:
     """A co-simulation that renders its trace CSV while the plant runs.
 
-    The CSV rows, the divergence and the guarantee report equal those of
-    :func:`co_simulate`, :func:`trace_csv_blocks` and :func:`check_guarantee`,
-    but the plant runs one ``CSV_BLOCK_ROWS`` block of rows at a time, and
-    only one state row is carried from block to block.
+    The one co-simulation engine, which :func:`co_simulate` collects into a
+    :class:`Trace`. The plant runs one ``CSV_BLOCK_ROWS`` block of rows at a
+    time, and only one state row is carried from block to block.
 
-    ``w_blocks`` yields the disturbances in consecutive blocks of
+    ``w_blocks`` yields the disturbances in consecutive blocks of exactly
     ``CSV_BLOCK_ROWS`` rows (the last one shorter). ``w_bar`` is the
     per-step bound series of :func:`simulate_abstraction` (None: zero), since
     ``vbar`` is computed before the plant runs. Every input is checked on
@@ -381,7 +376,8 @@ class TraceStream:
         x0 = _as_state(x0, system.n)
         self._w_blocks = iter(w_blocks)
         self._bound = system.disturbance_bound
-        self._states = _initial_states(x0, min(CSV_BLOCK_ROWS, horizon) + 1)
+        self._states = np.empty((min(CSV_BLOCK_ROWS, horizon) + 1, system.n))
+        self._states[0] = x0
         self._first_block = self._disturbances(0)
         self._matrices = _mode_matrices(system, seq[:horizon])
         self._vbar, self._kappa, self._cost = _scalar_series(
@@ -398,24 +394,38 @@ class TraceStream:
         rows = min(start + CSV_BLOCK_ROWS, self._horizon) - start
         block = next(self._w_blocks, ()) if rows else None  # () fails the shape check
         w = _as_disturbances(block, rows, self._states.shape[1])
+        if len(w) != rows:
+            raise DimensionError(f"the disturbance block from step {start} holds {len(w)} "
+                                 f"vectors, expected {rows}")
         return w, _disturbance_norms(w, self._bound, start)
 
-    def _columns(self, start: int, stop: int):
+    def _block(self, start: int, stop: int):
+        """``(states, |x_k|, sigma, |w_k|)`` of the rows ``start .. stop-1``.
+
+        Blocks are taken in order, each once; the guarantee is checked on
+        every row. ``states`` is a view that the next block overwrites.
+        """
         w, w_norms = self._first_block if start == 0 else self._disturbances(start)
-        states = _run_plant(self._seq, start, w, self._matrices, self._states)
-        x_norm = row_norms(states[:stop - start])
-        states[0] = states[len(w)]  # the state the next block starts from
-        vbar = self._vbar[start:stop]
-        first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
+        if start:  # carry the last state of the previous block, which was full
+            self._states[0] = self._states[-1]
+        states = _run_plant(self._seq, start, w, self._matrices, self._states)[:stop - start]
+        x_norm = row_norms(states)
+        first, max_ratio = _guarantee(x_norm, self._vbar[start:stop], self._rel_tol)
         if first is not None and self._first_violation is None:
             self._first_violation = start + first
         self._max_ratios.append(max_ratio)
-        sigma: list[int | None] = [int(mode) for mode in self._seq[start:start + len(w)]]
+        sigma: list[int | None] = [int(m) for m in self._seq[start:min(stop, start + len(w))]]
+        w_norms = w_norms[:stop - start]
         if len(w) < stop - start:  # the final row of a completed trace
             sigma.append(None)
             w_norms = np.append(w_norms, math.nan)
+        return states, x_norm, sigma, w_norms
+
+    def _columns(self, start: int, stop: int):
+        _, x_norm, sigma, w_norms = self._block(start, stop)
         cost = None if self._cost is None else self._cost[start:stop]
-        return _trace_cells(start, sigma, w_norms, x_norm, vbar, self._kappa[start:stop], cost)
+        return _trace_cells(start, sigma, w_norms, x_norm, self._vbar[start:stop],
+                            self._kappa[start:stop], cost)
 
     def csv_blocks(self):
         """Trace CSV lines, header first, one list per block of rows; run this once."""

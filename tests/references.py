@@ -59,6 +59,26 @@ def plant_states(system, seq, x0, w) -> np.ndarray:
     return states
 
 
+def row_norms(a) -> np.ndarray:
+    """``|x|`` of each row, one row at a time.
+
+    A row whose squared sum leaves the normal float range (subnormal, zero
+    with a nonzero entry, or infinite) is divided by its largest entry
+    first, unless that entry is infinite or NaN.
+    """
+    norms = []
+    for row in np.asarray(a, dtype=float):
+        with np.errstate(over="ignore"):
+            squares = float(np.add.reduce(row * row))
+        scale = float(np.max(np.abs(row))) if len(row) else 0.0
+        if (squares < np.finfo(float).tiny or squares == math.inf) and 0.0 < scale < math.inf:
+            scaled = row / scale
+            norms.append(scale * math.sqrt(float(np.add.reduce(scaled * scaled))))
+        else:
+            norms.append(math.sqrt(squares))
+    return np.array(norms)
+
+
 def cli_disturbances(text: str, steps: int, n: int, bound):
     """``simulate --w`` as one array: ``(disturbances or None, w_bar or None)``.
 

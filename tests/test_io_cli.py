@@ -11,12 +11,14 @@ import pytest
 
 import references
 from convrate import (
+    AbstractionParams,
     MkConstraint,
     SystemModel,
     check_guarantee,
     co_simulate,
     lyapunov_abstraction,
 )
+from convrate import cli
 from convrate.cli import _make_disturbances, run
 from convrate.io import (
     CSV_BLOCK_ROWS,
@@ -220,6 +222,25 @@ class TestSimulateCommand:
         assert code == 2
         assert "could not parse" in capsys.readouterr().err
 
+    def test_long_inline_sigma_equals_the_file(self, scalar_path, tmp_path, capsys):
+        # 200 modes are too long a text for a file name; it is read inline
+        sigma = ",".join(str(k % 3 // 2) for k in range(200))
+        sigma_path = tmp_path / "sigma.txt"
+        sigma_path.write_text(sigma)
+        outputs = []
+        for text in (sigma, str(sigma_path)):
+            assert run(["simulate", scalar_path, "--sigma", text, "--x0", "1.0"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].out.splitlines()) == 202
+
+    def test_long_malformed_Q_is_a_usage_error(self, scalar_path, capsys):
+        text = "[[" + "1," * 149
+        code = run(["analyze", scalar_path, "--Q", text])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --Q: expected inline JSON or an existing file, got {text!r}\n")
+
     def test_worst_pattern_requires_steps(self, scalar_path, capsys):
         code = run(["simulate", scalar_path, "--sigma", "mk-worst:1,2"])
         assert code == 2
@@ -298,14 +319,21 @@ def _streaming_documents() -> dict[str, dict]:
 STREAMING_DOCUMENTS = _streaming_documents()
 
 
-def _expected_simulate(path, seq, steps: int, w_text: str, x0=None, rel_tol: float = 1e-9):
+def _expected_simulate(path, seq, steps: int, w_text: str, x0=None, rel_tol: float = 1e-9,
+                       params=None):
     """CSV, stderr and exit code of ``simulate`` from the one-shot library run:
-    ``co_simulate``, the cell-by-cell CSV reference and ``check_guarantee``."""
+    ``co_simulate`` with the plant states and ``|x_k|`` of the step-by-step
+    references, the cell-by-cell CSV reference and ``check_guarantee``."""
     system = load_system(path)
     if x0 is None:
         x0 = np.ones(system.n) / math.sqrt(system.n)
+    if params is None:
+        params = lyapunov_abstraction(system)
     w, w_bar = references.cli_disturbances(w_text, steps, system.n, system.disturbance_bound)
-    trace = co_simulate(system, lyapunov_abstraction(system), seq, x0, w, w_bar, steps)
+    trace = co_simulate(system, params, seq, x0, w, w_bar, steps)
+    w_rows = np.zeros((steps, system.n)) if w is None else w
+    trace.x = references.plant_states(system, seq, x0, w_rows)[:len(trace)]
+    trace.x_norm = references.row_norms(trace.x)
     csv = "\n".join(references.trace_csv_lines(trace)) + "\n"
     err = ""
     if trace.diverged:
@@ -324,7 +352,7 @@ class TestSimulateStreaming:
     DISTURBANCES = ["zero", "const:0.1", "seed:1", "seed:7"]
 
     def _check(self, tmp_path, capsys, doc: dict, seq, steps: int, w_text: str,
-               sigma: str | None = None, extra=()):
+               sigma: str | None = None, extra=(), params=None):
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
         if sigma is None:
@@ -334,7 +362,7 @@ class TestSimulateStreaming:
                     "--w", w_text, *extra])
         printed = capsys.readouterr()
         x0 = None if "--x0" not in extra else [float(extra[extra.index("--x0") + 1])]
-        expected = _expected_simulate(path, seq, steps, w_text, x0)
+        expected = _expected_simulate(path, seq, steps, w_text, x0, params=params)
         assert (printed.out, printed.err, code) == expected
         return expected
 
@@ -364,18 +392,37 @@ class TestSimulateStreaming:
         assert CSV_BLOCK_ROWS < diverged_at < 6000
         assert code == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("steps", [6000, 9000])
-    def test_violation_in_a_later_block(self, steps, tmp_path, capsys):
-        # x_k = 1.08^k: |x_k|^2 overflows near k = 4,612, so x_norm reads inf
-        # there while vbar is still finite; at 9,000 steps vbar then diverges
+    def test_violation_in_a_later_block(self, steps, tmp_path, capsys, monkeypatch):
+        # x_k ~ 1.08^k, while vbar ~ 1.6 (1.08 (1 - 1e-4))^k with the too-low
+        # skip rate patched in: the ratio passes 1 near k = 4,650; at 9,000
+        # steps vbar then passes the overflow guard. |x_k|^2 overflows from
+        # k ~ 4,600 on, so the norms there come from scaled rows.
+        params = AbstractionParams(alpha=1.6, beta=1.0, rho={0: 0.5, 1: 1.08 * (1 - 1e-4)})
+        monkeypatch.setattr(cli, "_build_params", lambda system, args: params)
         doc = {"modes": [{"id": 0, "A": [[0.5]]}, {"id": 1, "A": [[1.08]]}]}
         _, err, code = self._check(tmp_path, capsys, doc, (1,) * steps, steps,
-                                   "const:0.001", extra=("--x0", "1.0"))
+                                   "const:0.001", extra=("--x0", "1.0"), params=params)
         assert code == 1
         first = int(err.split("violated at k=")[1].split(":")[0])
         assert CSV_BLOCK_ROWS < first < 6000
         assert ("trace diverged" in err) == (steps == 9000)
+
+    @pytest.mark.parametrize("modes, bound, sigma, steps", [
+        # x_k shrinks by 0.6 every two steps: |x_k|^2 underflows from k ~ 1,400
+        ([[[0.5]], [[1.2]]], 0.2, "mk-worst:1,2", 4097),
+        # x_k = 1.08^k: |x_k|^2 overflows from k ~ 4,600
+        ([[[0.5]], [[1.08]]], None, None, 6000),
+    ])
+    def test_out_of_range_norms_hold(self, modes, bound, sigma, steps, tmp_path, capsys):
+        # vbar_k equals |x_k| here, so the guarantee holds with ratio 1 throughout
+        doc = {"modes": [{"id": mode, "A": A} for mode, A in enumerate(modes)]}
+        if bound is not None:
+            doc["disturbance_bound"] = bound
+        seq = (references.worst_case_sequence(MkConstraint(1, 2), steps) if sigma
+               else (1,) * steps)
+        _, err, code = self._check(tmp_path, capsys, doc, seq, steps, "zero", sigma=sigma)
+        assert (code, err) == (0, "guarantee holds; max |x_k|/vbar_k = 1\n")
 
     @pytest.mark.parametrize("w_text, message", [
         ("const:0.3", "|w_0| = 0.3 exceeds the declared disturbance bound 0.2"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from convrate import (
     spectral_radius,
 )
 from convrate import counterexample
-from convrate.linalg import ROW_BLOCK_BYTES, row_norms
+from convrate.io import CSV_BLOCK_ROWS
+from convrate.linalg import row_norms
 from conftest import random_spd, random_stable_matrix
 
 DEMO = counterexample.system()
@@ -59,7 +62,7 @@ class TestRowNorms:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17, 32])
     def test_equals_numpy_norm_across_block_edges(self, n):
         rng = np.random.default_rng(n)
-        rows = ROW_BLOCK_BYTES // (8 * n)
+        rows = CSV_BLOCK_ROWS  # the block size of every caller
         for count in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
             a = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-150, 150, (count, 1))
             for layout in (a, np.asfortranarray(a)):
@@ -68,6 +71,31 @@ class TestRowNorms:
     def test_strided_rows(self):
         a = np.random.default_rng(0).standard_normal((300, 10))[::3, ::2]
         assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("exponent", [-200, -160, -155, 155, 160, 200, 307])
+    def test_out_of_range_rows_are_scaled(self, exponent):
+        # squared sums that overflow or underflow would give inf or lose digits
+        rng = np.random.default_rng(exponent + 1000)
+        a = rng.standard_normal((50, 4))
+        a[::2] *= 10.0 ** exponent
+        norms = row_norms(a)
+        assert norms[1::2].tobytes() == np.linalg.norm(a[1::2], axis=1).tobytes()
+        for row, norm in zip(a[::2], norms[::2]):
+            assert norm == pytest.approx(math.hypot(*row), rel=1e-15)
+
+    @pytest.mark.parametrize("row, expected", [
+        ([0.0, -0.0], 0.0),
+        ([5e-324, 0.0], 5e-324),
+        ([3e-170, 4e-170], 5e-170),
+        ([3e200, -4e200], 5e200),
+        ([1e308, 1e308], math.sqrt(2) * 1e308),
+        ([math.inf, 1.0], math.inf),
+    ])
+    def test_edge_rows(self, row, expected):
+        assert row_norms(np.array([row]))[0] == pytest.approx(expected, rel=1e-15)
+
+    def test_nan_row_stays_nan(self):
+        assert np.isnan(row_norms(np.array([[math.nan, 1e300]]))[0])
 
 
 class TestSpectralRadius:

@@ -343,21 +343,26 @@ class TestAgainstStepReferences:
         expected = references.plant_states(system, seq, x0, w_rows)
         assert simulate_plant(system, seq, x0, w).tobytes() == expected.tobytes()
 
-    @given(plant_cases(), st.floats(0.0, 3.0), st.booleans())
+    @given(plant_cases(), st.floats(0.0, 3.0), st.booleans(),
+           st.sampled_from([1.0, 1e-160, 1e160]))
     @settings(max_examples=150, deadline=None)
-    def test_co_simulate(self, case, skip_rate, diverge):
+    def test_co_simulate(self, case, skip_rate, diverge, x0_scale):
+        # x0_scale != 1: the squared sums of x_0 (and maybe later rows) leave the float range
         system, seq, x0, w = case
+        x0 = x0 * x0_scale
         rho = {m: (0.5, skip_rate, 1e30 if diverge else 0.9)[m] for m in system.modes}
         params = AbstractionParams(alpha=1.5, beta=2.0, rho=rho)
         trace = co_simulate(system, params, seq, x0, w)
         w_rows = np.zeros((len(seq), system.n)) if w is None else w
         states = references.plant_states(system, seq, x0, w_rows)
         w_norms = np.linalg.norm(w_rows, axis=1)
-        vbar = references.abstraction_series(params, seq, float(np.linalg.norm(x0)), w_norms)
+        x0_norm = (float(np.linalg.norm(x0)) if x0_scale == 1.0
+                   else float(references.row_norms([x0])[0]))
+        vbar = references.abstraction_series(params, seq, x0_norm, w_norms)
         steps = len(vbar)
         assert trace.vbar.tobytes() == vbar.tobytes()
         assert trace.x.tobytes() == states[:steps].tobytes()
-        assert trace.x_norm.tobytes() == np.linalg.norm(states[:steps], axis=1).tobytes()
+        assert trace.x_norm.tobytes() == references.row_norms(states[:steps]).tobytes()
         assert trace.w_norm[:len(seq)].tobytes() == w_norms[:steps].tobytes()
         kappa_loop = [kappa(params, seq, 0, k) for k in range(steps)]
         assert trace.kappa.tobytes() == np.array(kappa_loop).tobytes()
@@ -501,4 +506,19 @@ class TestTraceStream:
         stream = TraceStream(system, PARAMS, (0,) * steps, [1.0],
                              [np.zeros((CSV_BLOCK_ROWS, 1))], None, steps)
         with pytest.raises(DimensionError, match="at least 1 vectors"):
+            _stream_lines(stream)
+
+    def test_long_block_is_refused(self):
+        # 8,192-row blocks over 12,288 steps once dropped half of every block
+        system = SystemModel(modes={0: [[0.5]]})
+        steps = 3 * CSV_BLOCK_ROWS
+        blocks = [np.full((2 * CSV_BLOCK_ROWS, 1), 0.1) for _ in range(2)]
+        with pytest.raises(DimensionError, match=f"the disturbance block from step 0 holds "
+                                                 f"{2 * CSV_BLOCK_ROWS} vectors, expected "
+                                                 f"{CSV_BLOCK_ROWS}"):
+            TraceStream(system, PARAMS, (0,) * steps, [1.0], blocks, None, steps)
+        blocks = [np.zeros((CSV_BLOCK_ROWS, 1)), np.zeros((2, 1))]
+        stream = TraceStream(system, PARAMS, (0,) * (CSV_BLOCK_ROWS + 1), [1.0], blocks, None)
+        with pytest.raises(DimensionError, match=f"from step {CSV_BLOCK_ROWS} holds 2 vectors, "
+                                                 "expected 1"):
             _stream_lines(stream)
