@@ -7,9 +7,9 @@ underflow. One rule gates both targets: a mode is admissible iff the value
 its step stores stays within budget, ``log kappa_hat <= log alpha_hat``
 (exponential mode) or ``vbar <= C`` (practical mode). The public step
 functions and :func:`run_schedule` apply it through one kernel: the limit
-and per-mode coefficients (``_rule``), the value after each mode
-(``_after``), the admissible bitmask (``_mask``) and the chosen mode's
-stored value (``_pick``). The supervisor reports an alarm whenever no
+and per-mode coefficients (``_rule``), the value after each mode with the
+admissible bitmask (``_admit``), the alarm (``_alarm``) and the chosen
+mode's stored value (``_pick``). The supervisor reports an alarm whenever no
 admissible mode remains or the invariant is already violated; it never
 executes the fallback itself - the surrounding harness switches to
 strictly nominal execution.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,21 +102,19 @@ def _rule(params: AbstractionParams,
     return target.bound, list(params.rho.values())
 
 
-def _after(now: float, coefficients: list[float], gain: float | None) -> list[float]:
-    """The value each mode's step stores: ``now + increment`` (exponential,
-    ``gain`` None) or ``rate * now + gain`` (practical)."""
-    if gain is None:
-        return [now + increment for increment in coefficients]
-    return [rate * now + gain for rate in coefficients]
-
-
-def _mask(after: list[float], limit: float) -> int:
-    """The admissible modes as a bitmask: bit ``i`` is set iff ``after[i]`` is within the limit."""
-    mask = 0
-    for i, value in enumerate(after):
+def _admit(now: float, coefficients: list[float], gain: float | None,
+           limit: float) -> tuple[list[float], int]:
+    """The value each mode's step stores, ``now + increment`` (exponential,
+    ``gain`` None) or ``rate * now + gain`` (practical), and the admissible
+    modes as a bitmask: bit ``i`` is set iff ``after[i]`` is within the limit."""
+    after, mask, bit = [], 0, 1
+    for coefficient in coefficients:
+        value = now + coefficient if gain is None else coefficient * now + gain
+        after.append(value)
         if value <= limit:
-            mask |= 1 << i
-    return mask
+            mask |= bit
+        bit <<= 1
+    return after, mask
 
 
 def _order(params: AbstractionParams) -> dict[int, int]:
@@ -125,7 +123,7 @@ def _order(params: AbstractionParams) -> dict[int, int]:
 
 
 def _modes(order: dict[int, int], mask: int) -> frozenset[int]:
-    """The modes a :func:`_mask` bitmask names."""
+    """The modes an :func:`_admit` bitmask names."""
     return frozenset(mode for mode, i in order.items() if mask >> i & 1)
 
 
@@ -139,14 +137,14 @@ def _pick(after: list[float], order: dict[int, int], params: AbstractionParams,
 
 def _gate(state: SchedulerState, params: AbstractionParams,
           target: ExponentialTarget | PracticalTarget,
-          w_bar_k: float = 0.0) -> tuple[float, float, list[float]]:
+          w_bar_k: float = 0.0) -> tuple[float, float, list[float], int]:
     """The gate rule applied to a state.
 
     Returns the gated quantity now (``log kappa_hat`` or ``vbar``), its limit
-    (``log alpha_hat`` or C) and its value after each mode, in ``params.rho``
-    order, computed exactly as the step stores it. A mode is admissible iff
-    that value is within the limit, so the gate never admits a step that
-    then counts as over budget.
+    (``log alpha_hat`` or C), its value after each mode, in ``params.rho``
+    order, computed exactly as the step stores it, and the :func:`_admit`
+    bitmask. A mode is admissible iff that value is within the limit, so
+    the gate never admits a step that then counts as over budget.
     """
     if isinstance(target, ExponentialTarget):
         now, gain = state.log_kappa_hat, None
@@ -155,7 +153,7 @@ def _gate(state: SchedulerState, params: AbstractionParams,
     else:
         now, gain = state.v_bar, params.beta * check_nonnegative(w_bar_k, "w_bar")
     limit, coefficients = _rule(params, target)
-    return now, limit, _after(now, coefficients, gain)
+    return (now, limit, *_admit(now, coefficients, gain, limit))
 
 
 def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
@@ -166,7 +164,7 @@ def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
     tests for ``sigma``; a zero rate maps to -inf, a perfect reset that
     absorbs all previous damage.
     """
-    _, _, after = _gate(state, params, target)
+    _, _, after, _ = _gate(state, params, target)
     return SchedulerState(_pick(after, _order(params), params, sigma), state.v_bar)
 
 
@@ -174,15 +172,15 @@ def admissible_modes(state: SchedulerState, params: AbstractionParams,
                      target: ExponentialTarget | PracticalTarget,
                      w_bar_k: float = 0.0) -> frozenset[int]:
     """Modes whose step keeps ``kappa_hat <= alpha_hat`` (or ``vbar <= C``)."""
-    _, limit, after = _gate(state, params, target, w_bar_k)
-    return _modes(_order(params), _mask(after, limit))
+    *_, mask = _gate(state, params, target, w_bar_k)
+    return _modes(_order(params), mask)
 
 
 def practical_step(state: SchedulerState, sigma: int, w_bar_k: float,
                    params: AbstractionParams,
                    target: PracticalTarget) -> tuple[SchedulerState, bool]:
     """Apply one mode to the abstraction state; flag whether it kept the bound."""
-    _, limit, after = _gate(state, params, target, w_bar_k)
+    _, limit, after, _ = _gate(state, params, target, w_bar_k)
     v_bar = _pick(after, _order(params), params, sigma)
     return SchedulerState(state.log_kappa_hat, v_bar), v_bar <= limit
 
@@ -200,14 +198,19 @@ class SupervisorReport:
         return self.ok
 
 
-def _alarm(target: ExponentialTarget | PracticalTarget, now: float, limit: float,
-           mask: int) -> str | None:
-    """The step's alarm, from the gated quantity now and the :func:`_mask` of its modes."""
-    exponential = isinstance(target, ExponentialTarget)
+def _alarms(target: ExponentialTarget | PracticalTarget) -> tuple[str, str]:
+    """A target's alarm texts: the gated quantity already over its limit, and no admissible mode."""
+    if isinstance(target, ExponentialTarget):
+        return "kappa budget exceeded", "no admissible mode"
+    return "state bound exceeded", "no admissible mode keeps the bound"
+
+
+def _alarm(texts: tuple[str, str], now: float, limit: float, mask: int) -> str | None:
+    """The step's alarm, from the gated quantity now and the :func:`_admit` mask of its modes."""
     if now > limit:
-        return "kappa budget exceeded" if exponential else "state bound exceeded"
+        return texts[0]
     if not mask:
-        return "no admissible mode" if exponential else "no admissible mode keeps the bound"
+        return texts[1]
     return None
 
 
@@ -219,8 +222,8 @@ def supervisor_check(state: SchedulerState, params: AbstractionParams,
     The documented contract on alarm is that the caller switches to a
     deterministic safety mode guaranteeing nominal execution.
     """
-    now, limit, after = _gate(state, params, target, w_bar_k)
-    reason = _alarm(target, now, limit, _mask(after, limit))
+    now, limit, _, mask = _gate(state, params, target, w_bar_k)
+    reason = _alarm(_alarms(target), now, limit, mask)
     if reason is None:
         return SupervisorReport(True)
     if isinstance(target, ExponentialTarget):
@@ -247,24 +250,71 @@ def greedy_policy() -> Policy:
     return choose
 
 
+class _SortedOrders(dict):
+    """``tuple(sorted(admissible))`` keyed by admissible set, sorted once per distinct set."""
+
+    def __missing__(self, admissible: frozenset) -> tuple[int, ...]:
+        modes = self[admissible] = tuple(sorted(admissible))
+        return modes
+
+
 def round_robin_policy() -> Policy:
     """Cycle through the admissible modes by step index."""
+    orders = _SortedOrders()
 
     def choose(k: int, admissible: frozenset, rng=None) -> int:
-        order = sorted(admissible)
-        return order[k % len(order)]
+        modes = orders[admissible]
+        return modes[k % len(modes)]
 
     return choose
 
 
+#: 32-bit words a random policy draws from its generator at a time.
+_WORD_BLOCK = 4096
+
+
+def _words(rng: np.random.Generator) -> Iterator[int]:
+    """The generator's 32-bit words, drawn ``_WORD_BLOCK`` at a time."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32).tolist()
+
+
+def _below(r: int, words: Iterator[int]) -> int:
+    """What ``Generator.integers(r)`` returns for ``2 <= r < 2**32``, read off ``words``.
+
+    Lemire's bounded reduction, as numpy applies it: ``m = u * r`` for the
+    next word ``u``, drawn again while ``m mod 2**32 < (2**32 - r) mod r``;
+    the result is ``m >> 32``.
+    """
+    m = next(words) * r
+    if m & 0xFFFFFFFF < r:  # r bounds the threshold: most words skip computing it
+        threshold = ((1 << 32) - r) % r
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * r
+    return m >> 32
+
+
 def random_policy() -> Policy:
-    """Uniform choice among admissible modes (seeded by the run harness)."""
+    """Uniform choice among admissible modes (seeded by the run harness).
+
+    Draw for draw, the choice is ``sorted(admissible)[rng.integers(len(admissible))]``:
+    a single admissible mode takes no word. The words are drawn ahead in
+    blocks, so the generator must not serve other draws during a run; a
+    different generator object restarts the block.
+    """
+    orders = _SortedOrders()
+    source = words = None
 
     def choose(k: int, admissible: frozenset, rng=None) -> int:
-        order = sorted(admissible)
+        nonlocal source, words
         if rng is None:
             raise ParameterError("random policy needs a seeded generator")
-        return order[int(rng.integers(len(order)))]
+        modes = orders[admissible]
+        if len(modes) == 1:
+            return modes[0]
+        if rng is not source:
+            source, words = rng, _words(rng)
+        return modes[_below(len(modes), words)]
 
     return choose
 
@@ -367,7 +417,7 @@ def run_schedule(params: AbstractionParams,
     else:
         now, gains = 0.0, [None] * steps
     limit, coefficients = _rule(params, target)
-    order = _order(params)
+    order, texts = _order(params), _alarms(target)
     sets: dict[int, frozenset[int]] = {}
     policy = policy or greedy_policy()
     rng = np.random.default_rng(seed)
@@ -376,12 +426,11 @@ def run_schedule(params: AbstractionParams,
     append_stored, append_alarm = run.stored.append, run.alarms.append
     fired = False
     for k, gain in enumerate(gains):
-        after = _after(now, coefficients, gain)
-        mask = _mask(after, limit)
+        after, mask = _admit(now, coefficients, gain, limit)
         admissible = sets.get(mask)
         if admissible is None:
             admissible = sets[mask] = _modes(order, mask)
-        alarm = _alarm(target, now, limit, mask)
+        alarm = _alarm(texts, now, limit, mask)
         fired = fired or alarm is not None
         chosen = 0 if fired else policy(k, admissible, rng)
         now = _pick(after, order, params, chosen)

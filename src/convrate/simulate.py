@@ -236,9 +236,9 @@ def _scalar_series(system: SystemModel, params: AbstractionParams, seq: Sequence
     vbar = simulate_abstraction(params, seq, _state_norm(x0), w_bar, horizon)
     applied = seq[:len(vbar) - 1]
     rates = {mode: params.rate(int(mode)) for mode in dict.fromkeys(applied)}
-    with np.errstate(over="ignore"):  # a product or bound past the float range is inf
+    with np.errstate(over="ignore"):  # a product past the float range is inf
         kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
-        cost = None if system.cost_weight is None else cost_bound(system.cost_weight, vbar)
+    cost = None if system.cost_weight is None else cost_bound(system.cost_weight, vbar)
     return vbar, kappa_series, cost
 
 
@@ -293,12 +293,13 @@ def check_guarantee(trace: Trace, rel_tol: float = 1e-9) -> GuaranteeReport:
 
 
 def cost_bound(Q, v_series) -> np.ndarray:
-    """Per-step quadratic-cost bound ``lambda_max(Q) * v_k^2``."""
+    """Per-step quadratic-cost bound ``lambda_max(Q) * v_k^2``; a bound past the float range is inf."""
     Q = as_square_matrix(Q, "Q")
     check_psd(Q, "Q")
     weight = max(float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1]), 0.0)
     v = np.asarray(v_series, dtype=float)
-    return weight * v * v
+    with np.errstate(over="ignore"):
+        return weight * v * v
 
 
 def cost_transform(Q) -> np.ndarray:

@@ -185,6 +185,16 @@ def schedule_rows(params, target, steps, policy, seed, w_bar, v0) -> list[tuple]
     return rows
 
 
+def random_policy():
+    """The random policy with one scalar ``Generator.integers`` call per decision."""
+
+    def choose(k, admissible, rng):
+        order = sorted(admissible)
+        return order[int(rng.integers(len(order)))]
+
+    return choose
+
+
 def schedule_csv_lines(records) -> list[str]:
     """The decision CSV, formatted one record at a time."""
     lines = [",".join(SCHEDULE_COLUMNS)]

@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from convrate import (
     supervisor_check,
     worst_case_sequence,
 )
+from convrate import scheduler
 from convrate.cli import run as cli_run
 from convrate.io import CSV_BLOCK_ROWS, save_system, write_csv
 from convrate.scheduler import POLICIES, StepRecord, schedule_csv_lines
@@ -453,6 +455,107 @@ class TestColumnarRun:
         # an exponential target never reads w_bar
         assert run_schedule(PARAMS, TARGET, 3, w_bar=[math.nan]).chosen == \
             run_schedule(PARAMS, TARGET, 3).chosen
+
+
+@st.composite
+def random_cases(draw):
+    """1-6 modes with ids in any order on both targets; tight limits make some runs alarm."""
+    ids = [0, *draw(st.sets(st.integers(1, 9), max_size=5))]
+    rho = dict(zip(draw(st.permutations(ids)), [draw(st.floats(0.0, 1.5)) for _ in ids]))
+    params = AbstractionParams(alpha=1.0, beta=draw(st.floats(0.01, 2.0)), rho=rho)
+    steps = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        target = ExponentialTarget(draw(st.floats(0.1, 0.99)), draw(st.floats(1.0, 100.0)))
+        return params, target, steps, seed, [0.0] * steps, None
+    bound = draw(st.floats(0.1, 10.0))
+    v0 = draw(st.floats(0.0, 1.2)) * bound  # v0 > C alarms at once
+    w_bar = draw(st.lists(st.floats(0.0, 0.2 * bound / params.beta), min_size=steps,
+                          max_size=steps))
+    spike = draw(st.one_of(st.none(), st.integers(0, steps - 1)))
+    if spike is not None:  # no mode keeps the bound at this step: an alarm after draws
+        w_bar[spike] = 2.0 * bound / params.beta
+    return params, PracticalTarget(bound), steps, seed, w_bar, v0
+
+
+def reference_random_rows(params, target, steps, seed, w_bar, v0) -> list[StepRecord]:
+    return [StepRecord(*row) for row in references.schedule_rows(
+        params, target, steps, references.random_policy(), seed, w_bar, v0)]
+
+
+def words_drawn(records) -> int:
+    """Decisions that take a word: two or more admissible modes, before the first alarm.
+
+    (A re-draw, at odds below 1e-9 per word for 6 modes or fewer, is not counted.)
+    """
+    first_alarm = next((record.k for record in records if record.alarm), len(records))
+    return sum(len(record.admissible) > 1 for record in records[:first_alarm])
+
+
+def word_with_leftover(r: int, leftover: int) -> int:
+    """The least 32-bit word ``u`` with ``u * r mod 2**32 == leftover``."""
+    step = math.gcd(r, 2**32)
+    assert leftover % step == 0
+    modulus = 2**32 // step
+    return leftover // step * pow(r // step, -1, modulus) % modulus
+
+
+class TestRandomPolicy:
+    @given(random_cases(), st.sampled_from([-1, 0, 1]), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_block_drawn_choices_equal_one_draw_per_decision(self, case, offset, other_seed):
+        params, target, steps, seed, w_bar, v0 = case
+        expected = reference_random_rows(params, target, steps, seed, w_bar, v0)
+        # the run's last word is one before, at or one past the end of a block
+        block = max(1, words_drawn(expected) - offset)
+        with mock.patch.object(scheduler, "_WORD_BLOCK", block):
+            run = run_schedule(params, target, steps, policy=random_policy(), w_bar=w_bar,
+                               v0=v0, seed=seed)
+            assert run.records == expected
+            reused = random_policy()  # one object across two runs acts as two fresh ones
+            for s in (seed, other_seed):
+                again = run_schedule(params, target, steps, policy=reused, w_bar=w_bar, v0=v0,
+                                     seed=s)
+                assert again.records == reference_random_rows(params, target, steps, s, w_bar,
+                                                              v0)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_runs_across_the_default_block_edge(self, offset):
+        # both modes are always admissible and r = 2 never re-draws: one word a step
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 0.6})
+        steps = scheduler._WORD_BLOCK + offset
+        run = run_schedule(params, TARGET, steps, policy=random_policy(), seed=3)
+        expected = reference_random_rows(params, TARGET, steps, 3, [0.0] * steps, None)
+        assert words_drawn(expected) == steps
+        same = run.records == expected
+        assert same
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 6, 2**31 + 1])
+    def test_reduction_on_crafted_words(self, r):
+        threshold = (2**32 - r) % r
+        step = math.gcd(r, 2**32)  # u * r mod 2**32 runs through the multiples of step
+        lowest_kept = -(-threshold // step) * step
+        top, at = 2**32 - 1, word_with_leftover(r, lowest_kept)
+        cases = [([top], r - 1, 1),
+                 ([at], at * r // 2**32, 1),
+                 ([0, top], *((r - 1, 2) if threshold else (0, 1)))]
+        if lowest_kept:
+            below = word_with_leftover(r, lowest_kept - step)
+            assert below * r % 2**32 < threshold <= at * r % 2**32
+            cases += [([below, at], at * r // 2**32, 2), ([below, below, top], r - 1, 3)]
+        for words, value, read in cases:
+            stream = iter(words + [top])  # one word past the case: reading it shows
+            assert scheduler._below(r, stream) == value
+            assert len(words) + 1 - len(list(stream)) == read
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 2**31 + 1, 2**32 - 1])
+    def test_reduction_equals_generator_integers(self, r):
+        # an odd block: blocks end inside the bit generator's 64-bit outputs
+        with mock.patch.object(scheduler, "_WORD_BLOCK", 7):
+            words = scheduler._words(np.random.default_rng(r))
+            drawn = [scheduler._below(r, words) for _ in range(500)]
+        rng = np.random.default_rng(r)
+        assert drawn == [int(rng.integers(r)) for _ in range(500)]
 
 
 class TestScheduleCsv:

@@ -239,6 +239,10 @@ class TestCost:
     def test_identity_weight(self):
         assert cost_bound(np.eye(3), [3.0])[0] == pytest.approx(9.0)
 
+    def test_bound_past_the_float_range_is_inf_without_a_warning(self):
+        # the suite turns RuntimeWarnings into errors, so a leaked overflow fails here
+        assert cost_bound([[2.0]], [1e200]).tolist() == [math.inf]
+
     def test_bound_dominates_measured_cost(self):
         rng = np.random.default_rng(11)
         Q = random_spd(rng, 2)
