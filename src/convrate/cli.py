@@ -108,19 +108,19 @@ def _blocks(block: np.ndarray, steps: int):
         yield block[:min(CSV_BLOCK_ROWS, steps - start)]
 
 
-def _seeded_blocks(rng: np.random.Generator, scale: np.ndarray, n: int):
-    """Random directions scaled to ``scale[k]``, one block of rows at a time."""
-    for start in range(0, len(scale), CSV_BLOCK_ROWS):
-        w = rng.standard_normal((min(CSV_BLOCK_ROWS, len(scale) - start), n))
+def _seeded_blocks(normals, uniforms, bound: float, steps: int, n: int):
+    """Directions from ``normals``, scaled to ``bound`` times ``uniforms``, block by block."""
+    for start in range(0, steps, CSV_BLOCK_ROWS):
+        w = normals.standard_normal((min(CSV_BLOCK_ROWS, steps - start), n))
         norms = row_norms(w)
         norms[norms == 0] = 1.0
         w /= norms[:, None]
-        w *= scale[start:start + len(w), None]
+        w *= (bound * uniforms.random(len(w)))[:, None]
         yield w
 
 
 def _make_disturbances(text: str, steps: int, system: SystemModel):
-    """``(disturbances in blocks of CSV_BLOCK_ROWS rows, w_bar series or None)`` of ``--w``.
+    """``(disturbances in blocks of CSV_BLOCK_ROWS rows, w_bar or None)`` of ``--w``.
 
     The blocks of ``seed:<s>`` equal the rows of the one-shot draw
     ``standard_normal((steps, n))`` followed by ``random(steps)``: drawn
@@ -135,7 +135,7 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
             raise ParameterError("--w const: magnitude must be >= 0")
         block = np.zeros((min(CSV_BLOCK_ROWS, steps), system.n))
         block[:, 0] = magnitude
-        return _blocks(block, steps), np.full(steps, magnitude)
+        return _blocks(block, steps), magnitude
     if text.startswith("seed:"):
         seed = int(text[len("seed:"):])
         bound = system.disturbance_bound
@@ -143,11 +143,10 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
             raise ParameterError(
                 "--w seed: the system document declares no disturbance_bound"
             )
-        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        normals, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
         for start in range(0, steps, CSV_BLOCK_ROWS):
-            rng.standard_normal((min(CSV_BLOCK_ROWS, steps - start), system.n))
-        scale = bound * rng.random(steps)
-        return _seeded_blocks(replay, scale, system.n), np.full(steps, bound)
+            uniforms.standard_normal((min(CSV_BLOCK_ROWS, steps - start), system.n))
+        return _seeded_blocks(normals, uniforms, bound, steps, system.n), bound
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 

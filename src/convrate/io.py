@@ -30,6 +30,7 @@ column in blocks of rows, so a writer streams them one block at a time.
 from __future__ import annotations
 
 import json
+from itertools import takewhile
 from pathlib import Path
 
 from .model import AbstractionParams, SystemModel
@@ -151,12 +152,14 @@ def csv_blocks(header, rows: int, columns):
     """CSV lines of a table, header first, one list per block of rows.
 
     ``columns(start, stop)`` returns the cells of rows ``start .. stop-1``
-    column by column. A writer that consumes the blocks one at a time holds
-    at most ``CSV_BLOCK_ROWS`` rows of text.
+    column by column. A table that ends early returns fewer rows, then
+    none: ``rows`` is then an upper bound. A writer that consumes the
+    blocks one at a time holds at most ``CSV_BLOCK_ROWS`` rows of text.
     """
     yield [",".join(header)]
-    for start in range(0, rows, CSV_BLOCK_ROWS):
-        yield list(map(",".join, zip(*columns(start, min(start + CSV_BLOCK_ROWS, rows)))))
+    blocks = (list(map(",".join, zip(*columns(start, min(start + CSV_BLOCK_ROWS, rows)))))
+              for start in range(0, rows, CSV_BLOCK_ROWS))
+    yield from takewhile(len, blocks)
 
 
 def write_csv(blocks, fileobj) -> None:

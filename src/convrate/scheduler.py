@@ -411,9 +411,8 @@ def run_schedule(params: AbstractionParams,
         if v0 is None:
             raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
         now = check_nonnegative(v0, "v0")
-        if np.ndim(w_bar) == 0:  # None or one constant bound
-            w_bar = np.full(steps, 0.0 if w_bar is None else float(w_bar))
-        gains = [params.beta * w for w in w_bar_series(w_bar, steps)]
+        w_bar = w_bar_series(0.0 if w_bar is None else w_bar, steps).tolist()
+        gains = [params.beta * w for w in w_bar]
     else:
         now, gains = 0.0, [None] * steps
     limit, coefficients = _rule(params, target)

@@ -146,15 +146,6 @@ def _run_plant(seq: Sequence[int], start: int, w: np.ndarray, matrices: dict,
     return states
 
 
-def _plant_disturbances(system: SystemModel, seq: Sequence[int], x0, disturbances,
-                        horizon: int | None):
-    """Validated ``(horizon, x0, w, |w_k|)`` of a plant run over ``seq``, in that order."""
-    horizon = _horizon(seq, horizon)
-    x0 = _as_state(x0, system.n)
-    w = _as_disturbances(disturbances, horizon, system.n)[:horizon]
-    return horizon, x0, w, _disturbance_norms(w, system.disturbance_bound)
-
-
 def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
                    disturbances=None, horizon: int | None = None) -> np.ndarray:
     """States x_0 .. x_horizon of ``x_{k+1} = A_{sigma_k} x_k + w_k``.
@@ -162,26 +153,47 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     Exact linear recursion, deterministic given its inputs. Disturbances
     must respect the system's declared bound when one is present.
     """
-    horizon, x0, w, _ = _plant_disturbances(system, seq, x0, disturbances, horizon)
+    horizon = _horizon(seq, horizon)
+    x0 = _as_state(x0, system.n)
+    w = _as_disturbances(disturbances, horizon, system.n)[:horizon]
+    _disturbance_norms(w, system.disturbance_bound)
     states = np.empty((horizon + 1, system.n))
     states[0] = x0
     return _run_plant(seq, 0, w, _mode_matrices(system, seq[:horizon]), states)
 
 
-def w_bar_series(w_bar, steps: int) -> list[float]:
-    """The first ``steps`` entries of a per-step disturbance bound, as plain floats.
+def w_bar_series(w_bar, steps: int) -> np.ndarray:
+    """The first ``steps`` entries of a disturbance bound: one bound, or one bound per step.
 
-    The one owner of the rule for a ``w_bar`` series: it provides ``steps``
-    entries, and those are finite and >= 0 (later entries are never read).
+    The one owner of the rule for ``w_bar``: it provides ``steps`` entries, finite and
+    >= 0 (later entries are never read); one bound is a read-only view, not a copy.
     """
-    values = np.asarray(w_bar, dtype=float).reshape(-1)
+    values = np.asarray(w_bar, dtype=float)
+    values = np.broadcast_to(values, steps) if values.ndim == 0 else values.reshape(-1)
     if len(values) < steps:
         raise ParameterError(f"w_bar must provide {steps} entries, got {len(values)}")
     values = values[:steps]
     bad = np.flatnonzero(~(values >= 0.0) | ~np.isfinite(values))
     if len(bad):
         check_nonnegative(values[bad[0]], "w_bar")
-    return values.tolist()
+    return values
+
+
+def _rows(params: AbstractionParams, modes, gains, value: float, product: float):
+    """``(vbar, kappa)`` lists from the row ``(value, product)`` on, one more row per mode,
+    over plain floats (an overflow is inf); they stop before a ``vbar`` past
+    ``OVERFLOW_LIMIT``, so no later mode is looked up."""
+    beta, rates = params.beta, params.rho
+    vbar, kappa = [value], [product]
+    for mode, gain in zip(modes, gains):
+        rate = rates[mode] if mode in rates else params.rate(int(mode))  # a missing mode raises
+        value = rate * value + beta * gain
+        if value > OVERFLOW_LIMIT:
+            break
+        product *= rate
+        vbar.append(value)
+        kappa.append(product)
+    return vbar, kappa
 
 
 def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
@@ -189,36 +201,21 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
                          horizon: int | None = None) -> np.ndarray:
     """Scalar series ``vbar_{k+1} = rho[sigma_k] vbar_k + beta wbar_k``.
 
-    Starts at ``alpha * x0_norm``. If the state exceeds ``OVERFLOW_LIMIT``
-    the series is truncated at the last finite step (a shorter-than-
-    requested result signals divergence).
+    Starts at ``alpha * x0_norm``; ``w_bar`` is one bound or one per step
+    (None: zero). Past ``OVERFLOW_LIMIT`` the series is truncated at the last
+    finite step (a shorter-than-requested result signals divergence).
     """
     horizon = _horizon(seq, horizon)
     x0_norm = check_nonnegative(x0_norm, "x0_norm")
-    gains = [0.0] * horizon if w_bar is None else w_bar_series(w_bar, horizon)
-    beta = params.beta
-    rates: dict = {}  # looked up at first use: a diverged series never reaches later modes
-    value = params.alpha * x0_norm
-    series = [value]
-    for mode, gain in zip(seq[:horizon], gains):  # plain floats: overflow -> inf
-        rate = rates.get(mode)
-        if rate is None:
-            rate = rates[mode] = params.rate(int(mode))
-        value = rate * value + beta * gain
-        if value > OVERFLOW_LIMIT:
-            break
-        series.append(value)
-    return np.array(series)
+    gains = w_bar_series(0.0 if w_bar is None else w_bar, horizon).tolist()
+    return np.array(_rows(params, seq[:horizon], gains, params.alpha * x0_norm, 1.0)[0])
 
 
 def kappa(params: AbstractionParams, seq: Sequence[int], a: int, b: int) -> float:
     """Rate product ``kappa_{a,b} = prod_{i=a}^{b-1} rho[sigma_i]``; 1 when a == b."""
     if not 0 <= a <= b <= len(seq):
         raise ParameterError(f"need 0 <= a <= b <= {len(seq)}, got a={a}, b={b}")
-    product = 1.0
-    for i in range(a, b):
-        product *= params.rate(int(seq[i]))
-    return product
+    return _rows(params, seq[a:b], [0.0] * (b - a), 0.0, 1.0)[1][-1]
 
 
 def _state_norm(x0: np.ndarray) -> float:
@@ -230,41 +227,32 @@ def _state_norm(x0: np.ndarray) -> float:
     return float(row_norms(x0[np.newaxis])[0])
 
 
-def _scalar_series(system: SystemModel, params: AbstractionParams, seq: Sequence[int],
-                   x0: np.ndarray, w_bar, horizon: int):
-    """``(vbar, kappa, cost bound or None)`` of a co-simulation, aligned row for row."""
-    vbar = simulate_abstraction(params, seq, _state_norm(x0), w_bar, horizon)
-    applied = seq[:len(vbar) - 1]
-    rates = {mode: params.rate(int(mode)) for mode in dict.fromkeys(applied)}
-    with np.errstate(over="ignore"):  # a product past the float range is inf
-        kappa_series = np.cumprod([1.0] + [rates[mode] for mode in applied])
-    cost = None if system.cost_weight is None else cost_bound(system.cost_weight, vbar)
-    return vbar, kappa_series, cost
-
-
 def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[int],
                 x0, disturbances=None, w_bar=None, horizon: int | None = None,
                 meta: dict | None = None) -> Trace:
     """Run plant and abstraction side by side and assemble a :class:`Trace`.
 
     ``w_bar`` defaults to the exact disturbance magnitudes ``|w_k|`` (the
-    tightest admissible choice); pass a looser series to model bound-only
-    disturbance knowledge. The rows are those of a :class:`TraceStream`
-    over the same inputs, collected block by block.
+    tightest admissible choice); pass a looser bound, or one per step, to
+    model bound-only disturbance knowledge. The rows are those of a
+    :class:`TraceStream` over the same inputs, collected block by block.
     """
-    horizon, x0, w, w_norms = _plant_disturbances(system, seq, x0, disturbances, horizon)
+    horizon = _horizon(seq, horizon)
+    w = _as_disturbances(disturbances, horizon, system.n)[:horizon]
     blocks = (w[start:start + CSV_BLOCK_ROWS] for start in range(0, horizon, CSV_BLOCK_ROWS))
-    stream = TraceStream(system, params, seq, x0, blocks,
-                         w_norms if w_bar is None else w_bar, horizon)
-    steps = len(stream)
-    x, x_norm, w_norm = np.empty((steps, system.n)), np.empty(steps), np.empty(steps)
-    sigma: list[int | None] = []
-    for start in range(0, steps, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, steps)
-        x[start:stop], x_norm[start:stop], modes, w_norm[start:stop] = stream._block(start, stop)
+    stream = TraceStream(system, params, seq, x0, blocks, w_bar, horizon)
+    x, columns = np.empty((horizon + 1, system.n)), np.empty((5, horizon + 1))
+    sigma, start = [], 0
+    while (block := stream._block(start)) is not None:
+        states, modes, *series = block
+        for column, values in zip((x, *columns), (states, *series)):
+            column[start:start + len(states)] = np.nan if values is None else values
         sigma += modes
-    return Trace(sigma=tuple(sigma), w_norm=w_norm, x=x, x_norm=x_norm, vbar=stream._vbar,
-                 kappa=stream._kappa, cost_bound=stream._cost, diverged=stream.diverged,
+        start += CSV_BLOCK_ROWS
+    w_norm, x_norm, vbar, kappa_series, cost = columns[:, :len(stream)]
+    return Trace(sigma=tuple(sigma), w_norm=w_norm, x=x[:len(stream)], x_norm=x_norm,
+                 vbar=vbar, kappa=kappa_series, diverged=stream.diverged,
+                 cost_bound=None if system.cost_weight is None else cost,
                  meta=dict(meta or {}))
 
 
@@ -298,8 +286,8 @@ def cost_bound(Q, v_series) -> np.ndarray:
     check_psd(Q, "Q")
     weight = max(float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1]), 0.0)
     v = np.asarray(v_series, dtype=float)
-    with np.errstate(over="ignore"):
-        return weight * v * v
+    with np.errstate(over="ignore"):  # a zero weight bounds the cost by 0, even for v_k = inf
+        return weight * v * v if weight else np.zeros_like(v)
 
 
 def cost_transform(Q) -> np.ndarray:
@@ -358,13 +346,14 @@ class TraceStream:
     """A co-simulation that renders its trace CSV while the plant runs.
 
     The one co-simulation engine, which :func:`co_simulate` collects into a
-    :class:`Trace`. The plant runs one ``CSV_BLOCK_ROWS`` block of rows at a
-    time, and only one state row is carried from block to block.
+    :class:`Trace`. The plant and the abstraction run one ``CSV_BLOCK_ROWS``
+    block of rows at a time, carrying one state row and one ``(vbar, kappa)``
+    row; the stream ends where ``vbar`` passes ``OVERFLOW_LIMIT``. ``len()``
+    and ``diverged`` count the rows streamed so far.
 
     ``w_blocks`` yields the disturbances in consecutive blocks of exactly
-    ``CSV_BLOCK_ROWS`` rows (the last one shorter). ``w_bar`` is the
-    per-step bound series of :func:`simulate_abstraction` (None: zero), since
-    ``vbar`` is computed before the plant runs. Every input is checked on
+    ``CSV_BLOCK_ROWS`` rows (the last one shorter). ``w_bar`` is one bound or
+    one per step (None: the exact ``|w_k|``). Every input is checked on
     construction, the first disturbance block included, so a refusal comes
     before any row; later blocks are checked as they arrive.
     """
@@ -372,23 +361,24 @@ class TraceStream:
     def __init__(self, system: SystemModel, params: AbstractionParams, seq: Sequence[int],
                  x0, w_blocks, w_bar, horizon: int | None = None, rel_tol: float = 1e-9):
         self._rel_tol = check_nonnegative(rel_tol, "rel_tol")
-        self._seq = seq
+        self._seq, self._params, self._weight = seq, params, system.cost_weight
         self._horizon = horizon = _horizon(seq, horizon)
         x0 = _as_state(x0, system.n)
-        self._w_blocks = iter(w_blocks)
-        self._bound = system.disturbance_bound
+        self._w_blocks, self._bound = iter(w_blocks), system.disturbance_bound
         self._states = np.empty((min(CSV_BLOCK_ROWS, horizon) + 1, system.n))
         self._states[0] = x0
         self._first_block = self._disturbances(0)
         self._matrices = _mode_matrices(system, seq[:horizon])
-        self._vbar, self._kappa, self._cost = _scalar_series(
-            system, params, seq, x0, w_bar, horizon)
-        self.diverged = len(self._vbar) < horizon + 1
+        self._row = (params.alpha * check_nonnegative(_state_norm(x0), "x0_norm"), 1.0)
+        self._w_bar = None if w_bar is None else w_bar_series(w_bar, horizon)
+        for mode in self._matrices:  # a mode without a rate is refused before any row
+            params.rate(int(mode))
+        self._length, self.diverged = 0, False
         self._first_violation: int | None = None
         self._max_ratios: list[float] = []
 
     def __len__(self) -> int:
-        return len(self._vbar)
+        return self._length
 
     def _disturbances(self, start: int):
         """Disturbances of the steps in the block of rows from ``start``, and their norms."""
@@ -400,37 +390,46 @@ class TraceStream:
                                  f"vectors, expected {rows}")
         return w, _disturbance_norms(w, self._bound, start)
 
-    def _block(self, start: int, stop: int):
-        """``(states, |x_k|, sigma, |w_k|)`` of the rows ``start .. stop-1``.
+    def _block(self, start: int):
+        """``(states, sigma, |w_k|, |x_k|, vbar, kappa, cost bound or None)`` of the block of
+        rows from ``start`` (None once the stream has ended), with the guarantee checked.
 
-        Blocks are taken in order, each once; the guarantee is checked on
-        every row. ``states`` is a view that the next block overwrites.
+        Blocks are taken in order, each once. ``states`` is a view that the
+        next block overwrites.
         """
+        if self._row is None:
+            return None
         w, w_norms = self._first_block if start == 0 else self._disturbances(start)
+        gains = w_norms if self._w_bar is None else self._w_bar[start:start + len(w)]
+        vbar, kappa = _rows(self._params, self._seq[start:start + len(w)], gains.tolist(),
+                            *self._row)
+        rows = min(len(vbar), CSV_BLOCK_ROWS)
+        self._row = (vbar[rows], kappa[rows]) if rows < len(vbar) else None
+        self._length, self.diverged = start + rows, len(vbar) <= len(w)
+        vbar, kappa = np.array(vbar[:rows]), np.array(kappa[:rows])
         if start:  # carry the last state of the previous block, which was full
             self._states[0] = self._states[-1]
-        states = _run_plant(self._seq, start, w, self._matrices, self._states)[:stop - start]
+        states = _run_plant(self._seq, start, w, self._matrices, self._states)[:rows]
         x_norm = row_norms(states)
-        first, max_ratio = _guarantee(x_norm, self._vbar[start:stop], self._rel_tol)
+        first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
         if first is not None and self._first_violation is None:
             self._first_violation = start + first
         self._max_ratios.append(max_ratio)
-        sigma: list[int | None] = [int(m) for m in self._seq[start:min(stop, start + len(w))]]
-        w_norms = w_norms[:stop - start]
-        if len(w) < stop - start:  # the final row of a completed trace
+        sigma: list[int | None] = [int(m) for m in self._seq[start:start + min(rows, len(w))]]
+        w_norms = w_norms[:rows]
+        if rows > len(w):  # the final row of a completed trace
             sigma.append(None)
             w_norms = np.append(w_norms, math.nan)
-        return states, x_norm, sigma, w_norms
+        cost = None if self._weight is None else cost_bound(self._weight, vbar)
+        return states, sigma, w_norms, x_norm, vbar, kappa, cost
 
     def _columns(self, start: int, stop: int):
-        _, x_norm, sigma, w_norms = self._block(start, stop)
-        cost = None if self._cost is None else self._cost[start:stop]
-        return _trace_cells(start, sigma, w_norms, x_norm, self._vbar[start:stop],
-                            self._kappa[start:stop], cost)
+        block = self._block(start)
+        return () if block is None else _trace_cells(start, *block[1:])
 
     def csv_blocks(self):
         """Trace CSV lines, header first, one list per block of rows; run this once."""
-        return csv_blocks(TRACE_COLUMNS, len(self), self._columns)
+        return csv_blocks(TRACE_COLUMNS, self._horizon + 1, self._columns)
 
     @property
     def report(self) -> GuaranteeReport:

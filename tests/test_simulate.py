@@ -110,6 +110,13 @@ class TestSimulateAbstraction:
         with pytest.raises(ParameterError, match="w_bar must provide 2 entries, got 1"):
             simulate_abstraction(PARAMS, (0, 0), 1.0, w_bar=[0.0])
 
+    def test_one_bound_equals_a_bound_per_step(self):
+        seq = (0, 1, 1, 0) * 25
+        one = simulate_abstraction(PARAMS, seq, 1.0, w_bar=0.1)
+        assert one.tobytes() == simulate_abstraction(PARAMS, seq, 1.0, [0.1] * 100).tobytes()
+        with pytest.raises(ParameterError, match="w_bar must be finite and >= 0, got -0.1"):
+            simulate_abstraction(PARAMS, seq, 1.0, w_bar=-0.1)
+
     @pytest.mark.parametrize("x0_norm", [math.nan, math.inf, -1.0])
     def test_bad_initial_norm_rejected(self, x0_norm):
         with pytest.raises(ParameterError, match="x0_norm"):
@@ -228,7 +235,9 @@ class TestKappa:
         system = SystemModel(modes={0: [[0.3]], 1: [[0.9]]})
         seq = tuple(int(s) for s in np.random.default_rng(6).integers(0, 2, 400))
         trace = co_simulate(system, params, seq, [1.0])
+        products = np.cumprod([1.0] + [rates[mode] for mode in seq[:len(trace) - 1]])
         assert trace.kappa.tolist() == [kappa(params, seq, 0, k) for k in range(len(trace))]
+        assert trace.kappa.tobytes() == products.tobytes()
 
 
 class TestCost:
@@ -242,6 +251,10 @@ class TestCost:
     def test_bound_past_the_float_range_is_inf_without_a_warning(self):
         # the suite turns RuntimeWarnings into errors, so a leaked overflow fails here
         assert cost_bound([[2.0]], [1e200]).tolist() == [math.inf]
+
+    def test_zero_weight_bounds_an_infinite_state_by_zero(self):
+        # 0 * inf is NaN with a RuntimeWarning, which the suite turns into an error
+        assert cost_bound([[0.0]], [math.inf, 2.0]).tolist() == [0.0, 0.0]
 
     def test_bound_dominates_measured_cost(self):
         rng = np.random.default_rng(11)
@@ -526,3 +539,54 @@ class TestTraceStream:
         with pytest.raises(DimensionError, match=f"from step {CSV_BLOCK_ROWS} holds 2 vectors, "
                                                  "expected 1"):
             _stream_lines(stream)
+
+    def test_default_w_bar_is_the_exact_disturbance_norm(self):
+        # None takes |w_k|, as in co_simulate; a zero bound would break the guarantee
+        system = SystemModel(modes={0: [[0.5, 0.1], [0.0, 0.4]], 1: [[1.1, 0.0], [0.2, 0.9]]})
+        params = lyapunov_abstraction(system)
+        rng = np.random.default_rng(9)
+        steps = CSV_BLOCK_ROWS + 3
+        seq = references.worst_case_sequence(MkConstraint(1, 2), steps)
+        w = 0.1 * rng.standard_normal((steps, 2))
+        blocks = [w[start:start + CSV_BLOCK_ROWS] for start in range(0, steps, CSV_BLOCK_ROWS)]
+        stream = TraceStream(system, params, seq, [1.0, 0.0], blocks, None, steps)
+        trace = co_simulate(system, params, seq, [1.0, 0.0], w)
+        assert _stream_lines(stream) == references.trace_csv_lines(trace)
+        vbar = references.abstraction_series(params, seq, 1.0, np.linalg.norm(w, axis=1))
+        assert trace.vbar.tobytes() == vbar.tobytes()
+        assert stream.report == check_guarantee(trace) and stream.report.holds
+
+    def test_divergence_on_a_block_edge_writes_no_empty_line(self):
+        # vbar = rate^k passes the overflow guard first at k = CSV_BLOCK_ROWS, so the
+        # first block is full and the second holds no row
+        rate = math.exp(math.log(1e300) / (CSV_BLOCK_ROWS - 0.5))
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: rate})
+        steps = 2 * CSV_BLOCK_ROWS
+        seq, w = (0,) * steps, np.zeros((steps, 1))
+        stream = TraceStream(SystemModel(modes={0: [[1.0]]}), params, seq, [1.0],
+                             [w[:CSV_BLOCK_ROWS], w[CSV_BLOCK_ROWS:]], None, steps)
+        assert (len(stream), stream.diverged) == (0, False)  # nothing streamed yet
+        text = io.StringIO()
+        write_csv(stream.csv_blocks(), text)
+        lines = text.getvalue().split("\n")
+        assert (len(stream), stream.diverged) == (CSV_BLOCK_ROWS, True)
+        assert lines == references.trace_csv_lines(co_simulate(
+            SystemModel(modes={0: [[1.0]]}), params, seq, [1.0], w)) + [""]
+        assert len(lines) == len(stream) + 2 and "" not in lines[:-1]
+
+    def test_disturbances_are_checked_before_w_bar(self):
+        # `simulate --w const:nan` gives NaN disturbances and a NaN bound
+        system, nan = SystemModel(modes={0: [[0.5]]}), np.full((3, 1), math.nan)
+        with pytest.raises(DimensionError, match="disturbances contain non-finite entries"):
+            TraceStream(system, PARAMS, (0,) * 3, [1.0], [nan], math.nan, 3)
+        with pytest.raises(ParameterError, match="w_bar must be finite and >= 0, got nan"):
+            TraceStream(system, PARAMS, (0,) * 3, [1.0], [np.zeros((3, 1))], math.nan, 3)
+
+    def test_mode_without_a_rate_is_refused_before_any_row(self):
+        # mode 1 is first applied in the second block
+        system = SystemModel(modes={0: [[0.5]], 1: [[0.9]]})
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5})
+        seq = (0,) * (CSV_BLOCK_ROWS + 5) + (1,)
+        w = np.zeros((len(seq), 1))
+        with pytest.raises(KeyError, match="mode 1 has no convergence rate"):
+            TraceStream(system, params, seq, [1.0], [w[:CSV_BLOCK_ROWS], w[CSV_BLOCK_ROWS:]], None)
