@@ -8,6 +8,10 @@ built-in demo system's characteristic values).
 
 Exit codes: 0 success / property proven; 1 not proven, guarantee violated,
 alarm fired, or analysis infeasible; 2 usage, parse, or parameter errors.
+
+Each command imports the modules it runs, inside its function, so help
+texts and usage errors, which argparse handles before any command runs,
+load no numpy.
 """
 
 from __future__ import annotations
@@ -19,23 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import counterexample
-from .builders import build_robustness_abstraction, lyapunov_abstraction
-from .errors import ParameterError, check_nonnegative
-from .io import CSV_BLOCK_ROWS, DocumentError, load_system, params_to_document, write_csv
-from .linalg import row_norms
-from .mk import MkConstraint, mk_verdict
-from .model import AbstractionParams, SystemModel
-from .scheduler import (
-    POLICIES,
-    ExponentialTarget,
-    PracticalTarget,
-    run_schedule,
-)
-from .sequences import averaged_spectral_radius, transition_product, worst_case_sequence
-from .simulate import TraceStream
+from .errors import DocumentError, ParameterError, check_nonnegative
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -51,7 +39,9 @@ def _parse_matrix_arg(value: str, flag: str):
         raise DocumentError(f"{flag}: expected inline JSON or an existing file, got {value!r}") from None
 
 
-def _build_params(system: SystemModel, args) -> AbstractionParams:
+def _build_params(system, args):
+    from .builders import build_robustness_abstraction, lyapunov_abstraction
+
     if args.method == "robust":
         if args.rho is None:
             raise ParameterError("--rho is required for --method robust")
@@ -64,6 +54,9 @@ def _build_params(system: SystemModel, args) -> AbstractionParams:
 
 def _parse_sigma(text: str, steps: int | None) -> tuple[int, ...]:
     if text.startswith("mk-worst:"):
+        from .mk import MkConstraint
+        from .sequences import worst_case_sequence
+
         try:
             m_text, k_text = text[len("mk-worst:"):].split(",")
             mk = MkConstraint(int(m_text), int(k_text))
@@ -83,8 +76,12 @@ def _parse_sigma(text: str, steps: int | None) -> tuple[int, ...]:
     return entries
 
 
-def _parse_x0(text: str, system: SystemModel) -> np.ndarray:
+def _parse_x0(text: str, system):
+    import numpy as np
+
     if text.startswith("dominant:"):
+        from .sequences import transition_product
+
         modes = tuple(int(tok) for tok in text[len("dominant:"):].split(","))
         product = transition_product(system, modes)
         values, vectors = np.linalg.eig(product)
@@ -102,14 +99,19 @@ def _parse_x0(text: str, system: SystemModel) -> np.ndarray:
         raise DocumentError(f"--x0: could not parse vector {text!r}") from None
 
 
-def _blocks(block: np.ndarray, steps: int):
+def _blocks(block, steps: int):
     """``steps`` rows of one repeated ``block``, at most ``CSV_BLOCK_ROWS`` rows at a time."""
+    from .io import CSV_BLOCK_ROWS
+
     for start in range(0, steps, CSV_BLOCK_ROWS):
         yield block[:min(CSV_BLOCK_ROWS, steps - start)]
 
 
 def _seeded_blocks(normals, uniforms, bound: float, steps: int, n: int):
     """Directions from ``normals``, scaled to ``bound`` times ``uniforms``, block by block."""
+    from .io import CSV_BLOCK_ROWS
+    from .linalg import row_norms
+
     for start in range(0, steps, CSV_BLOCK_ROWS):
         w = normals.standard_normal((min(CSV_BLOCK_ROWS, steps - start), n))
         norms = row_norms(w)
@@ -119,7 +121,7 @@ def _seeded_blocks(normals, uniforms, bound: float, steps: int, n: int):
         yield w
 
 
-def _make_disturbances(text: str, steps: int, system: SystemModel):
+def _make_disturbances(text: str, steps: int, system):
     """``(disturbances in blocks of CSV_BLOCK_ROWS rows, w_bar or None)`` of ``--w``.
 
     The blocks of ``seed:<s>`` equal the rows of the one-shot draw
@@ -127,17 +129,31 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
     block by block, the normals come out the same, and the uniforms are
     reached by drawing and discarding every normal on a twin generator.
     """
+    import numpy as np
+
+    from .io import CSV_BLOCK_ROWS
+
     if text == "zero":
         return _blocks(np.zeros((CSV_BLOCK_ROWS, system.n)), steps), None
     if text.startswith("const:"):
-        magnitude = float(text[len("const:"):])
+        try:
+            magnitude = float(text[len("const:"):])
+        except ValueError:
+            raise DocumentError(f"--w: the magnitude of const:<v> must be a number, "
+                                f"got {text!r}") from None
         if magnitude < 0:
             raise ParameterError("--w const: magnitude must be >= 0")
         block = np.zeros((min(CSV_BLOCK_ROWS, steps), system.n))
         block[:, 0] = magnitude
         return _blocks(block, steps), magnitude
     if text.startswith("seed:"):
-        seed = int(text[len("seed:"):])
+        try:
+            seed = int(text[len("seed:"):])
+        except ValueError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ParameterError(f"--w: the seed of seed:<s> must be an integer >= 0, "
+                                 f"got {text!r}")
         bound = system.disturbance_bound
         if bound is None:
             raise ParameterError(
@@ -152,6 +168,8 @@ def _make_disturbances(text: str, steps: int, system: SystemModel):
 
 def _write_csv(blocks, out: str | None) -> None:
     """Stream CSV line blocks to stdout, or to the ``--out`` file."""
+    from .io import write_csv
+
     if out is None or out == "-":
         write_csv(blocks, sys.stdout)
     else:
@@ -160,6 +178,8 @@ def _write_csv(blocks, out: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .io import load_system, params_to_document
+
     system = load_system(args.system)
     params = _build_params(system, args)
     print(f"method: {params.method}")
@@ -179,6 +199,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mk_check(args) -> int:
+    from .io import load_system
+    from .mk import MkConstraint, mk_verdict
+
     system = load_system(args.system)
     params = _build_params(system, args)
     mk = MkConstraint(args.m, args.K)
@@ -212,6 +235,11 @@ def cmd_mk_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .io import load_system
+    from .simulate import TraceStream
+
     rel_tol = check_nonnegative(args.rel_tol, "rel_tol")  # refuse before any CSV row is written
     system = load_system(args.system)
     params = _build_params(system, args)
@@ -236,6 +264,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_jsr(args) -> int:
+    from .io import load_system
+    from .mk import MkConstraint
+    from .sequences import averaged_spectral_radius
+
+    if args.max_length < 1:
+        raise ParameterError(f"--max-length must be >= 1, got {args.max_length}")
     system = load_system(args.system)
     mk = MkConstraint(args.m, args.K)
     result = averaged_spectral_radius(system, mk, args.length, max_length=args.max_length)
@@ -251,6 +285,11 @@ def cmd_jsr(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from .io import load_system
+    from .scheduler import POLICIES, ExponentialTarget, PracticalTarget, run_schedule
+
+    if args.seed is not None and args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     system = load_system(args.system)
     params = _build_params(system, args)
     if args.C is not None:
@@ -276,6 +315,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_repro_counterexample(args) -> int:
+    from . import counterexample
+
     rep = counterexample.report(length=args.length)
     print(counterexample.format_report(rep))
     return 0 if rep.passed else 1
@@ -352,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-hat", dest="alpha_hat", type=float, default=None)
     p.add_argument("--C", type=float, default=None, help="practical-stability state bound")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--policy", choices=sorted(POLICIES), default="greedy")
+    p.add_argument("--policy", choices=("greedy", "random", "round-robin"), default="greedy")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--w-bar", dest="w_bar", type=float, default=None,
                    help="per-step disturbance bound (practical mode); defaults to the "

@@ -20,6 +20,10 @@ class ParameterError(ValueError):
     """A scalar or structured parameter violates its documented range."""
 
 
+class DocumentError(ValueError):
+    """A document failed to parse or validate; the message names the field."""
+
+
 def check_nonnegative(value, name: str) -> float:
     """``value`` as a float; a NaN, infinite or negative value raises ``ParameterError``."""
     value = float(value)

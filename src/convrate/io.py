@@ -33,15 +33,12 @@ import json
 from itertools import takewhile
 from pathlib import Path
 
+from .errors import DocumentError
 from .model import AbstractionParams, SystemModel
 
 
 #: Rows rendered per block of a CSV table.
 CSV_BLOCK_ROWS = 1 << 12
-
-
-class DocumentError(ValueError):
-    """A document failed to parse or validate; the message names the field."""
 
 
 def _require(condition: bool, message: str) -> None:

@@ -196,6 +196,21 @@ def _rows(params: AbstractionParams, modes, gains, value: float, product: float)
     return vbar, kappa
 
 
+def _series(params: AbstractionParams, seq: Sequence[int], gains: np.ndarray,
+            row: tuple[float, float], offset: int = 0):
+    """``(vbar, kappa)`` lists of :func:`_rows` from ``row`` on, over the modes
+    ``seq[offset:offset + len(gains)]``, one ``CSV_BLOCK_ROWS`` block of rows at a time,
+    carrying one row from block to block as :class:`TraceStream` does."""
+    start = 0
+    while row is not None:
+        stop = min(start + CSV_BLOCK_ROWS, len(gains))
+        vbar, kappa = _rows(params, seq[offset + start:offset + stop],
+                            gains[start:stop].tolist(), *row)
+        row = (vbar.pop(), kappa.pop()) if len(vbar) > CSV_BLOCK_ROWS else None
+        yield vbar, kappa
+        start = stop
+
+
 def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
                          x0_norm: float, w_bar=None,
                          horizon: int | None = None) -> np.ndarray:
@@ -207,15 +222,21 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
     """
     horizon = _horizon(seq, horizon)
     x0_norm = check_nonnegative(x0_norm, "x0_norm")
-    gains = w_bar_series(0.0 if w_bar is None else w_bar, horizon).tolist()
-    return np.array(_rows(params, seq[:horizon], gains, params.alpha * x0_norm, 1.0)[0])
+    gains = w_bar_series(0.0 if w_bar is None else w_bar, horizon)
+    vbar, rows = np.empty(horizon + 1), 0
+    for values, _ in _series(params, seq, gains, (params.alpha * x0_norm, 1.0)):
+        vbar[rows:rows + len(values)] = values
+        rows += len(values)
+    return vbar[:rows]
 
 
 def kappa(params: AbstractionParams, seq: Sequence[int], a: int, b: int) -> float:
     """Rate product ``kappa_{a,b} = prod_{i=a}^{b-1} rho[sigma_i]``; 1 when a == b."""
     if not 0 <= a <= b <= len(seq):
         raise ParameterError(f"need 0 <= a <= b <= {len(seq)}, got a={a}, b={b}")
-    return _rows(params, seq[a:b], [0.0] * (b - a), 0.0, 1.0)[1][-1]
+    for _, products in _series(params, seq, np.broadcast_to(0.0, b - a), (0.0, 1.0), a):
+        product = products[-1]
+    return product
 
 
 def _state_norm(x0: np.ndarray) -> float:

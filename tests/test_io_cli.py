@@ -440,6 +440,19 @@ class TestSimulateStreaming:
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("w_text, message", [
+        ("seed:-4", "--w: the seed of seed:<s> must be an integer >= 0, got 'seed:-4'"),
+        ("seed:abc", "--w: the seed of seed:<s> must be an integer >= 0, got 'seed:abc'"),
+        ("const:abc", "--w: the magnitude of const:<v> must be a number, got 'const:abc'"),
+        ("const:-1", "--w const: magnitude must be >= 0"),
+    ])
+    def test_malformed_disturbance_names_the_flag(self, w_text, message, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(STREAMING_DOCUMENTS["n1"]))
+        code = run(["simulate", str(path), "--sigma", "0,1,0", "--w", w_text])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_seed_without_bound_writes_no_row(self, scalar_path, capsys):
         code = run(["simulate", scalar_path, "--sigma", "0,1,0", "--w", "seed:1"])
         assert code == 2
@@ -541,6 +554,22 @@ class TestJsrCommand:
             "or raise the cap to proceed)\n")
 
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_a_usage_error(self, scalar_path, cap, capsys):
+        code = run(["jsr", scalar_path, "--m", "1", "--K", "2", "--length", "3",
+                    "--max-length", cap])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --max-length must be >= 1, got {cap}\n")
+
+    def test_refusal_under_a_raised_cap(self, scalar_path, capsys):
+        code = run(["jsr", scalar_path, "--m", "1", "--K", "2", "--length", "3",
+                    "--max-length", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: length 3 exceeds the enumeration cap 1; this would visit 5 sequences "
+            "(reduce the length, or raise the cap to proceed)\n")
+
+
 class TestScheduleCommand:
     def test_generous_budget_skips_without_alarm(self, scalar_path, tmp_path):
         out_path = tmp_path / "sched.csv"
@@ -577,6 +606,12 @@ class TestScheduleCommand:
         code = run(["schedule", scalar_path, "--C", "5.0", "--steps", "5"])
         assert code == 2
         assert "--v0" in capsys.readouterr().err
+
+    def test_negative_seed_names_the_flag(self, scalar_path, capsys):
+        code = run(["schedule", scalar_path, "--C", "5.0", "--v0", "1.0", "--steps", "5",
+                    "--policy", "random", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
     def test_import_leaves_process_pool_unloaded(self):
         # nothing in convrate starts worker processes

@@ -1,0 +1,135 @@
+"""Load on demand: the package and the CLI import a module only when it is used.
+
+``import convrate`` loads no numpy; help texts and argparse usage errors
+exit before numpy loads; each command imports only the modules it runs.
+Module sets are read from ``sys.modules`` in a fresh interpreter.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import convrate
+from convrate import cli, scheduler
+
+SRC = str(Path(convrate.__file__).resolve().parents[1])
+
+#: The public names of the package, by the module that defines them.
+EXPORTS = {
+    "builders": ("build_robustness_abstraction", "contractive_transform", "gamma_bounds",
+                 "lyapunov_abstraction", "robustness_abstraction"),
+    "errors": ("DimensionError", "NoStableSolutionError", "NotPositiveDefiniteError",
+               "NumericError", "ParameterError", "ResourceCapError",
+               "UnsupportedConfigurationError"),
+    "linalg": ("cholesky", "eigenvalues", "solve_discrete_lyapunov", "spectral_norm",
+               "spectral_radius"),
+    "mk": ("MkConstraint", "StabilityVerdict", "best_mk_for_ratio", "mk_alpha_tilde",
+           "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio", "safe_initial_radius",
+           "skip_count_bound"),
+    "model": ("AbstractionParams", "SystemModel"),
+    "nominal": ("NominalCertificate", "RhoValidation", "build_nominal_abstraction",
+                "nominal_certificate", "sweep_rho", "validate_rho"),
+    "scheduler": ("ExponentialTarget", "PracticalTarget", "SchedulerState", "admissible_modes",
+                  "exponential_state", "greedy_policy", "kappa_hat_step", "practical_state",
+                  "practical_step", "random_policy", "round_robin_policy", "run_schedule",
+                  "supervisor_check"),
+    "sequences": ("JsrResult", "averaged_spectral_radius", "count_mk_sequences",
+                  "enumerate_mk_sequences", "random_mk_sequence", "transition_product",
+                  "validate_mk", "worst_case_sequence"),
+    "simulate": ("GuaranteeReport", "Trace", "check_guarantee", "co_simulate", "cost_bound",
+                 "cost_transform", "kappa", "simulate_abstraction", "simulate_plant",
+                 "trace_csv_lines"),
+}
+
+SUBCOMMANDS = ("analyze", "mk-check", "simulate", "jsr", "schedule", "repro-counterexample")
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The numpy and convrate modules loaded after running ``code`` in a fresh interpreter."""
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'convrate')))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                            capture_output=True, text=True, check=True)
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def cli_modules(*argv: str) -> set[str]:
+    """Modules loaded by ``python -m convrate argv``, whatever its exit code."""
+    return loaded_modules(
+        "import runpy, sys\n"
+        f"sys.argv = ['convrate', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('convrate', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass")
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [("--help",), *((sub, "--help") for sub in SUBCOMMANDS),
+                                      ("jsr", "system.json", "--m", "one", "--K", "2")])
+    def test_help_and_usage_errors_load_no_numpy(self, argv):
+        assert cli_modules(*argv) == {"convrate", "convrate.cli", "convrate.errors"}
+
+    def test_jsr_loads_no_scheduler_or_simulation(self, tmp_path):
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
+                                                           {"id": 1, "A": [[1.2]]}]}))
+        loaded = cli_modules("jsr", str(path), "--m", "1", "--K", "2", "--length", "6")
+        assert {"numpy", "convrate.sequences"} <= loaded
+        assert not loaded & {"convrate.scheduler", "convrate.simulate"}
+
+    def test_analyze_loads_no_sequences_scheduler_or_simulation(self, tmp_path):
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
+                                                           {"id": 1, "A": [[1.2]]}]}))
+        loaded = cli_modules("analyze", str(path), "--method", "robust", "--rho", "0.6")
+        assert {"numpy", "convrate.builders"} <= loaded
+        assert not loaded & {"convrate.sequences", "convrate.scheduler", "convrate.simulate"}
+
+    def test_policy_choices_are_the_schedulers_policies(self):
+        schedule = cli.build_parser()._subparsers._group_actions[0].choices["schedule"]
+        policy = next(action for action in schedule._actions if action.dest == "policy")
+        assert list(policy.choices) == sorted(scheduler.POLICIES)
+
+
+class TestPackageNamespace:
+    def test_import_loads_no_numpy(self):
+        assert loaded_modules("import convrate") == {"convrate"}
+
+    def test_all_lists_the_public_names(self):
+        names = sorted(name for names in EXPORTS.values() for name in names)
+        assert convrate.__all__ == names
+        assert set(names) <= set(dir(convrate))
+        assert convrate.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("module, name",
+                             [(module, name) for module, names in EXPORTS.items()
+                              for name in names])
+    def test_name_is_its_modules_attribute(self, module, name):
+        defining = importlib.import_module(f"convrate.{module}")
+        assert getattr(convrate, name) is getattr(defining, name)
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from convrate import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == convrate.__all__
+
+    def test_a_name_loads_only_its_module_chain(self):
+        loaded = loaded_modules("from convrate import MkConstraint")
+        assert "convrate.mk" in loaded
+        assert not loaded & {"convrate.sequences", "convrate.scheduler", "convrate.simulate"}
+
+    def test_submodule_attribute_imports_it(self):
+        assert loaded_modules("import convrate\nconvrate.io.load_system") >= {"convrate.io"}
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            convrate.no_such_name  # noqa: B018
+        assert not hasattr(convrate, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from convrate import no_such_name", {})

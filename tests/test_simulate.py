@@ -128,6 +128,41 @@ class TestSimulateAbstraction:
         assert len(series) < 41
         assert series[-1] <= 1e300
 
+    @pytest.mark.parametrize("steps", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS,
+                                       3 * CSV_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("rates", [{0: 0.9, 1: 1.1}, {0: 0.999, 1: 1.25}])
+    def test_blocks_equal_the_loop(self, steps, rates):
+        # series shorter than, equal to and longer than one block; the second
+        # rate map overflows vbar in the third block
+        params = AbstractionParams(alpha=1.5, beta=2.0, rho=rates)
+        rng = np.random.default_rng(steps)
+        seq = tuple(int(s) for s in rng.integers(0, 2, steps))
+        w_bar = rng.random(steps)
+        for gains in (w_bar, 0.25):
+            expected = references.abstraction_series(params, seq, 0.5,
+                                                      np.broadcast_to(gains, steps))
+            series = simulate_abstraction(params, seq, 0.5, w_bar=gains)
+            assert series.tobytes() == expected.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self):
+        # the result holds 8 bytes a step; whole-horizon Python float lists
+        # (the gains, vbar, kappa) would hold 24 bytes a step or more each
+        import tracemalloc
+
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.2})
+        peaks = []
+        for steps in (20_000, 80_000):
+            seq, w_bar = (0, 1) * (steps // 2), np.full(steps, 0.1)
+            tracemalloc.start()
+            try:
+                series = simulate_abstraction(params, seq, 1.0, w_bar=w_bar)
+                assert kappa(params, seq, 0, steps) == 0.6 ** (steps // 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(series) == steps + 1
+        assert peaks[1] - peaks[0] < 16 * (80_000 - 20_000)
+
 
 class TestCheckGuarantee:
     def test_nominal_holds_with_unit_ratio(self):
@@ -227,6 +262,17 @@ class TestKappa:
         series = simulate_abstraction(PARAMS, seq, 1.0)
         for b in range(0, 21, 5):
             assert series[b] == pytest.approx(kappa(PARAMS, seq, 0, b) * series[0], rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(0, 3 * CSV_BLOCK_ROWS + 7), (5, 2 * CSV_BLOCK_ROWS + 5),
+                                      (CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1)])
+    def test_blocks_equal_cumprod(self, a, b):
+        rng = np.random.default_rng(b)
+        rates = {0: 0.97, 1: 1.03}
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho=rates)
+        seq = tuple(int(s) for s in rng.integers(0, 2, 3 * CSV_BLOCK_ROWS + 7))
+        products = np.cumprod([1.0] + [rates[mode] for mode in seq[a:b]])
+        assert kappa(params, seq, a, b) == products[-1]
+        assert kappa(params, seq, a, b - 1) == products[-2]
 
     @pytest.mark.parametrize("rates", [{0: 0.5, 1: 1.2}, {0: 0.3, 1: 1e30}])
     def test_trace_column_equals_the_loop(self, rates):
