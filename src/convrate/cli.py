@@ -7,7 +7,8 @@ to CSV), ``jsr`` (brute-force averaged spectral radius), ``schedule``
 built-in demo system's characteristic values).
 
 Exit codes: 0 success / property proven; 1 not proven, guarantee violated,
-alarm fired, or analysis infeasible; 2 usage, parse, or parameter errors.
+alarm fired, or analysis infeasible; 2 usage, parse, or parameter errors, or
+a path that cannot be read or written.
 
 Each command imports the modules it runs, inside its function, so help
 texts and usage errors, which argparse handles before any command runs,
@@ -82,7 +83,10 @@ def _parse_x0(text: str, system):
     if text.startswith("dominant:"):
         from .sequences import transition_product
 
-        modes = tuple(int(tok) for tok in text[len("dominant:"):].split(","))
+        try:
+            modes = tuple(int(tok) for tok in text[len("dominant:"):].split(","))
+        except ValueError:
+            raise DocumentError(f"--x0: could not parse mode list {text!r}") from None
         product = transition_product(system, modes)
         values, vectors = np.linalg.eig(product)
         top = int(np.argmax(np.abs(values)))
@@ -286,7 +290,7 @@ def cmd_jsr(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .io import load_system
-    from .scheduler import POLICIES, ExponentialTarget, PracticalTarget, run_schedule
+    from .scheduler import POLICIES, ExponentialTarget, PracticalTarget, ScheduleStream
 
     if args.seed is not None and args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
@@ -304,12 +308,12 @@ def cmd_schedule(args) -> int:
     w_bar = args.w_bar
     if w_bar is None:
         w_bar = system.disturbance_bound if isinstance(target, PracticalTarget) else 0.0
-    run = run_schedule(params, target, args.steps, policy=policy, w_bar=w_bar,
-                       v0=args.v0, seed=args.seed)
-    _write_csv(run.csv_blocks(), args.out)
-    if run.alarm_fired:
-        k = next(k for k, alarm in enumerate(run.alarms) if alarm)
-        print(f"alarm at k={k}: {run.alarms[k]}", file=sys.stderr)
+    stream = ScheduleStream(params, target, args.steps, policy=policy, w_bar=w_bar,
+                            v0=args.v0, seed=args.seed)
+    _write_csv(stream.csv_blocks(), args.out)
+    if stream.alarm is not None:
+        k, alarm = stream.alarm
+        print(f"alarm at k={k}: {alarm}", file=sys.stderr)
         return 1
     return 0
 
@@ -422,11 +426,18 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, LookupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        if exc.filename is None:  # not about a path, e.g. a closed pipe
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

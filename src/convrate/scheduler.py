@@ -6,7 +6,7 @@ is maintained in log domain so that long runs can neither overflow nor
 underflow. One rule gates both targets: a mode is admissible iff the value
 its step stores stays within budget, ``log kappa_hat <= log alpha_hat``
 (exponential mode) or ``vbar <= C`` (practical mode). The public step
-functions and :func:`run_schedule` apply it through one kernel: the limit
+functions and :class:`ScheduleStream` apply it through one kernel: the limit
 and per-mode coefficients (``_rule``), the value after each mode with the
 admissible bitmask (``_admit``), the alarm (``_alarm``) and the chosen
 mode's stored value (``_pick``). The supervisor reports an alarm whenever no
@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParameterError, check_nonnegative
-from .io import csv_blocks
+from .io import CSV_BLOCK_ROWS, csv_blocks
 from .model import AbstractionParams
 from .simulate import w_bar_series
 
@@ -368,23 +368,93 @@ class ScheduleRun:
         return list(map(StepRecord, range(len(self.stored)), self.choices, self.admissible,
                         kappa_hat, v_bar, self.alarms))
 
+
+class ScheduleStream:
+    """A scheduling run that renders its decision CSV while the gate decides.
+
+    The one gate loop, which :func:`run_schedule` collects into a
+    :class:`ScheduleRun`. The gate runs one ``CSV_BLOCK_ROWS`` block of steps
+    at a time, carrying the gated quantity, the admissible sets seen so far,
+    the policy and its generator; the practical gains of a block are built
+    from the ``w_bar`` view as the block runs. Every argument is checked on
+    construction, so a refusal comes before any row. ``alarm`` is the first
+    alarm streamed so far, as ``(k, text)``, or None.
+    """
+
+    def __init__(self, params: AbstractionParams,
+                 target: ExponentialTarget | PracticalTarget,
+                 steps: int,
+                 policy: Policy | None = None,
+                 w_bar: Sequence[float] | float | None = None,
+                 v0: float | None = None,
+                 seed: int | None = None):
+        if steps < 0:
+            raise ParameterError(f"steps must be >= 0, got {steps}")
+        self.practical = isinstance(target, PracticalTarget)
+        if self.practical:
+            if v0 is None:
+                raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
+            self._now = check_nonnegative(v0, "v0")
+            self._w_bar = w_bar_series(0.0 if w_bar is None else w_bar, steps)
+        else:
+            self._now, self._w_bar = 0.0, None
+        self._steps, self._params = steps, params
+        self._limit, self._coefficients = _rule(params, target)
+        self._order, self._texts = _order(params), _alarms(target)
+        self._sets: dict[int, frozenset[int]] = {}
+        self._policy = policy or greedy_policy()
+        self._rng = np.random.default_rng(seed)
+        self.alarm: tuple[int, str] | None = None
+
+    def _block(self, start: int):
+        """``(choices, admissible, stored, alarms)`` of the block of steps from ``start``.
+
+        Blocks are taken in order, each once. Each step applies the gate
+        kernel to plain floats.
+        """
+        stop = min(start + CSV_BLOCK_ROWS, self._steps)
+        if self._w_bar is None:
+            gains = [None] * (stop - start)
+        else:
+            beta = self._params.beta
+            gains = [beta * w for w in self._w_bar[start:stop].tolist()]
+        now, limit, coefficients = self._now, self._limit, self._coefficients
+        params, order, texts, sets = self._params, self._order, self._texts, self._sets
+        policy, rng, fired = self._policy, self._rng, self.alarm is not None
+        choices, admissible_sets, stored, alarms = [], [], [], []
+        for k, gain in enumerate(gains, start):
+            after, mask = _admit(now, coefficients, gain, limit)
+            admissible = sets.get(mask)
+            if admissible is None:
+                admissible = sets[mask] = _modes(order, mask)
+            alarm = _alarm(texts, now, limit, mask)
+            if alarm is not None and not fired:
+                fired, self.alarm = True, (k, alarm)
+            chosen = 0 if fired else policy(k, admissible, rng)
+            now = _pick(after, order, params, chosen)
+            choices.append(chosen)
+            admissible_sets.append(admissible)
+            stored.append(now)
+            alarms.append(alarm)
+        self._now = now
+        return choices, admissible_sets, stored, alarms
+
+    def _columns(self, start: int, stop: int):
+        choices, admissible, stored, alarms = self._block(start)
+        labels = {modes: _label(modes) for modes in set(admissible)}
+        if self.practical:
+            kappa_hat, v_bar = [""] * len(stored), list(map(repr, stored))
+        else:  # a greedy run revisits a few counter values: format each once
+            cells = {log: repr(_kappa_hat(log)) for log in set(stored)}
+            kappa_hat, v_bar = list(map(cells.__getitem__, stored)), [""] * len(stored)
+        return (map(str, range(start, stop)), map(str, choices),
+                map(labels.__getitem__, admissible), kappa_hat, v_bar,
+                [alarm or "" for alarm in alarms])
+
     def csv_blocks(self):
-        """The lines of ``schedule_csv_lines(self.records)`` in blocks of rows
-        (see ``io.csv_blocks``), rendered from the columns."""
-        labels = {admissible: _label(admissible) for admissible in set(self.admissible)}
-
-        def columns(start: int, stop: int):
-            stored = self.stored[start:stop]
-            if self.practical:
-                kappa_hat, v_bar = [""] * len(stored), list(map(repr, stored))
-            else:  # a greedy run revisits a few counter values: format each once
-                cells = {log: repr(_kappa_hat(log)) for log in set(stored)}
-                kappa_hat, v_bar = list(map(cells.__getitem__, stored)), [""] * len(stored)
-            return (map(str, range(start, stop)), map(str, self.choices[start:stop]),
-                    map(labels.__getitem__, self.admissible[start:stop]), kappa_hat, v_bar,
-                    [alarm or "" for alarm in self.alarms[start:stop]])
-
-        return csv_blocks(SCHEDULE_COLUMNS, len(self.stored), columns)
+        """The lines of ``schedule_csv_lines(run_schedule(...).records)``, header first, one
+        list per block of rows (see ``io.csv_blocks``); run this once."""
+        return csv_blocks(SCHEDULE_COLUMNS, self._steps, self._columns)
 
 
 def run_schedule(params: AbstractionParams,
@@ -401,43 +471,17 @@ def run_schedule(params: AbstractionParams,
     returns its own modes. The gate never reads the plant: to compare plant
     states with the certified envelope, run
     ``simulate_plant(system, run.chosen, x0)``. ``w_bar`` (one bound, or
-    one per step) is read by a practical target only. Each step applies
-    the gate kernel to plain floats and appends to the run's columns.
+    one per step) is read by a practical target only. The columns are those
+    of a :class:`ScheduleStream` over the same arguments, collected block
+    by block.
     """
-    if steps < 0:
-        raise ParameterError(f"steps must be >= 0, got {steps}")
-    practical = isinstance(target, PracticalTarget)
-    if practical:
-        if v0 is None:
-            raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
-        now = check_nonnegative(v0, "v0")
-        w_bar = w_bar_series(0.0 if w_bar is None else w_bar, steps).tolist()
-        gains = [params.beta * w for w in w_bar]
-    else:
-        now, gains = 0.0, [None] * steps
-    limit, coefficients = _rule(params, target)
-    order, texts = _order(params), _alarms(target)
-    sets: dict[int, frozenset[int]] = {}
-    policy = policy or greedy_policy()
-    rng = np.random.default_rng(seed)
-    run = ScheduleRun([], [], [], [], practical, False)
-    append_choice, append_admissible = run.choices.append, run.admissible.append
-    append_stored, append_alarm = run.stored.append, run.alarms.append
-    fired = False
-    for k, gain in enumerate(gains):
-        after, mask = _admit(now, coefficients, gain, limit)
-        admissible = sets.get(mask)
-        if admissible is None:
-            admissible = sets[mask] = _modes(order, mask)
-        alarm = _alarm(texts, now, limit, mask)
-        fired = fired or alarm is not None
-        chosen = 0 if fired else policy(k, admissible, rng)
-        now = _pick(after, order, params, chosen)
-        append_choice(chosen)
-        append_admissible(admissible)
-        append_stored(now)
-        append_alarm(alarm)
-    run.alarm_fired = fired
+    stream = ScheduleStream(params, target, steps, policy, w_bar, v0, seed)
+    run = ScheduleRun([], [], [], [], stream.practical, False)
+    for start in range(0, steps, CSV_BLOCK_ROWS):
+        for column, values in zip((run.choices, run.admissible, run.stored, run.alarms),
+                                  stream._block(start)):
+            column += values
+    run.alarm_fired = stream.alarm is not None
     return run
 
 

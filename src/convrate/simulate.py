@@ -173,8 +173,9 @@ def w_bar_series(w_bar, steps: int) -> np.ndarray:
     if len(values) < steps:
         raise ParameterError(f"w_bar must provide {steps} entries, got {len(values)}")
     values = values[:steps]
-    bad = np.flatnonzero(~(values >= 0.0) | ~np.isfinite(values))
-    if len(bad):
+    # min and max allocate nothing per step; a refusal then looks up the first bad entry
+    if len(values) and not (values.min() >= 0.0 and math.isfinite(values.max())):
+        bad = np.flatnonzero(~(values >= 0.0) | ~np.isfinite(values))
         check_nonnegative(values[bad[0]], "w_bar")
     return values
 
@@ -348,19 +349,14 @@ def _trace_cells(start: int, sigma, w_norm, x_norm, vbar, kappa, cost):
     )
 
 
-def trace_csv_blocks(trace: Trace):
-    """Trace CSV lines, header first, one list per block of rows (see ``io.csv_blocks``)."""
+def trace_csv_lines(trace: Trace) -> list[str]:
+    """Render a trace as CSV lines under the fixed column contract."""
     def columns(start: int, stop: int):
         series = (trace.w_norm, trace.x_norm, trace.vbar, trace.kappa, trace.cost_bound)
         return _trace_cells(start, trace.sigma[start:stop],
                             *(None if s is None else s[start:stop] for s in series))
 
-    return csv_blocks(TRACE_COLUMNS, len(trace), columns)
-
-
-def trace_csv_lines(trace: Trace) -> list[str]:
-    """Render a trace as CSV lines under the fixed column contract."""
-    return [line for block in trace_csv_blocks(trace) for line in block]
+    return [line for block in csv_blocks(TRACE_COLUMNS, len(trace), columns) for line in block]
 
 
 class TraceStream:

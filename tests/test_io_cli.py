@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -5,11 +6,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import references
+from conftest import two_mode_system
 from convrate import (
     AbstractionParams,
     MkConstraint,
@@ -298,6 +301,47 @@ class TestSimulateCommand:
             assert len(printed.out.splitlines()) == lines
             assert written.out == "" and written.err == printed.err
 
+    def test_undeclared_mode_prints_the_key_error_message(self, scalar_path, capsys):
+        code = run(["simulate", scalar_path, "--sigma", "0,2,0"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: mode 2 is not declared by this system\n")
+
+    @pytest.mark.parametrize("x0", ["dominant:a", "dominant:", "dominant:0,,1"])
+    def test_malformed_dominant_window_names_the_flag(self, scalar_path, x0, capsys):
+        code = run(["simulate", scalar_path, "--sigma", "0,1,0", "--x0", x0])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --x0: could not parse mode list {x0!r}\n")
+
+
+class TestPathErrors:
+    """A path that cannot be read or written is an error line naming it, exit 2."""
+
+    @pytest.mark.parametrize("argv, named, errno_code", [
+        (["jsr", "{missing}", "--m", "1", "--K", "3"], "{missing}", errno.ENOENT),
+        (["mk-check", "{dir}", "--m", "1", "--K", "3"], "{dir}", errno.EISDIR),
+        (["simulate", "{system}", "--sigma", "{dir}"], "{dir}", errno.EISDIR),
+        (["analyze", "{system}", "--Q", "{dir}"], "{dir}", errno.EISDIR),
+        (["simulate", "{system}", "--sigma", "0,1", "--out", "{missing}/trace.csv"],
+         "{missing}/trace.csv", errno.ENOENT),
+        (["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--out",
+          "{missing}/decisions.csv"], "{missing}/decisions.csv", errno.ENOENT),
+        (["analyze", "{system}", "--out", "{missing}/params.json"], "{missing}/params.json",
+         errno.ENOENT),
+    ], ids=["missing system", "directory system", "directory --sigma", "directory --Q",
+            "simulate --out", "schedule --out", "analyze --out"])
+    def test_unusable_path_is_exit_2(self, argv, named, errno_code, scalar_path, tmp_path,
+                                     capsys):
+        paths = {"system": scalar_path, "dir": str(tmp_path), "missing": str(tmp_path / "no")}
+        code = run([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {named.format(**paths)}: {os.strerror(errno_code)}\n"
+
+    def test_error_without_a_path_propagates(self, scalar_path):
+        with mock.patch.object(cli, "cmd_jsr", side_effect=BrokenPipeError(errno.EPIPE, "pipe")):
+            with pytest.raises(BrokenPipeError):
+                run(["jsr", scalar_path, "--m", "1", "--K", "3"])
+
 
 def _streaming_documents() -> dict[str, dict]:
     """n = 1, 3 (with a cost weight) and 32, each with a disturbance bound."""
@@ -496,6 +540,34 @@ class TestSimulateStreaming:
             assert code == 0
             assert (tmp_path / "trace.csv").read_text().count("\n") == steps + 2
         assert peaks[1] - peaks[0] < 16 * (80_000 - 20_000)
+
+
+class TestScheduleStreaming:
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # a whole-horizon column (choices, admissible sets, stored values, alarms or
+        # the w_bar gains) would add 8 bytes or more a step; the stream holds one block
+        import tracemalloc
+
+        path = tmp_path / "gate4.json"
+        save_system(two_mode_system(np.random.default_rng(4), n=4), path)
+        out = tmp_path / "decisions.csv"
+        common = ["schedule", str(path), "--method", "robust", "--rho", "0.9", "--out", str(out)]
+        greedy = [*common, "--rho-hat", "0.95", "--alpha-hat", "10"]
+        practical = [*common, "--C", "20.0", "--v0", "1.0", "--w-bar", "0.1",
+                     "--policy", "random", "--seed", "7"]
+        assert run([*greedy, "--steps", "100"]) == 0  # warm-up: imports and first-call caches
+        for command in (greedy, practical):
+            peaks = []
+            for steps in (20_000, 200_000):
+                tracemalloc.start()
+                try:
+                    code = run([*command, "--steps", str(steps)])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+                assert out.read_text().count("\n") == steps + 1
+            assert peaks[1] - peaks[0] < 200_000 - 20_000
 
 
 class TestJsrCommand:

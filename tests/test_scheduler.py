@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references
@@ -33,7 +33,7 @@ from convrate import (
 from convrate import scheduler
 from convrate.cli import run as cli_run
 from convrate.io import CSV_BLOCK_ROWS, save_system, write_csv
-from convrate.scheduler import POLICIES, StepRecord, schedule_csv_lines
+from convrate.scheduler import POLICIES, ScheduleStream, StepRecord, schedule_csv_lines
 from conftest import two_mode_system
 
 PARAMS = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.2})
@@ -376,8 +376,14 @@ def wide_gate_cases(draw):
     return params, PracticalTarget(bound), steps, policy, seed, w_bar, v0
 
 
-def run_lines(run) -> list[str]:
-    return [line for block in run.csv_blocks() for line in block]
+def run_lines(params, target, steps, **kwargs) -> tuple[list[str], tuple[int, str] | None]:
+    """The decision CSV lines of a streamed run, and its first alarm."""
+    stream = ScheduleStream(params, target, steps, **kwargs)
+    return [line for block in stream.csv_blocks() for line in block], stream.alarm
+
+
+def first_alarm(run) -> tuple[int, str] | None:
+    return next(((record.k, record.alarm) for record in run.records if record.alarm), None)
 
 
 class TestColumnarRun:
@@ -394,7 +400,29 @@ class TestColumnarRun:
         assert run.records == eager
         assert run.chosen == tuple(record.chosen for record in eager)
         assert run.alarm_fired == any(record.alarm for record in eager)
-        assert run_lines(run) == references.schedule_csv_lines(eager)
+        assert run_lines(params, target, steps, policy=policy(), w_bar=w_bar, v0=v0,
+                         seed=seed) == (references.schedule_csv_lines(eager), first_alarm(run))
+
+    @given(wide_gate_cases(), st.sampled_from([CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                               CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]))
+    @example(case=(AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.8, 1: 1.44}),
+                   ExponentialTarget(0.79995, 1.5), 1, greedy_policy, 0, [0.0], None),
+             steps=2 * CSV_BLOCK_ROWS + 3)  # the counter climbs to an alarm at k = 6487
+    @settings(max_examples=30, deadline=None)
+    def test_stream_equals_collected_run_across_blocks(self, case, steps):
+        params, target, _, policy, seed, w_bar, v0 = case
+        w_bar = [w_bar[k % len(w_bar)] for k in range(steps)]
+        run = run_schedule(params, target, steps, policy=policy(), w_bar=w_bar, v0=v0,
+                           seed=seed)
+        lines, alarm = run_lines(params, target, steps, policy=policy(), w_bar=w_bar, v0=v0,
+                                 seed=seed)
+        reference = [StepRecord(*row) for row in
+                     references.schedule_rows(params, target, steps, policy(), seed, w_bar, v0)]
+        # plain booleans: pytest's diff of two block-sized tables is slow to report
+        same = run.records == reference and lines == references.schedule_csv_lines(run.records)
+        assert same
+        assert alarm == first_alarm(run)
+        assert run.alarm_fired == (alarm is not None)
 
     @pytest.mark.parametrize("rho, target, policy, w_bar, v0, alarm", [
         ({0: 2.0, 3: 2.5}, ExponentialTarget(0.9, 1.0), greedy_policy(), 0.0, None,
@@ -416,7 +444,8 @@ class TestColumnarRun:
         assert run.alarm_fired
         assert next(record.alarm for record in run.records if record.alarm) == alarm
         assert run.records == eager
-        assert run_lines(run) == references.schedule_csv_lines(eager)
+        assert run_lines(params, target, 8, policy=policy, w_bar=w_bar, v0=v0) == \
+            (references.schedule_csv_lines(eager), first_alarm(run))
 
     @pytest.mark.parametrize("target, v0", [(TARGET, None), (PracticalTarget(2.0), 1.0)])
     def test_unknown_mode_raises_the_step_key_error(self, target, v0):
@@ -434,7 +463,7 @@ class TestColumnarRun:
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 3.0})
         run = run_schedule(params, ExponentialTarget(0.01, 1.0), 200)
         assert run.records[-1].kappa_hat == math.inf
-        lines = run_lines(run)
+        lines, _ = run_lines(params, ExponentialTarget(0.01, 1.0), 200)
         assert lines == references.schedule_csv_lines(run.records)
         assert lines[-1].split(",")[3] == "inf"
 

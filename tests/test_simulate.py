@@ -28,7 +28,7 @@ from convrate import (
 )
 from convrate import counterexample
 from convrate.io import CSV_BLOCK_ROWS, write_csv
-from convrate.simulate import TRACE_COLUMNS, TraceStream, _float_cells, trace_csv_blocks
+from convrate.simulate import TRACE_COLUMNS, TraceStream, _float_cells
 from conftest import random_spd, two_mode_system, valid_rho_for
 
 SCALAR = SystemModel(modes={0: [[0.5]], 1: [[1.2]]})
@@ -361,7 +361,7 @@ class TestTraceCsv:
         trace = co_simulate(SCALAR, PARAMS, (0,), [1.0])
         target = tmp_path / "trace.csv"
         with open(target, "w") as handle:
-            write_csv(trace_csv_blocks(trace), handle)
+            write_csv([trace_csv_lines(trace)], handle)
         text = target.read_text()
         assert text.endswith("\n")
         assert text.splitlines()[0] == ",".join(TRACE_COLUMNS)
@@ -495,7 +495,7 @@ class TestCsvAgainstCellReference:
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
         stream = io.StringIO()
-        write_csv(trace_csv_blocks(trace), stream)
+        write_csv([lines], stream)
         assert stream.getvalue() == "\n".join(lines) + "\n"
 
     def test_streamed_diverged_trace(self):
@@ -506,7 +506,7 @@ class TestCsvAgainstCellReference:
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
         stream = io.StringIO()
-        write_csv(trace_csv_blocks(trace), stream)
+        write_csv([lines], stream)
         assert stream.getvalue() == "\n".join(lines) + "\n"
 
 
