@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DocumentError, ParameterError, check_nonnegative
+from .errors import DocumentError, ParameterError
 
 
 def _parse_matrix_arg(value: str, flag: str):
@@ -186,6 +186,8 @@ def cmd_analyze(args) -> int:
 
     system = load_system(args.system)
     params = _build_params(system, args)
+    if args.out:  # a path that cannot be written fails before any line is printed
+        Path(args.out).write_text(json.dumps(params_to_document(params), indent=2) + "\n")
     print(f"method: {params.method}")
     print(f"alpha: {params.alpha!r}")
     print(f"beta: {params.beta!r}")
@@ -197,8 +199,6 @@ def cmd_analyze(args) -> int:
             print(f"diagnostics.{key}: {value}")
     for warning in params.diagnostics.get("warnings", []):
         print(f"warning: {warning}", file=sys.stderr)
-    if args.out:
-        Path(args.out).write_text(json.dumps(params_to_document(params), indent=2) + "\n")
     return 0
 
 
@@ -244,7 +244,6 @@ def cmd_simulate(args) -> int:
     from .io import load_system
     from .simulate import TraceStream
 
-    rel_tol = check_nonnegative(args.rel_tol, "rel_tol")  # refuse before any CSV row is written
     system = load_system(args.system)
     params = _build_params(system, args)
     seq = _parse_sigma(args.sigma, args.steps)
@@ -253,7 +252,7 @@ def cmd_simulate(args) -> int:
         raise ParameterError(f"--steps {steps} exceeds the sigma sequence length {len(seq)}")
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
     w_blocks, w_bar = _make_disturbances(args.w, steps, system)
-    trace = TraceStream(system, params, seq, x0, w_blocks, w_bar, steps, rel_tol)
+    trace = TraceStream(system, params, seq, x0, w_blocks, w_bar, steps, args.rel_tol)
     _write_csv(trace.csv_blocks(), args.out)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
@@ -441,4 +440,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, inside the try, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. ``| head``). Python flushes stdout again
+        # at exit, so point it at devnull first: no traceback, no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -23,14 +23,14 @@ and square lists of numbers. :class:`SystemModel` checks the meaning (mode
 0 present, one matrix size, the ranges of the bound and the cost weight),
 and its errors come back as :class:`DocumentError` too.
 
-Both CSV tables (trace and decisions) are rendered here too, column by
-column in blocks of rows, so a writer streams them one block at a time.
+Both CSV tables (trace and decisions) are rendered here too:
+:func:`csv_blocks` joins the cells of each block of rows it is given, column
+by column, so a writer streams a table one block at a time.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import takewhile
 from pathlib import Path
 
 from .errors import DocumentError
@@ -145,18 +145,16 @@ def params_to_document(params: AbstractionParams) -> dict:
     return doc
 
 
-def csv_blocks(header, rows: int, columns):
+def csv_blocks(header, blocks):
     """CSV lines of a table, header first, one list per block of rows.
 
-    ``columns(start, stop)`` returns the cells of rows ``start .. stop-1``
-    column by column. A table that ends early returns fewer rows, then
-    none: ``rows`` is then an upper bound. A writer that consumes the
-    blocks one at a time holds at most ``CSV_BLOCK_ROWS`` rows of text.
+    Each block of ``blocks`` holds the cells of its rows column by column.
+    A writer that consumes the lines one block at a time, as the blocks are
+    made, holds at most ``CSV_BLOCK_ROWS`` rows of text.
     """
     yield [",".join(header)]
-    blocks = (list(map(",".join, zip(*columns(start, min(start + CSV_BLOCK_ROWS, rows)))))
-              for start in range(0, rows, CSV_BLOCK_ROWS))
-    yield from takewhile(len, blocks)
+    for columns in blocks:
+        yield list(map(",".join, zip(*columns)))
 
 
 def write_csv(blocks, fileobj) -> None:

@@ -373,12 +373,13 @@ class ScheduleStream:
     """A scheduling run that renders its decision CSV while the gate decides.
 
     The one gate loop, which :func:`run_schedule` collects into a
-    :class:`ScheduleRun`. The gate runs one ``CSV_BLOCK_ROWS`` block of steps
-    at a time, carrying the gated quantity, the admissible sets seen so far,
-    the policy and its generator; the practical gains of a block are built
-    from the ``w_bar`` view as the block runs. Every argument is checked on
-    construction, so a refusal comes before any row. ``alarm`` is the first
-    alarm streamed so far, as ``(k, text)``, or None.
+    :class:`ScheduleRun`. The gate decides one ``CSV_BLOCK_ROWS`` block of
+    steps at a time and yields its blocks, carrying the gated quantity, the
+    admissible sets seen so far, the policy and its generator; the practical
+    gains of a block are built from the ``w_bar`` view as the block runs.
+    Every argument is checked on construction, so a refusal comes before any
+    row. ``alarm`` is the first alarm streamed so far, as ``(k, text)``, or
+    None.
     """
 
     def __init__(self, params: AbstractionParams,
@@ -394,67 +395,51 @@ class ScheduleStream:
         if self.practical:
             if v0 is None:
                 raise ParameterError("practical mode needs v0 (--v0) to initialize vbar")
-            self._now = check_nonnegative(v0, "v0")
+            self._initial = check_nonnegative(v0, "v0")
             self._w_bar = w_bar_series(0.0 if w_bar is None else w_bar, steps)
         else:
-            self._now, self._w_bar = 0.0, None
+            self._initial, self._w_bar = 0.0, None
         self._steps, self._params = steps, params
         self._limit, self._coefficients = _rule(params, target)
         self._order, self._texts = _order(params), _alarms(target)
-        self._sets: dict[int, frozenset[int]] = {}
         self._policy = policy or greedy_policy()
         self._rng = np.random.default_rng(seed)
         self.alarm: tuple[int, str] | None = None
 
-    def _block(self, start: int):
-        """``(choices, admissible, stored, alarms)`` of the block of steps from ``start``.
-
-        Blocks are taken in order, each once. Each step applies the gate
-        kernel to plain floats.
-        """
-        stop = min(start + CSV_BLOCK_ROWS, self._steps)
-        if self._w_bar is None:
-            gains = [None] * (stop - start)
-        else:
-            beta = self._params.beta
-            gains = [beta * w for w in self._w_bar[start:stop].tolist()]
-        now, limit, coefficients = self._now, self._limit, self._coefficients
-        params, order, texts, sets = self._params, self._order, self._texts, self._sets
-        policy, rng, fired = self._policy, self._rng, self.alarm is not None
-        choices, admissible_sets, stored, alarms = [], [], [], []
-        for k, gain in enumerate(gains, start):
-            after, mask = _admit(now, coefficients, gain, limit)
-            admissible = sets.get(mask)
-            if admissible is None:
-                admissible = sets[mask] = _modes(order, mask)
-            alarm = _alarm(texts, now, limit, mask)
-            if alarm is not None and not fired:
-                fired, self.alarm = True, (k, alarm)
-            chosen = 0 if fired else policy(k, admissible, rng)
-            now = _pick(after, order, params, chosen)
-            choices.append(chosen)
-            admissible_sets.append(admissible)
-            stored.append(now)
-            alarms.append(alarm)
-        self._now = now
-        return choices, admissible_sets, stored, alarms
-
-    def _columns(self, start: int, stop: int):
-        choices, admissible, stored, alarms = self._block(start)
-        labels = {modes: _label(modes) for modes in set(admissible)}
-        if self.practical:
-            kappa_hat, v_bar = [""] * len(stored), list(map(repr, stored))
-        else:  # a greedy run revisits a few counter values: format each once
-            cells = {log: repr(_kappa_hat(log)) for log in set(stored)}
-            kappa_hat, v_bar = list(map(cells.__getitem__, stored)), [""] * len(stored)
-        return (map(str, range(start, stop)), map(str, choices),
-                map(labels.__getitem__, admissible), kappa_hat, v_bar,
-                [alarm or "" for alarm in alarms])
+    def _blocks(self):
+        """``(start, choices, admissible, stored, alarms)`` of each block of steps in turn;
+        each step applies the gate kernel to plain floats."""
+        now, limit, coefficients = self._initial, self._limit, self._coefficients
+        params, order, texts, sets = self._params, self._order, self._texts, {}
+        policy, rng, fired, beta = self._policy, self._rng, False, self._params.beta
+        for start in range(0, self._steps, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, self._steps)
+            if self._w_bar is None:
+                gains = [None] * (stop - start)
+            else:
+                gains = [beta * w for w in self._w_bar[start:stop].tolist()]
+            choices, admissible_sets, stored, alarms = [], [], [], []
+            for k, gain in enumerate(gains, start):
+                after, mask = _admit(now, coefficients, gain, limit)
+                admissible = sets.get(mask)
+                if admissible is None:
+                    admissible = sets[mask] = _modes(order, mask)
+                alarm = _alarm(texts, now, limit, mask)
+                if alarm is not None and not fired:
+                    fired, self.alarm = True, (k, alarm)
+                chosen = 0 if fired else policy(k, admissible, rng)
+                now = _pick(after, order, params, chosen)
+                choices.append(chosen)
+                admissible_sets.append(admissible)
+                stored.append(now)
+                alarms.append(alarm)
+            yield start, choices, admissible_sets, stored, alarms
 
     def csv_blocks(self):
         """The lines of ``schedule_csv_lines(run_schedule(...).records)``, header first, one
         list per block of rows (see ``io.csv_blocks``); run this once."""
-        return csv_blocks(SCHEDULE_COLUMNS, self._steps, self._columns)
+        return csv_blocks(SCHEDULE_COLUMNS, (_decision_cells(self.practical, *block)
+                                             for block in self._blocks()))
 
 
 def run_schedule(params: AbstractionParams,
@@ -477,9 +462,8 @@ def run_schedule(params: AbstractionParams,
     """
     stream = ScheduleStream(params, target, steps, policy, w_bar, v0, seed)
     run = ScheduleRun([], [], [], [], stream.practical, False)
-    for start in range(0, steps, CSV_BLOCK_ROWS):
-        for column, values in zip((run.choices, run.admissible, run.stored, run.alarms),
-                                  stream._block(start)):
+    for _, *block in stream._blocks():
+        for column, values in zip((run.choices, run.admissible, run.stored, run.alarms), block):
             column += values
     run.alarm_fired = stream.alarm is not None
     return run
@@ -491,6 +475,19 @@ SCHEDULE_COLUMNS = ("k", "chosen_sigma", "admissible_set", "kappa_hat", "vbar", 
 
 def _label(admissible: frozenset[int]) -> str:
     return "|".join(map(str, sorted(admissible)))
+
+
+def _decision_cells(practical: bool, start: int, choices, admissible, stored, alarms):
+    """Cells of the decision rows ``start ..``, column by column (see ``io.csv_blocks``)."""
+    labels = {modes: _label(modes) for modes in set(admissible)}
+    if practical:
+        kappa_hat, v_bar = [""] * len(stored), list(map(repr, stored))
+    else:  # a greedy run revisits a few counter values: format each once
+        cells = {log: repr(_kappa_hat(log)) for log in set(stored)}
+        kappa_hat, v_bar = list(map(cells.__getitem__, stored)), [""] * len(stored)
+    return (map(str, range(start, start + len(stored))), map(str, choices),
+            map(labels.__getitem__, admissible), kappa_hat, v_bar,
+            [alarm or "" for alarm in alarms])
 
 
 def schedule_csv_lines(records: Sequence[StepRecord]) -> list[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -198,15 +199,14 @@ def _rows(params: AbstractionParams, modes, gains, value: float, product: float)
 
 
 def _series(params: AbstractionParams, seq: Sequence[int], gains: np.ndarray,
-            row: tuple[float, float], offset: int = 0):
+            row: tuple[float, float]):
     """``(vbar, kappa)`` lists of :func:`_rows` from ``row`` on, over the modes
-    ``seq[offset:offset + len(gains)]``, one ``CSV_BLOCK_ROWS`` block of rows at a time,
+    ``seq[:len(gains)]``, one ``CSV_BLOCK_ROWS`` block of rows at a time,
     carrying one row from block to block as :class:`TraceStream` does."""
     start = 0
     while row is not None:
         stop = min(start + CSV_BLOCK_ROWS, len(gains))
-        vbar, kappa = _rows(params, seq[offset + start:offset + stop],
-                            gains[start:stop].tolist(), *row)
+        vbar, kappa = _rows(params, seq[start:stop], gains[start:stop].tolist(), *row)
         row = (vbar.pop(), kappa.pop()) if len(vbar) > CSV_BLOCK_ROWS else None
         yield vbar, kappa
         start = stop
@@ -235,9 +235,7 @@ def kappa(params: AbstractionParams, seq: Sequence[int], a: int, b: int) -> floa
     """Rate product ``kappa_{a,b} = prod_{i=a}^{b-1} rho[sigma_i]``; 1 when a == b."""
     if not 0 <= a <= b <= len(seq):
         raise ParameterError(f"need 0 <= a <= b <= {len(seq)}, got a={a}, b={b}")
-    for _, products in _series(params, seq, np.broadcast_to(0.0, b - a), (0.0, 1.0), a):
-        product = products[-1]
-    return product
+    return math.prod(map(params.rate, islice(seq, a, b)), start=1.0)
 
 
 def _state_norm(x0: np.ndarray) -> float:
@@ -264,13 +262,11 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     blocks = (w[start:start + CSV_BLOCK_ROWS] for start in range(0, horizon, CSV_BLOCK_ROWS))
     stream = TraceStream(system, params, seq, x0, blocks, w_bar, horizon)
     x, columns = np.empty((horizon + 1, system.n)), np.empty((5, horizon + 1))
-    sigma, start = [], 0
-    while (block := stream._block(start)) is not None:
-        states, modes, *series = block
+    sigma = []
+    for start, states, modes, *series in stream._blocks():
         for column, values in zip((x, *columns), (states, *series)):
             column[start:start + len(states)] = np.nan if values is None else values
         sigma += modes
-        start += CSV_BLOCK_ROWS
     w_norm, x_norm, vbar, kappa_series, cost = columns[:, :len(stream)]
     return Trace(sigma=tuple(sigma), w_norm=w_norm, x=x[:len(stream)], x_norm=x_norm,
                  vbar=vbar, kappa=kappa_series, diverged=stream.diverged,
@@ -351,12 +347,11 @@ def _trace_cells(start: int, sigma, w_norm, x_norm, vbar, kappa, cost):
 
 def trace_csv_lines(trace: Trace) -> list[str]:
     """Render a trace as CSV lines under the fixed column contract."""
-    def columns(start: int, stop: int):
-        series = (trace.w_norm, trace.x_norm, trace.vbar, trace.kappa, trace.cost_bound)
-        return _trace_cells(start, trace.sigma[start:stop],
-                            *(None if s is None else s[start:stop] for s in series))
-
-    return [line for block in csv_blocks(TRACE_COLUMNS, len(trace), columns) for line in block]
+    series = (trace.sigma, trace.w_norm, trace.x_norm, trace.vbar, trace.kappa, trace.cost_bound)
+    blocks = (_trace_cells(start, *(None if s is None else s[start:start + CSV_BLOCK_ROWS]
+                                    for s in series))
+              for start in range(0, len(trace), CSV_BLOCK_ROWS))
+    return [line for block in csv_blocks(TRACE_COLUMNS, blocks) for line in block]
 
 
 class TraceStream:
@@ -364,8 +359,9 @@ class TraceStream:
 
     The one co-simulation engine, which :func:`co_simulate` collects into a
     :class:`Trace`. The plant and the abstraction run one ``CSV_BLOCK_ROWS``
-    block of rows at a time, carrying one state row and one ``(vbar, kappa)``
-    row; the stream ends where ``vbar`` passes ``OVERFLOW_LIMIT``. ``len()``
+    block of rows at a time and the stream yields its blocks, carrying one
+    state row and one ``(vbar, kappa)`` row; it ends where ``vbar`` passes
+    ``OVERFLOW_LIMIT``, and the plant runs no further than that. ``len()``
     and ``diverged`` count the rows streamed so far.
 
     ``w_blocks`` yields the disturbances in consecutive blocks of exactly
@@ -407,46 +403,41 @@ class TraceStream:
                                  f"vectors, expected {rows}")
         return w, _disturbance_norms(w, self._bound, start)
 
-    def _block(self, start: int):
-        """``(states, sigma, |w_k|, |x_k|, vbar, kappa, cost bound or None)`` of the block of
-        rows from ``start`` (None once the stream has ended), with the guarantee checked.
-
-        Blocks are taken in order, each once. ``states`` is a view that the
-        next block overwrites.
-        """
-        if self._row is None:
-            return None
-        w, w_norms = self._first_block if start == 0 else self._disturbances(start)
-        gains = w_norms if self._w_bar is None else self._w_bar[start:start + len(w)]
-        vbar, kappa = _rows(self._params, self._seq[start:start + len(w)], gains.tolist(),
-                            *self._row)
-        rows = min(len(vbar), CSV_BLOCK_ROWS)
-        self._row = (vbar[rows], kappa[rows]) if rows < len(vbar) else None
-        self._length, self.diverged = start + rows, len(vbar) <= len(w)
-        vbar, kappa = np.array(vbar[:rows]), np.array(kappa[:rows])
-        if start:  # carry the last state of the previous block, which was full
-            self._states[0] = self._states[-1]
-        states = _run_plant(self._seq, start, w, self._matrices, self._states)[:rows]
-        x_norm = row_norms(states)
-        first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
-        if first is not None and self._first_violation is None:
-            self._first_violation = start + first
-        self._max_ratios.append(max_ratio)
-        sigma: list[int | None] = [int(m) for m in self._seq[start:start + min(rows, len(w))]]
-        w_norms = w_norms[:rows]
-        if rows > len(w):  # the final row of a completed trace
-            sigma.append(None)
-            w_norms = np.append(w_norms, math.nan)
-        cost = None if self._weight is None else cost_bound(self._weight, vbar)
-        return states, sigma, w_norms, x_norm, vbar, kappa, cost
-
-    def _columns(self, start: int, stop: int):
-        block = self._block(start)
-        return () if block is None else _trace_cells(start, *block[1:])
+    def _blocks(self):
+        """``(start, states, sigma, |w_k|, |x_k|, vbar, kappa, cost bound or None)`` of each
+        block of rows in turn, with the guarantee checked; ``states`` is a view that the
+        next block overwrites."""
+        params, seq, states, row, start = self._params, self._seq, self._states, self._row, 0
+        while row is not None:
+            w, w_norms = self._first_block if start == 0 else self._disturbances(start)
+            gains = w_norms if self._w_bar is None else self._w_bar[start:start + len(w)]
+            vbar, kappa = _rows(params, seq[start:start + len(w)], gains.tolist(), *row)
+            if start:  # carry the last state of the previous block, which was full
+                states[0] = states[-1]
+            # the plant runs as far as the abstraction: past a diverged vbar it may overflow
+            x = _run_plant(seq, start, w[:len(vbar) - 1], self._matrices, states)
+            rows = min(len(vbar), CSV_BLOCK_ROWS)
+            row = (vbar[rows], kappa[rows]) if rows < len(vbar) else None
+            self._length, self.diverged = start + rows, len(vbar) <= len(w)
+            x, vbar, kappa = x[:rows], np.array(vbar[:rows]), np.array(kappa[:rows])
+            x_norm = row_norms(x)
+            first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
+            if first is not None and self._first_violation is None:
+                self._first_violation = start + first
+            self._max_ratios.append(max_ratio)
+            sigma: list[int | None] = [int(m) for m in seq[start:start + min(rows, len(w))]]
+            w_norms = w_norms[:rows]
+            if rows > len(w):  # the final row of a completed trace
+                sigma.append(None)
+                w_norms = np.append(w_norms, math.nan)
+            cost = None if self._weight is None else cost_bound(self._weight, vbar)
+            yield start, x, sigma, w_norms, x_norm, vbar, kappa, cost
+            start += CSV_BLOCK_ROWS
 
     def csv_blocks(self):
         """Trace CSV lines, header first, one list per block of rows; run this once."""
-        return csv_blocks(TRACE_COLUMNS, self._horizon + 1, self._columns)
+        return csv_blocks(TRACE_COLUMNS, (_trace_cells(start, *cells)
+                                          for start, _, *cells in self._blocks()))
 
     @property
     def report(self) -> GuaranteeReport:

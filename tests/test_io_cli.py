@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -333,14 +334,35 @@ class TestPathErrors:
                                      capsys):
         paths = {"system": scalar_path, "dir": str(tmp_path), "missing": str(tmp_path / "no")}
         code = run([arg.format(**paths) for arg in argv])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 2
-        assert err == f"error: {named.format(**paths)}: {os.strerror(errno_code)}\n"
+        assert captured.out == ""  # a failed command prints no partial result
+        assert captured.err == f"error: {named.format(**paths)}: {os.strerror(errno_code)}\n"
 
     def test_error_without_a_path_propagates(self, scalar_path):
         with mock.patch.object(cli, "cmd_jsr", side_effect=BrokenPipeError(errno.EPIPE, "pipe")):
             with pytest.raises(BrokenPipeError):
                 run(["jsr", scalar_path, "--m", "1", "--K", "3"])
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "100000"],
+        ["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "100000"],
+    ], ids=["schedule", "simulate"])
+    def test_reader_closing_the_pipe_is_exit_1_without_a_traceback(self, argv, scalar_path):
+        # e.g. ``convrate schedule ... | head -n 1``: the CSV is far longer than a pipe buffer
+        import convrate
+
+        env = dict(os.environ, PYTHONPATH=str(Path(convrate.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "convrate", *(a.format(system=scalar_path) for a in argv)]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as process:
+            assert process.stdout.readline().startswith(b"k,")
+            process.stdout.close()
+            err = process.stderr.read()
+            assert process.wait(timeout=60) == 1
+        assert err == b""  # neither a traceback nor an "Exception ignored" line
 
 
 def _streaming_documents() -> dict[str, dict]:
@@ -435,6 +457,24 @@ class TestSimulateStreaming:
         diverged_at = int(err.split("at step ")[1].split("\n")[0])
         assert CSV_BLOCK_ROWS < diverged_at < 6000
         assert code == 0
+
+    def test_divergence_prints_no_warning(self, tmp_path, capsys):
+        # vbar passes the overflow guard at step 4,997; the plant states of the rest of
+        # that block would overflow, so the plant runs only as far as the kept rows
+        doc = {"modes": [{"id": 0, "A": [[0.5, 0.1], [0.0, 0.4]]},
+                         {"id": 1, "A": [[1.1, 0.0], [0.2, 0.9]]}], "disturbance_bound": 0.1}
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", str(path), "--sigma", "mk-worst:0,2", "--steps", "20000",
+                        "--w", "const:0.05"])
+        printed = capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference runs every step
+            expected = _expected_simulate(path, (1,) * 20000, 20000, "const:0.05")
+        assert (printed.out, printed.err, code) == expected
+        assert printed.err.startswith("trace diverged: vbar exceeded the overflow guard at "
+                                      "step 4997\n")
 
     @pytest.mark.parametrize("steps", [6000, 9000])
     def test_violation_in_a_later_block(self, steps, tmp_path, capsys, monkeypatch):
