@@ -103,42 +103,38 @@ def _parse_x0(text: str, system):
         raise DocumentError(f"--x0: could not parse vector {text!r}") from None
 
 
-def _blocks(block, steps: int):
-    """``steps`` rows of one repeated ``block``, at most ``CSV_BLOCK_ROWS`` rows at a time."""
-    from .io import CSV_BLOCK_ROWS
+class _SeededDisturbances:
+    """The rows of ``--w seed:<s>``, drawn as they are sliced, which must be in step
+    order (as :class:`simulate.TraceStream` slices): directions from ``normals``,
+    scaled to ``bound`` times ``uniforms``."""
 
-    for start in range(0, steps, CSV_BLOCK_ROWS):
-        yield block[:min(CSV_BLOCK_ROWS, steps - start)]
+    def __init__(self, normals, uniforms, bound: float, n: int):
+        self._normals, self._uniforms, self._bound, self._n = normals, uniforms, bound, n
 
+    def __getitem__(self, rows: slice):
+        from .linalg import row_norms
 
-def _seeded_blocks(normals, uniforms, bound: float, steps: int, n: int):
-    """Directions from ``normals``, scaled to ``bound`` times ``uniforms``, block by block."""
-    from .io import CSV_BLOCK_ROWS
-    from .linalg import row_norms
-
-    for start in range(0, steps, CSV_BLOCK_ROWS):
-        w = normals.standard_normal((min(CSV_BLOCK_ROWS, steps - start), n))
+        w = self._normals.standard_normal((rows.stop - rows.start, self._n))
         norms = row_norms(w)
         norms[norms == 0] = 1.0
         w /= norms[:, None]
-        w *= (bound * uniforms.random(len(w)))[:, None]
-        yield w
+        w *= (self._bound * self._uniforms.random(len(w)))[:, None]
+        return w
 
 
 def _make_disturbances(text: str, steps: int, system):
-    """``(disturbances in blocks of CSV_BLOCK_ROWS rows, w_bar or None)`` of ``--w``.
+    """``(disturbances or None, w_bar or None)`` of ``--w``, for :class:`simulate.TraceStream`.
 
-    The blocks of ``seed:<s>`` equal the rows of the one-shot draw
+    ``zero`` is None and ``const:<v>`` one broadcast row. The slices of
+    ``seed:<s>``, taken in step order, equal the rows of the one-shot draw
     ``standard_normal((steps, n))`` followed by ``random(steps)``: drawn
     block by block, the normals come out the same, and the uniforms are
     reached by drawing and discarding every normal on a twin generator.
     """
     import numpy as np
 
-    from .io import CSV_BLOCK_ROWS
-
     if text == "zero":
-        return _blocks(np.zeros((CSV_BLOCK_ROWS, system.n)), steps), None
+        return None, None
     if text.startswith("const:"):
         try:
             magnitude = float(text[len("const:"):])
@@ -147,10 +143,11 @@ def _make_disturbances(text: str, steps: int, system):
                                 f"got {text!r}") from None
         if magnitude < 0:
             raise ParameterError("--w const: magnitude must be >= 0")
-        block = np.zeros((min(CSV_BLOCK_ROWS, steps), system.n))
-        block[:, 0] = magnitude
-        return _blocks(block, steps), magnitude
+        row = np.pad([magnitude], (0, system.n - 1))  # the magnitude along the first axis
+        return np.broadcast_to(row, (steps, system.n)), magnitude
     if text.startswith("seed:"):
+        from .io import CSV_BLOCK_ROWS
+
         try:
             seed = int(text[len("seed:"):])
         except ValueError:
@@ -166,7 +163,7 @@ def _make_disturbances(text: str, steps: int, system):
         normals, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
         for start in range(0, steps, CSV_BLOCK_ROWS):
             uniforms.standard_normal((min(CSV_BLOCK_ROWS, steps - start), system.n))
-        return _seeded_blocks(normals, uniforms, bound, steps, system.n), bound
+        return _SeededDisturbances(normals, uniforms, bound, system.n), bound
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 
@@ -251,8 +248,8 @@ def cmd_simulate(args) -> int:
     if steps > len(seq):
         raise ParameterError(f"--steps {steps} exceeds the sigma sequence length {len(seq)}")
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
-    w_blocks, w_bar = _make_disturbances(args.w, steps, system)
-    trace = TraceStream(system, params, seq, x0, w_blocks, w_bar, steps, args.rel_tol)
+    w, w_bar = _make_disturbances(args.w, steps, system)
+    trace = TraceStream(system, params, seq, x0, w, w_bar, steps, args.rel_tol)
     _write_csv(trace.csv_blocks(), args.out)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
@@ -423,6 +420,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "steps", None) is not None and args.steps < 0:  # simulate, schedule
+            raise ParameterError(f"--steps must be >= 0, got {args.steps}")
         return args.func(args)
     except (ValueError, LookupError) as exc:
         # str() of a KeyError is the repr of its message

@@ -6,8 +6,9 @@ same long-run skip ratio. It therefore doubles as a counterexample to any
 hope that the closed-form two-rate criterion could be necessary: the
 criterion cannot prove (1,2) stability here (the skip mode's gain is huge),
 while brute-force sequence search finds no expanding (1,2) product. That
-search gives a lower bound on the constrained joint spectral radius, so the
-report presents it as evidence, not as a stability certificate.
+search bounds the constrained joint spectral radius from neither side (its
+maximising word need not repeat within the constraint), so the report
+presents it as evidence, not as a stability certificate.
 
 :func:`report` recomputes the characteristic quantities, compares each to
 its closed-form reference, and pairs the conservative closed-form verdict
@@ -150,9 +151,9 @@ def format_report(rep: Report) -> str:
     )
     lines.append(
         f"  brute force rho_hat_{rep.length}(1,2) = {rep.jsr_12.rho_hat:.6g} < 1: "
-        f"no admissible length-{rep.length} product expands; this lower bound on the "
-        "constrained JSR is evidence that the closed-form criterion is conservative "
-        "here, not a certificate of stability"
+        f"no admissible length-{rep.length} product expands; this is evidence that the "
+        "closed-form criterion is conservative here, not a certificate of stability, and "
+        "no bound on the constrained JSR (its maximising word need not repeat)"
     )
     lines.append(f"overall: {'PASS' if rep.passed else 'FAIL'}")
     return "\n".join(lines)

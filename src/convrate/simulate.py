@@ -258,9 +258,8 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     :class:`TraceStream` over the same inputs, collected block by block.
     """
     horizon = _horizon(seq, horizon)
-    w = _as_disturbances(disturbances, horizon, system.n)[:horizon]
-    blocks = (w[start:start + CSV_BLOCK_ROWS] for start in range(0, horizon, CSV_BLOCK_ROWS))
-    stream = TraceStream(system, params, seq, x0, blocks, w_bar, horizon)
+    w = _as_disturbances(disturbances, horizon, system.n)
+    stream = TraceStream(system, params, seq, x0, w, w_bar, horizon)
     x, columns = np.empty((horizon + 1, system.n)), np.empty((5, horizon + 1))
     sigma = []
     for start, states, modes, *series in stream._blocks():
@@ -364,20 +363,21 @@ class TraceStream:
     ``OVERFLOW_LIMIT``, and the plant runs no further than that. ``len()``
     and ``diverged`` count the rows streamed so far.
 
-    ``w_blocks`` yields the disturbances in consecutive blocks of exactly
-    ``CSV_BLOCK_ROWS`` rows (the last one shorter). ``w_bar`` is one bound or
-    one per step (None: the exact ``|w_k|``). Every input is checked on
-    construction, the first disturbance block included, so a refusal comes
-    before any row; later blocks are checked as they arrive.
+    The arguments are those of :func:`co_simulate`, plus ``rel_tol``.
+    ``disturbances`` is None (zero) or anything whose ``[a:b]`` holds the
+    vectors of steps ``a .. b-1``, such as an array or a broadcast row; the
+    stream slices each block once, in step order, and checks it then, the
+    first one on construction, so every refusal comes before any row.
     """
 
     def __init__(self, system: SystemModel, params: AbstractionParams, seq: Sequence[int],
-                 x0, w_blocks, w_bar, horizon: int | None = None, rel_tol: float = 1e-9):
+                 x0, disturbances=None, w_bar=None, horizon: int | None = None,
+                 rel_tol: float = 1e-9):
         self._rel_tol = check_nonnegative(rel_tol, "rel_tol")
         self._seq, self._params, self._weight = seq, params, system.cost_weight
         self._horizon = horizon = _horizon(seq, horizon)
         x0 = _as_state(x0, system.n)
-        self._w_blocks, self._bound = iter(w_blocks), system.disturbance_bound
+        self._w, self._bound = disturbances, system.disturbance_bound
         self._states = np.empty((min(CSV_BLOCK_ROWS, horizon) + 1, system.n))
         self._states[0] = x0
         self._first_block = self._disturbances(0)
@@ -395,12 +395,9 @@ class TraceStream:
 
     def _disturbances(self, start: int):
         """Disturbances of the steps in the block of rows from ``start``, and their norms."""
-        rows = min(start + CSV_BLOCK_ROWS, self._horizon) - start
-        block = next(self._w_blocks, ()) if rows else None  # () fails the shape check
-        w = _as_disturbances(block, rows, self._states.shape[1])
-        if len(w) != rows:
-            raise DimensionError(f"the disturbance block from step {start} holds {len(w)} "
-                                 f"vectors, expected {rows}")
+        stop = min(start + CSV_BLOCK_ROWS, self._horizon)
+        block = None if self._w is None else self._w[start:stop]
+        w = _as_disturbances(block, stop - start, self._states.shape[1])
         return w, _disturbance_norms(w, self._bound, start)
 
     def _blocks(self):

@@ -32,8 +32,17 @@ def test_format_contains_conservatism_pair():
 
 
 def test_brute_force_line_claims_no_certificate():
-    # rho_hat is a lower bound on the constrained JSR: evidence, never a proof
+    # rho_hat bounds the constrained JSR from neither side: evidence, never a proof
     text = counterexample.format_report(counterexample.report(length=16))
     assert "in fact stable" not in text
     assert "not a certificate of stability" in text
+    assert "lower bound" not in text
     assert text.endswith("overall: PASS")
+
+
+def test_maximising_word_cannot_repeat():
+    # why rho_hat is no lower bound on the constrained JSR: the (1,2) maximiser
+    # starts and ends with a skip, so its repetition holds two skips in a row
+    sequence = counterexample.report(length=16).jsr_12.sequence
+    assert validate_mk(sequence, MkConstraint(1, 2))
+    assert not validate_mk(sequence + sequence, MkConstraint(1, 2))

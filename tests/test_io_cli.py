@@ -196,6 +196,23 @@ class TestMkCheckCommand:
         assert code == 1
         assert "not proven" in capsys.readouterr().out
 
+    def test_overshoot_past_the_float_range(self, tmp_path, capsys):
+        # alpha_tilde = (rho1/rho0)^1000 overflows a float: it is inf, not a traceback
+        path = tmp_path / "smoke.json"
+        path.write_text(json.dumps({"modes": [{"id": 0, "A": [[0.5, 0.1], [0.0, 0.4]]},
+                                              {"id": 1, "A": [[1.1, 0.0], [0.2, 0.9]]}]}))
+        common = ["mk-check", str(path), "--m", "1000", "--K", "2000",
+                  "--method", "robust", "--rho", "0.6"]
+        assert run([*common, "--r0", "1.0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "alpha_tilde: inf\n" in out and "safe initial radius: 0.0\n" in out
+        assert out.endswith("verdict: proven stable\n")
+        assert run([*common, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"alpha_tilde": Infinity' in out
+        assert json.loads(out)["combined_overshoot"] == math.inf
+
 
 class TestSimulateCommand:
     def test_nominal_run_holds(self, scalar_path, tmp_path, capsys):
@@ -548,8 +565,9 @@ class TestSimulateStreaming:
                                        CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
     def test_seeded_blocks_equal_the_one_shot_draw(self, steps, n):
         system = SystemModel(modes={0: np.eye(n) * 0.5}, disturbance_bound=0.3)
-        blocks, w_bar = _make_disturbances("seed:7", steps, system)
-        blocks = list(blocks)
+        source, w_bar = _make_disturbances("seed:7", steps, system)
+        blocks = [source[start:min(start + CSV_BLOCK_ROWS, steps)]
+                  for start in range(0, steps, CSV_BLOCK_ROWS)]
         w, w_bar_once = references.cli_disturbances("seed:7", steps, n, 0.3)
         assert all(len(block) == CSV_BLOCK_ROWS for block in blocks[:-1])
         joined = np.concatenate(blocks) if blocks else np.empty((0, n))
@@ -724,6 +742,19 @@ class TestScheduleCommand:
                     "--policy", "random", "--seed", "-1"])
         assert code == 2
         assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{path}", "--sigma", "0,1", "--steps", "-1"],
+        ["simulate", "{path}", "--sigma", "mk-worst:1,2", "--steps", "-1"],
+        ["schedule", "{path}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "-1"],
+        ["simulate", "{missing}", "--sigma", "0,1", "--steps", "-1"],
+    ])
+    def test_negative_steps_names_the_flag(self, argv, scalar_path, tmp_path, capsys):
+        # one check for both commands, before the system document is read
+        paths = {"path": scalar_path, "missing": str(tmp_path / "missing.json")}
+        code = run([arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --steps must be >= 0, got -1\n")
 
     def test_import_leaves_process_pool_unloaded(self):
         # nothing in convrate starts worker processes

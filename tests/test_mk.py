@@ -78,6 +78,10 @@ class TestAlphaTilde:
     def test_equal_rates(self):
         assert mk_alpha_tilde(0.7, 0.7, MkConstraint(1, 4)) == 1.0
 
+    def test_overshoot_past_the_float_range_is_inf(self):
+        # 2 ** 1500 is no float: the overshoot rounds up, which stays sound
+        assert mk_alpha_tilde(0.5, 1.0, MkConstraint(1000, 2500)) == math.inf
+
     @given(rates, constraints)
     @settings(max_examples=150)
     def test_identity_with_rho_tilde(self, pair, mk):
@@ -95,6 +99,16 @@ class TestAlphaTilde:
 
 
 class TestVerdict:
+    def test_long_window_close_rates(self):
+        # (rho_tilde/rho0)^K and (rho1/rho0)^(K-m) round apart by ~6e-10 here;
+        # both are the same overshoot, and the verdict takes the direct one
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 0.50000001})
+        mk = MkConstraint(5_000_000, 10_000_000)
+        verdict = mk_verdict(params, mk)
+        assert verdict.alpha_tilde == mk_alpha_tilde(0.5, 0.50000001, mk)
+        assert verdict.alpha_tilde == pytest.approx(math.exp(0.1), rel=1e-8)
+        assert verdict.proven_stable
+
     def test_proven_case(self):
         verdict = mk_verdict(TWO_MODE, MkConstraint(1, 2))
         assert verdict.proven_stable

@@ -519,8 +519,7 @@ class TestTraceStream:
 
     def _check(self, system, params, seq, x0, w, rel_tol=1e-9):
         w_bar = np.linalg.norm(w, axis=1)
-        blocks = [w[start:start + CSV_BLOCK_ROWS] for start in range(0, len(w), CSV_BLOCK_ROWS)]
-        stream = TraceStream(system, params, seq, x0, blocks, w_bar, len(w), rel_tol)
+        stream = TraceStream(system, params, seq, x0, w, w_bar, len(w), rel_tol)
         trace = co_simulate(system, params, seq, x0, w, w_bar, len(w))
         assert _stream_lines(stream) == references.trace_csv_lines(trace)
         assert (len(stream), stream.diverged) == (len(trace), trace.diverged)
@@ -562,29 +561,31 @@ class TestTraceStream:
         assert stream.diverged and CSV_BLOCK_ROWS < len(stream) < 6000
 
     def test_short_source_is_refused(self):
+        # an empty source is refused on construction; one that runs out at the
+        # second block is refused when that block is sliced
         system = SystemModel(modes={0: [[0.5]]})
         steps = CSV_BLOCK_ROWS + 1
         with pytest.raises(DimensionError, match="at least"):
-            TraceStream(system, PARAMS, (0,) * steps, [1.0], [], None, steps)
+            TraceStream(system, PARAMS, (0,) * steps, [1.0], np.zeros((0, 1)), None, steps)
         stream = TraceStream(system, PARAMS, (0,) * steps, [1.0],
-                             [np.zeros((CSV_BLOCK_ROWS, 1))], None, steps)
+                             np.zeros((CSV_BLOCK_ROWS, 1)), None, steps)
         with pytest.raises(DimensionError, match="at least 1 vectors"):
             _stream_lines(stream)
 
-    def test_long_block_is_refused(self):
-        # 8,192-row blocks over 12,288 steps once dropped half of every block
-        system = SystemModel(modes={0: [[0.5]]})
-        steps = 3 * CSV_BLOCK_ROWS
-        blocks = [np.full((2 * CSV_BLOCK_ROWS, 1), 0.1) for _ in range(2)]
-        with pytest.raises(DimensionError, match=f"the disturbance block from step 0 holds "
-                                                 f"{2 * CSV_BLOCK_ROWS} vectors, expected "
-                                                 f"{CSV_BLOCK_ROWS}"):
-            TraceStream(system, PARAMS, (0,) * steps, [1.0], blocks, None, steps)
-        blocks = [np.zeros((CSV_BLOCK_ROWS, 1)), np.zeros((2, 1))]
-        stream = TraceStream(system, PARAMS, (0,) * (CSV_BLOCK_ROWS + 1), [1.0], blocks, None)
-        with pytest.raises(DimensionError, match=f"from step {CSV_BLOCK_ROWS} holds 2 vectors, "
-                                                 "expected 1"):
-            _stream_lines(stream)
+    @pytest.mark.parametrize("steps", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("source", ["none", "array", "broadcast row"])
+    def test_each_kind_of_source_gives_the_collected_lines(self, source, steps):
+        system = SystemModel(modes={0: [[0.5, 0.1], [0.0, 0.4]], 1: [[1.1, 0.0], [0.2, 0.9]]},
+                             cost_weight=[[2.0, 0.0], [0.0, 1.0]])
+        params = lyapunov_abstraction(system)
+        seq = references.worst_case_sequence(MkConstraint(1, 2), steps)
+        w = {"none": None,
+             "array": 0.1 * np.random.default_rng(5).standard_normal((steps, 2)),
+             "broadcast row": np.broadcast_to([0.05, -0.02], (steps, 2))}[source]
+        stream = TraceStream(system, params, seq, [1.0, 0.0], w, None, steps)
+        trace = co_simulate(system, params, seq, [1.0, 0.0], w, None, steps)
+        assert _stream_lines(stream) == references.trace_csv_lines(trace)
+        assert stream.report == check_guarantee(trace)
 
     def test_default_w_bar_is_the_exact_disturbance_norm(self):
         # None takes |w_k|, as in co_simulate; a zero bound would break the guarantee
@@ -594,8 +595,7 @@ class TestTraceStream:
         steps = CSV_BLOCK_ROWS + 3
         seq = references.worst_case_sequence(MkConstraint(1, 2), steps)
         w = 0.1 * rng.standard_normal((steps, 2))
-        blocks = [w[start:start + CSV_BLOCK_ROWS] for start in range(0, steps, CSV_BLOCK_ROWS)]
-        stream = TraceStream(system, params, seq, [1.0, 0.0], blocks, None, steps)
+        stream = TraceStream(system, params, seq, [1.0, 0.0], w, None, steps)
         trace = co_simulate(system, params, seq, [1.0, 0.0], w)
         assert _stream_lines(stream) == references.trace_csv_lines(trace)
         vbar = references.abstraction_series(params, seq, 1.0, np.linalg.norm(w, axis=1))
@@ -609,8 +609,7 @@ class TestTraceStream:
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: rate})
         steps = 2 * CSV_BLOCK_ROWS
         seq, w = (0,) * steps, np.zeros((steps, 1))
-        stream = TraceStream(SystemModel(modes={0: [[1.0]]}), params, seq, [1.0],
-                             [w[:CSV_BLOCK_ROWS], w[CSV_BLOCK_ROWS:]], None, steps)
+        stream = TraceStream(SystemModel(modes={0: [[1.0]]}), params, seq, [1.0], w, None, steps)
         assert (len(stream), stream.diverged) == (0, False)  # nothing streamed yet
         text = io.StringIO()
         write_csv(stream.csv_blocks(), text)
@@ -624,9 +623,9 @@ class TestTraceStream:
         # `simulate --w const:nan` gives NaN disturbances and a NaN bound
         system, nan = SystemModel(modes={0: [[0.5]]}), np.full((3, 1), math.nan)
         with pytest.raises(DimensionError, match="disturbances contain non-finite entries"):
-            TraceStream(system, PARAMS, (0,) * 3, [1.0], [nan], math.nan, 3)
+            TraceStream(system, PARAMS, (0,) * 3, [1.0], nan, math.nan, 3)
         with pytest.raises(ParameterError, match="w_bar must be finite and >= 0, got nan"):
-            TraceStream(system, PARAMS, (0,) * 3, [1.0], [np.zeros((3, 1))], math.nan, 3)
+            TraceStream(system, PARAMS, (0,) * 3, [1.0], np.zeros((3, 1)), math.nan, 3)
 
     def test_mode_without_a_rate_is_refused_before_any_row(self):
         # mode 1 is first applied in the second block
@@ -635,4 +634,4 @@ class TestTraceStream:
         seq = (0,) * (CSV_BLOCK_ROWS + 5) + (1,)
         w = np.zeros((len(seq), 1))
         with pytest.raises(KeyError, match="mode 1 has no convergence rate"):
-            TraceStream(system, params, seq, [1.0], [w[:CSV_BLOCK_ROWS], w[CSV_BLOCK_ROWS:]], None)
+            TraceStream(system, params, seq, [1.0], w, None)
