@@ -167,15 +167,20 @@ def _make_disturbances(text: str, steps: int, system):
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 
-def _write_csv(blocks, out: str | None) -> None:
-    """Stream CSV line blocks to stdout, or to the ``--out`` file."""
-    from .io import write_csv
+def _write_csv(stream, blocks, header, cells, out: str | None) -> None:
+    """Stream a CSV table to stdout, or to the ``--out`` file, opened first.
 
-    if out is None or out == "-":
-        write_csv(blocks, sys.stdout)
-    else:
-        with open(out, "w") as fileobj:
-            write_csv(blocks, fileobj)
+    ``blocks``, the columns of ``stream`` block by block, runs in a child
+    process (see ``io._forked``) while this one renders each block with
+    ``cells`` and writes it, so the two stages overlap.
+    """
+    from contextlib import nullcontext
+
+    from .io import _forked, csv_blocks, write_csv
+
+    with (nullcontext(sys.stdout) if out is None or out == "-" else open(out, "w")) as fileobj:
+        with _forked(stream, blocks) as columns:
+            write_csv(csv_blocks(header, (cells(*block) for block in columns)), fileobj)
 
 
 def cmd_analyze(args) -> int:
@@ -239,7 +244,7 @@ def cmd_simulate(args) -> int:
     import numpy as np
 
     from .io import load_system
-    from .simulate import TraceStream
+    from .simulate import TRACE_COLUMNS, TraceStream, _trace_cells
 
     system = load_system(args.system)
     params = _build_params(system, args)
@@ -250,7 +255,9 @@ def cmd_simulate(args) -> int:
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
     w, w_bar = _make_disturbances(args.w, steps, system)
     trace = TraceStream(system, params, seq, x0, w, w_bar, steps, args.rel_tol)
-    _write_csv(trace.csv_blocks(), args.out)
+    # the plant states stay in the stream's process: the CSV shows only their norms
+    columns = ((start, *cells) for start, _, *cells in trace._blocks())
+    _write_csv(trace, columns, TRACE_COLUMNS, _trace_cells, args.out)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
               file=sys.stderr)
@@ -286,7 +293,14 @@ def cmd_jsr(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .io import load_system
-    from .scheduler import POLICIES, ExponentialTarget, PracticalTarget, ScheduleStream
+    from .scheduler import (
+        POLICIES,
+        SCHEDULE_COLUMNS,
+        ExponentialTarget,
+        PracticalTarget,
+        ScheduleStream,
+        _decision_cells,
+    )
 
     if args.seed is not None and args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
@@ -306,7 +320,8 @@ def cmd_schedule(args) -> int:
         w_bar = system.disturbance_bound if isinstance(target, PracticalTarget) else 0.0
     stream = ScheduleStream(params, target, args.steps, policy=policy, w_bar=w_bar,
                             v0=args.v0, seed=args.seed)
-    _write_csv(stream.csv_blocks(), args.out)
+    _write_csv(stream, stream._blocks(), SCHEDULE_COLUMNS,
+               lambda *block: _decision_cells(stream.practical, *block), args.out)
     if stream.alarm is not None:
         k, alarm = stream.alarm
         print(f"alarm at k={k}: {alarm}", file=sys.stderr)

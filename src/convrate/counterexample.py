@@ -149,11 +149,13 @@ def format_report(rep: Report) -> str:
         if not rep.verdict_12.proven_stable else
         f"  closed-form (1,2) verdict: proven (rho_tilde={rep.verdict_12.rho_tilde:.6g})"
     )
-    lines.append(
-        f"  brute force rho_hat_{rep.length}(1,2) = {rep.jsr_12.rho_hat:.6g} < 1: "
-        f"no admissible length-{rep.length} product expands; this is evidence that the "
-        "closed-form criterion is conservative here, not a certificate of stability, and "
-        "no bound on the constrained JSR (its maximising word need not repeat)"
-    )
+    rho_hat = rep.jsr_12.rho_hat
+    claim = (f"< 1: no admissible length-{rep.length} product expands; this is evidence "
+             "that the closed-form criterion is conservative here, not a certificate of "
+             "stability," if rho_hat < 1.0 else
+             f">= 1: some admissible length-{rep.length} product does not contract; this "
+             "is not a proof of instability,")
+    lines.append(f"  brute force rho_hat_{rep.length}(1,2) = {rho_hat:.6g} {claim} and no "
+                 "bound on the constrained JSR (its maximising word need not repeat)")
     lines.append(f"overall: {'PASS' if rep.passed else 'FAIL'}")
     return "\n".join(lines)

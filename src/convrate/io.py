@@ -25,12 +25,17 @@ and its errors come back as :class:`DocumentError` too.
 
 Both CSV tables (trace and decisions) are rendered here too:
 :func:`csv_blocks` joins the cells of each block of rows it is given, column
-by column, so a writer streams a table one block at a time.
+by column, so a writer streams a table one block at a time, and
+:func:`_forked` computes the blocks in a child process while the writer
+renders them.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DocumentError
@@ -39,6 +44,9 @@ from .model import AbstractionParams, SystemModel
 
 #: Rows rendered per block of a CSV table.
 CSV_BLOCK_ROWS = 1 << 12
+#: Pipe capacity asked for by :func:`_forked`: a pickled block of trace rows is
+#: ~165 KB, so with the default 64 KiB the child would stall on every block.
+PIPE_BYTES = 1 << 20
 
 
 def _require(condition: bool, message: str) -> None:
@@ -161,3 +169,76 @@ def write_csv(blocks, fileobj) -> None:
     """Write :func:`csv_blocks` lines, newline-terminated, one block at a time."""
     for block in blocks:
         fileobj.write("\n".join(block) + "\n")
+
+
+@contextmanager
+def _forked(stream, blocks):
+    """The items of the generator ``blocks``, computed in a forked child process.
+
+    The child runs ``blocks`` (built on ``stream``'s own generator) and
+    pickles each item through a pipe, so it computes the next block while
+    this process renders the last one. After the last item it sends the
+    attributes of ``stream`` named by ``stream._END_STATE``, which are set
+    here once the last item has been read; if ``blocks`` raises, the child
+    sends the exception and it is raised here. The child writes nothing
+    else and leaves through ``os._exit``. On leaving the context, by any
+    path, the pipe is closed and the child waited for (a child still
+    writing fails on the closed pipe). Where ``os.fork`` is missing,
+    ``blocks`` runs in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield blocks
+        return
+    import fcntl
+
+    read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (AttributeError, OSError):  # no such command, or over the per-user quota
+        pass
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _produce(stream, blocks, write_fd)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        yield _received(stream, pipe)
+    finally:  # closed first: a child blocked on a full pipe then fails and leaves
+        pipe.close()
+        os.waitpid(pid, 0)
+
+
+def _produce(stream, blocks, fd: int):
+    """The child of :func:`_forked`: send every item of ``blocks``, then the end
+    state of ``stream`` or the exception raised, and leave."""
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                for block in blocks:
+                    pickle.dump(block, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+                last = {name: getattr(stream, name) for name in stream._END_STATE}
+            except BaseException as exc:
+                try:
+                    last = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:  # an exception that does not survive pickling
+                    last = RuntimeError(f"{type(exc).__name__}: {exc}")
+            pickle.dump(last, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)  # no atexit handler, no flush of the buffers copied at the fork
+
+
+def _received(stream, pipe):
+    """The items that :func:`_produce` sends; its end state is set on ``stream``."""
+    while True:
+        try:
+            item = pickle.load(pipe)
+        except EOFError:
+            raise RuntimeError("the stream's child process ended early") from None
+        if isinstance(item, BaseException):
+            raise item
+        if isinstance(item, dict):
+            vars(stream).update(item)
+            return
+        yield item

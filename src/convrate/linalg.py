@@ -179,7 +179,11 @@ def solve_discrete_lyapunov(A, Q) -> np.ndarray:
         )
     n = A.shape[0]
     at = A.T
-    coeff = np.eye(n * n) - np.kron(at, at)
+    # I - kron(A.T, A.T), built in place: the same bits as np.eye(n * n) - kron
+    # (0.0 - x keeps +0.0, unlike np.negative) without two more n^4 arrays
+    coeff = np.kron(at, at)
+    np.subtract(0.0, coeff, out=coeff)
+    coeff.flat[::n * n + 1] += 1.0
     try:
         vec_p = np.linalg.solve(coeff, Q.reshape(-1))
     except np.linalg.LinAlgError as exc:

@@ -24,6 +24,13 @@ ITERATION_CAP = 10**6
 OVERFLOW_LIMIT = 1e300
 #: Byte budget of one block of powers in the k_tilde scan (8192 at n=4).
 SCAN_BLOCK_BYTES = 1 << 20
+#: Relative slack of the Frobenius screen in the k_tilde scan, far above the rounding
+#: of the norms it compares (on the powers of a Jordan block, ``||P||_F / ||P||_2``
+#: is 1 +- 4e-16, so a screen without slack would misjudge them).
+SCREEN_MARGIN = 1e-8
+#: Frobenius norm up to which the scan's ``A.T @ A`` cannot overflow, so that the
+#: exact norm is finite and within ``OVERFLOW_LIMIT``.
+SCREEN_LIMIT = 1e150
 #: Relative gap kept above the spectral radius by :func:`sweep_rho`.
 SWEEP_MARGIN = 1e-3
 
@@ -82,41 +89,69 @@ def _block_norms(products: np.ndarray):
     return np.sqrt(np.where(top < 0.0, 0.0, top)).tolist()
 
 
-def _scan_norms(A0: np.ndarray, rho: float, max_iterations: int) -> list[float]:
-    """Norms ``||(A0/rho)^k||`` for k = 0 .. k_tilde (last entry < 1).
+def _exact_norms(block: np.ndarray, indices):
+    """:func:`_block_norms` of the products ``block[indices]``, in that order."""
+    return _block_norms(block[indices]) if len(indices) else []
+
+
+def _scan_norms(A0: np.ndarray, rho: float, max_iterations: int) -> tuple[int, float]:
+    """``(k_tilde, alpha_min)``: the first k with ``||(A0/rho)^k|| < 1``, and the
+    largest norm before it (1 for k = 0).
 
     The powers are the sequential products ``current @ base``. They are
     taken in blocks of 1, 2, 4, ... products, capped at
-    ``SCAN_BLOCK_BYTES``, whose norms are read in order, so a short scan
-    does no extra work and a long one overshoots k_tilde by at most one
-    block. Products past the stopping step may overflow; they are never
-    read, and ``np.errstate`` keeps them silent.
+    ``SCAN_BLOCK_BYTES``, so a short scan does no extra work and a long one
+    overshoots k_tilde by at most one block. Each product is screened by
+    its Frobenius norm ``F``, since ``F / sqrt(n) <= ||P|| <= F``; its exact
+    norm (:func:`_block_norms`) is taken only where the screen, widened by
+    ``SCREEN_MARGIN``, cannot decide: where the product may be < 1, may
+    exceed ``SCREEN_LIMIT``, or may exceed the largest norm so far, and for
+    the last product before the cap, whose norm the refusal quotes. The
+    exact norms that may stop the scan are read in step order, so every
+    value, stop and refusal is that of the per-step scan. Products past the
+    stopping step may overflow; they are never read, and ``np.errstate``
+    keeps them silent.
     """
     base = A0 / rho
     n = A0.shape[0]
     cap = max(1, SCAN_BLOCK_BYTES // (8 * n * n))
+    floor = (1.0 - SCREEN_MARGIN) / np.sqrt(n)
     current = np.eye(n)
-    norms = [1.0]
-    size = 1
+    k, best, size = 0, 1.0, 1  # k products taken so far; best: the largest norm
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(norms) <= max_iterations:
-            block = np.empty((min(size, cap, max_iterations + 1 - len(norms)), n, n))
+        while k < max_iterations:
+            block = np.empty((min(size, cap, max_iterations - k), n, n))
             for product in block:
-                np.matmul(current, base, out=product)
+                np.dot(current, base, out=product)  # the bits of current @ base, faster
                 current = product
-            for value in _block_norms(block):
+            frobenius = np.sqrt(np.einsum("kij,kij->k", block, block))
+            upper = frobenius * (1.0 + SCREEN_MARGIN)
+            undecided = np.flatnonzero(~((frobenius * floor >= 1.0) & (upper <= SCREEN_LIMIT)))
+            stop = len(block)
+            for i, value in zip(undecided.tolist(), _exact_norms(block, undecided)):
                 if not value <= OVERFLOW_LIMIT:  # NaN when A.T @ A overflowed
                     raise NumericError(
-                        f"||A0^k rho^-k|| exceeded {OVERFLOW_LIMIT:.0e} or overflowed at k={len(norms)}; "
+                        f"||A0^k rho^-k|| exceeded {OVERFLOW_LIMIT:.0e} or overflowed at k={k + i + 1}; "
                         "rho is far below a valid decay rate"
                     )
-                norms.append(value)
                 if value < 1.0:
-                    return norms
+                    stop = i
+                    break
+                best = max(best, value)
+            # the largest norm before the stop: the product with the top bound first,
+            # then every product whose bound still reaches the largest norm
+            upper = upper[:stop]
+            if len(upper) and np.max(upper) >= best:
+                best = max(best, *_exact_norms(block, np.argmax(upper, keepdims=True)))
+                best = max(best, *_exact_norms(block, np.flatnonzero(upper >= best)))
+            if stop < len(block):
+                return k + stop + 1, best
+            k += len(block)
             size *= 2
+    (last,) = _exact_norms(block, [-1]) if max_iterations else (1.0,)
     raise NumericError(
         f"no k <= {max_iterations} with ||A0^k rho^-k|| < 1 "
-        f"(last norm {norms[-1]:.6g}); rho={rho} is too close to the "
+        f"(last norm {last:.6g}); rho={rho} is too close to the "
         f"spectral radius {spectral_radius(A0):.6g}"
     )
 
@@ -127,9 +162,7 @@ def nominal_certificate(A0, rho: float) -> NominalCertificate:
     check = validate_rho(A0, rho)
     if not check:
         raise ParameterError(check.reason)
-    norms = _scan_norms(A0, check.rho, ITERATION_CAP)
-    k_tilde = len(norms) - 1
-    alpha_min = max(norms[:k_tilde])
+    k_tilde, alpha_min = _scan_norms(A0, check.rho, ITERATION_CAP)
     return NominalCertificate(rho=check.rho, k_tilde=k_tilde, alpha_min=alpha_min)
 
 

@@ -382,6 +382,9 @@ class ScheduleStream:
     None.
     """
 
+    #: What a run of :meth:`_blocks` leaves behind.
+    _END_STATE = ("alarm",)
+
     def __init__(self, params: AbstractionParams,
                  target: ExponentialTarget | PracticalTarget,
                  steps: int,

@@ -370,6 +370,9 @@ class TraceStream:
     first one on construction, so every refusal comes before any row.
     """
 
+    #: What a run of :meth:`_blocks` leaves for ``len()``, ``diverged`` and ``report``.
+    _END_STATE = ("_length", "diverged", "_first_violation", "_max_ratios")
+
     def __init__(self, system: SystemModel, params: AbstractionParams, seq: Sequence[int],
                  x0, disturbances=None, w_bar=None, horizon: int | None = None,
                  rel_tol: float = 1e-9):

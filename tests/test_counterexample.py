@@ -46,3 +46,14 @@ def test_maximising_word_cannot_repeat():
     sequence = counterexample.report(length=16).jsr_12.sequence
     assert validate_mk(sequence, MkConstraint(1, 2))
     assert not validate_mk(sequence + sequence, MkConstraint(1, 2))
+
+
+def test_brute_force_line_follows_the_value():
+    # at length 5 the (1,2) maximiser expands: the line says so, and claims no stability
+    rep = counterexample.report(length=5)
+    assert rep.jsr_12.rho_hat >= 1.0
+    line = next(line for line in counterexample.format_report(rep).splitlines()
+                if "brute force" in line)
+    assert line.startswith(f"  brute force rho_hat_5(1,2) = {rep.jsr_12.rho_hat:.6g} >= 1: "
+                           "some admissible length-5 product does not contract; ")
+    assert "conservative" not in line and "expands" not in line

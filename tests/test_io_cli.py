@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -17,12 +18,13 @@ from conftest import two_mode_system
 from convrate import (
     AbstractionParams,
     MkConstraint,
+    ParameterError,
     SystemModel,
     check_guarantee,
     co_simulate,
     lyapunov_abstraction,
 )
-from convrate import cli
+from convrate import cli, scheduler, simulate
 from convrate.cli import _make_disturbances, run
 from convrate.io import (
     CSV_BLOCK_ROWS,
@@ -575,7 +577,7 @@ class TestSimulateStreaming:
         assert np.broadcast_to(w_bar, steps).tobytes() == w_bar_once.tobytes()
 
     @pytest.mark.parametrize("w_text", ["zero", "const:0.01", "seed:1"])
-    def test_peak_memory_does_not_grow_with_the_states(self, w_text, tmp_path):
+    def test_peak_memory_does_not_grow_with_the_states(self, w_text, tmp_path, monkeypatch):
         # a (steps, n) state or disturbance array would add steps * n * 8 bytes, and
         # a whole-horizon float series (vbar, kappa, w_bar, the uniforms) 8 bytes or
         # more a step; the --sigma tuple alone holds about 8 bytes a step. At rho 0.55
@@ -585,6 +587,7 @@ class TestSimulateStreaming:
         doc = STREAMING_DOCUMENTS["n32"]
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
+        monkeypatch.delattr(os, "fork")  # in process, so tracemalloc sees the stream
         peaks = []
         for steps in (20_000, 80_000):
             tracemalloc.start()
@@ -601,10 +604,12 @@ class TestSimulateStreaming:
 
 
 class TestScheduleStreaming:
-    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
         # a whole-horizon column (choices, admissible sets, stored values, alarms or
         # the w_bar gains) would add 8 bytes or more a step; the stream holds one block
         import tracemalloc
+
+        monkeypatch.delattr(os, "fork")  # in process, so tracemalloc sees the stream
 
         path = tmp_path / "gate4.json"
         save_system(two_mode_system(np.random.default_rng(4), n=4), path)
@@ -626,6 +631,194 @@ class TestScheduleStreaming:
                 assert code == 0
                 assert out.read_text().count("\n") == steps + 1
             assert peaks[1] - peaks[0] < 200_000 - 20_000
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` starts during the test."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _reaped(pid: int) -> bool:
+    """Whether the child ``pid`` has been waited for (a zombie is reaped here, and is not)."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _children(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state_and_parent = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:  # the process ended while the directory was read
+            continue
+        if int(state_and_parent[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+#: ``simulate`` and ``schedule`` runs: every ``--w`` mode, block edges, a diverged
+#: trace, every policy and an alarm. ``{n3}``, ``{bounded}`` and ``{scalar}`` are
+#: system documents.
+PIPELINE_CASES = {
+    **{f"simulate {w} {steps}": ["simulate", "{n3}", "--sigma", "mk-worst:1,2",
+                                 "--steps", str(steps), "--w", w]
+       for w, steps in [("zero", CSV_BLOCK_ROWS + 1), ("const:0.1", CSV_BLOCK_ROWS + 1),
+                        ("seed:1", CSV_BLOCK_ROWS + 1), ("seed:7", 2 * CSV_BLOCK_ROWS),
+                        ("seed:1", 0), ("const:0.1", CSV_BLOCK_ROWS)]},
+    "simulate diverged": ["simulate", "{bounded}", "--sigma", "mk-worst:0,2", "--steps",
+                          "20000", "--w", "const:0.05"],
+    **{f"schedule {policy}": ["schedule", "{scalar}", "--method", "robust", "--rho", "0.6",
+                              "--steps", "9000", "--policy", policy, *target]
+       for policy, target in [("greedy", ["--rho-hat", "0.9", "--alpha-hat", "4"]),
+                              ("round-robin", ["--rho-hat", "0.9", "--alpha-hat", "4"]),
+                              ("random", ["--C", "2.0", "--v0", "1.0", "--seed", "5"])]},
+    "schedule alarm": ["schedule", "{scalar}", "--C", "1.0", "--v0", "5.0", "--steps", "9000"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the streams run in process")
+class TestForkedStreams:
+    """``simulate`` and ``schedule`` compute their blocks in a forked child while the
+    command renders them: the CSV, stdout, stderr and exit code are those of the same
+    stream run in process, and no child outlives the command."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, scalar_path):
+        paths = {"scalar": scalar_path}
+        for name, doc in [("n3", STREAMING_DOCUMENTS["n3"]),
+                          ("bounded", {"modes": [{"id": 0, "A": [[0.5, 0.1], [0.0, 0.4]]},
+                                                 {"id": 1, "A": [[1.1, 0.0], [0.2, 0.9]]}],
+                                       "disturbance_bound": 0.1})]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        return paths
+
+    def _forked_and_in_process(self, argv, capsys, monkeypatch, forks):
+        """``(stdout, stderr, exit code)`` of ``argv``, checked equal in both modes."""
+        code = run(argv)
+        forked = (*capsys.readouterr(), code)
+        assert len(forks) == 1 and _reaped(forks[0])
+        monkeypatch.delattr(os, "fork")
+        code = run(argv)
+        assert (*capsys.readouterr(), code) == forked
+        return forked
+
+    @pytest.mark.parametrize("case", PIPELINE_CASES)
+    def test_output_equals_the_in_process_stream(self, case, paths, capsys, monkeypatch,
+                                                 forks):
+        argv = [arg.format(**paths) for arg in PIPELINE_CASES[case]]
+        out, err, code = self._forked_and_in_process(argv, capsys, monkeypatch, forks)
+        assert out.startswith("k,") and code == (1 if "alarm" in case else 0)
+        assert ("trace diverged" in err) == (case == "simulate diverged")
+
+    def test_violation_equals_the_in_process_stream(self, tmp_path, capsys, monkeypatch,
+                                                    forks):
+        # the later-block violation of TestSimulateStreaming
+        params = AbstractionParams(alpha=1.6, beta=1.0, rho={0: 0.5, 1: 1.08 * (1 - 1e-4)})
+        monkeypatch.setattr(cli, "_build_params", lambda system, args: params)
+        path = tmp_path / "growing.json"
+        path.write_text(json.dumps({"modes": [{"id": 0, "A": [[0.5]]},
+                                              {"id": 1, "A": [[1.08]]}]}))
+        _, err, code = self._forked_and_in_process(
+            ["simulate", str(path), "--sigma", "1," * 5999 + "1", "--w", "const:0.001",
+             "--x0", "1.0"], capsys, monkeypatch, forks)
+        assert code == 1 and "guarantee violated at k=" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    def test_exception_in_a_later_block(self, command, paths, capsys, monkeypatch, forks):
+        # raised in the child after one block was sent: the rows of that block, then
+        # the error line, as in process
+        if command == "simulate":
+            run_plant, message = simulate._run_plant, f"plant failed at k={CSV_BLOCK_ROWS}"
+
+            def failing_plant(seq, start, w, matrices, states):
+                if start:
+                    raise ParameterError(message)
+                return run_plant(seq, start, w, matrices, states)
+
+            monkeypatch.setattr(simulate, "_run_plant", failing_plant)
+            case = "simulate seed:7 8192"
+        else:
+            message = f"policy failed at k={CSV_BLOCK_ROWS}"
+
+            def failing_policy(k, admissible, rng):
+                if k == CSV_BLOCK_ROWS:
+                    raise ParameterError(message)
+                return min(admissible)
+
+            monkeypatch.setitem(scheduler.POLICIES, "greedy", lambda: failing_policy)
+            case = "schedule greedy"
+        argv = [arg.format(**paths) for arg in PIPELINE_CASES[case]]
+        out, err, code = self._forked_and_in_process(argv, capsys, monkeypatch, forks)
+        assert (err, code) == (f"error: {message}\n", 2)
+        assert len(out.splitlines()) == CSV_BLOCK_ROWS + 1
+
+    def test_interrupt_in_the_child_is_raised(self, paths, monkeypatch, forks):
+        def interrupted(k, admissible, rng):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(scheduler.POLICIES, "greedy", lambda: interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run([arg.format(**paths) for arg in PIPELINE_CASES["schedule greedy"]])
+        assert len(forks) == 1 and _reaped(forks[0])
+
+    def test_unpicklable_exception_is_a_runtime_error(self, paths, capsys, monkeypatch,
+                                                      forks):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def failing(k, admissible, rng):
+            raise Local("no pickle")
+
+        monkeypatch.setitem(scheduler.POLICIES, "greedy", lambda: failing)
+        code = run([arg.format(**paths) for arg in PIPELINE_CASES["schedule greedy"]])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Local: no pickle\n"
+        assert len(forks) == 1 and _reaped(forks[0])
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    @pytest.mark.parametrize("stop", ["closed pipe", "interrupt"])
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    def test_no_child_outlives_an_early_stop(self, command, stop, paths):
+        # ``| head -n 1``, or Ctrl-C on the command alone, while the stream is running
+        import convrate
+
+        argv = {"simulate": ["simulate", paths["bounded"], "--sigma", "mk-worst:1,2",
+                             "--steps", "1000000", "--w", "seed:7"],
+                "schedule": ["schedule", paths["scalar"], "--rho-hat", "0.9", "--alpha-hat",
+                             "2", "--steps", "1000000"]}[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(convrate.__file__).resolve().parents[1]))
+        with subprocess.Popen([sys.executable, "-m", "convrate", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as process:
+            assert process.stdout.readline().startswith(b"k,")
+            children = _children(process.pid)
+            assert len(children) == 1
+            if stop == "closed pipe":
+                process.stdout.close()
+                err = process.stderr.read()
+                assert process.wait(timeout=60) == 1
+                assert err == b""
+            else:
+                process.send_signal(signal.SIGINT)
+                _, err = process.communicate(timeout=60)
+                assert process.returncode != 0
+                assert err.endswith(b"KeyboardInterrupt\n")
+        assert not Path(f"/proc/{children[0]}").exists()
 
 
 class TestJsrCommand:

@@ -201,6 +201,18 @@ class TestDiscreteLyapunov:
         residual = spectral_norm(A.T @ P @ A - P + Q)
         assert residual <= 1e-9 * spectral_norm(Q)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_in_place_coefficient_matches_eye_minus_kron(self, seed):
+        # I - kron(A.T, A.T) is built in place; sparse A puts +0.0 and -0.0 into kron
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 13))
+        A = random_stable_matrix(rng, n) * (rng.random((n, n)) < 0.6)
+        A /= max(1.0, 1.25 * float(np.max(np.abs(np.linalg.eigvals(A)))))
+        Q = random_spd(rng, n)
+        vec_p = np.linalg.solve(np.eye(n * n) - np.kron(A.T, A.T), Q.reshape(-1))
+        expected = (vec_p.reshape(n, n) + vec_p.reshape(n, n).T) / 2.0
+        assert solve_discrete_lyapunov(A, Q).tobytes() == expected.tobytes()
+
     def test_unstable_rejected(self):
         with pytest.raises(NoStableSolutionError, match="no stable solution"):
             solve_discrete_lyapunov(np.diag([1.0, 0.5]), np.eye(2))

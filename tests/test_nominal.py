@@ -94,20 +94,28 @@ def scaled_shift(n: int, scale: float) -> np.ndarray:
 
 
 def scan_outcome(scan, A0, rho, max_iterations=nominal.ITERATION_CAP):
-    """The norms' bytes, or the message of the NumericError the scan raised.
+    """``k_tilde`` and the bytes of ``alpha_min``, or the message of the
+    NumericError the scan raised.
 
     Any numpy floating-point warning fails the test (see pyproject.toml).
     """
     try:
-        return np.array(scan(A0, rho, max_iterations)).tobytes()
+        k_tilde, alpha_min = scan(A0, rho, max_iterations)
     except NumericError as exc:
         return str(exc)
+    return k_tilde, np.float64(alpha_min).tobytes()
+
+
+def reference_scan(A0, rho, max_iterations):
+    """``(k_tilde, alpha_min)`` from the per-step reference's norms."""
+    norms = references.scan_norms(A0, rho, max_iterations)
+    return len(norms) - 1, max(norms[:-1])
 
 
 def reference_outcome(A0, rho, max_iterations=nominal.ITERATION_CAP):
     """:func:`scan_outcome` of the per-step reference, whose overflow warns."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return scan_outcome(references.scan_norms, A0, rho, max_iterations)
+        return scan_outcome(reference_scan, A0, rho, max_iterations)
 
 
 @st.composite
@@ -154,6 +162,18 @@ class TestBlockedScan:
             cert = nominal_certificate(A0, 0.5)
         assert cert.k_tilde == k
         assert cert.alpha_min == pytest.approx(1.5 ** (k - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [None, 1, 3])
+    def test_largest_norm_away_from_the_largest_frobenius_norm(self, budget):
+        # two Jordan blocks: ||P||_F peaks at k = 4 (||P|| = 7.75), ||P|| at k = 5 (8.06),
+        # so the screen must take every product whose bound reaches the largest norm
+        A0 = np.zeros((4, 4))
+        A0[:2, :2], A0[2:, 2:] = [[0.5, 2.0], [0.0, 0.5]], [[0.42, 3.0], [0.0, 0.42]]
+        expected = reference_outcome(A0, 0.6)
+        budget = nominal.SCAN_BLOCK_BYTES if budget is None else budget * 8 * 4 * 4
+        with mock.patch.object(nominal, "SCAN_BLOCK_BYTES", budget):
+            assert scan_outcome(nominal._scan_norms, A0, 0.6) == expected
+        assert nominal_certificate(A0, 0.6).alpha_min == pytest.approx(8.0576, rel=1e-4)
 
     @pytest.mark.parametrize("max_iterations", [0, 2, 5, 6, 9, 20])
     def test_cap_off_block_boundary_reports_last_norm(self, max_iterations):
