@@ -587,7 +587,7 @@ class TestSimulateStreaming:
         doc = STREAMING_DOCUMENTS["n32"]
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
-        monkeypatch.delattr(os, "fork")  # in process, so tracemalloc sees the stream
+        monkeypatch.delattr(os, "fork", raising=False)  # in process: tracemalloc sees it
         peaks = []
         for steps in (20_000, 80_000):
             tracemalloc.start()
@@ -609,7 +609,7 @@ class TestScheduleStreaming:
         # the w_bar gains) would add 8 bytes or more a step; the stream holds one block
         import tracemalloc
 
-        monkeypatch.delattr(os, "fork")  # in process, so tracemalloc sees the stream
+        monkeypatch.delattr(os, "fork", raising=False)  # in process: tracemalloc sees it
 
         path = tmp_path / "gate4.json"
         save_system(two_mode_system(np.random.default_rng(4), n=4), path)
