@@ -22,6 +22,8 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
+from io import BufferedWriter, FileIO, TextIOWrapper
 from pathlib import Path
 
 from .errors import DocumentError, ParameterError
@@ -167,20 +169,21 @@ def _make_disturbances(text: str, steps: int, system):
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 
-def _write_csv(stream, blocks, header, cells, out: str | None) -> None:
-    """Stream a CSV table to stdout, or to the ``--out`` file, opened first.
+class _OutFile(FileIO):
+    """A file opened for writing whose failed writes name it, so that :func:`run` reports
+    a path error: the OSError of a write, or of the close that flushes, names no path."""
 
-    ``blocks``, the columns of ``stream`` block by block, runs in a child
-    process (see ``io._forked``) while this one renders each block with
-    ``cells`` and writes it, so the two stages overlap.
-    """
-    from contextlib import nullcontext
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            exc.filename = self.name
+            raise
 
-    from .io import _forked, csv_blocks, write_csv
 
-    with (nullcontext(sys.stdout) if out is None or out == "-" else open(out, "w")) as fileobj:
-        with _forked(stream, blocks) as columns:
-            write_csv(csv_blocks(header, (cells(*block) for block in columns)), fileobj)
+def _open_out(path: str) -> TextIOWrapper:
+    """``path`` opened for writing text, as by ``open(path, "w")``, through :class:`_OutFile`."""
+    return TextIOWrapper(BufferedWriter(_OutFile(path, "w")))
 
 
 def cmd_analyze(args) -> int:
@@ -189,7 +192,8 @@ def cmd_analyze(args) -> int:
     system = load_system(args.system)
     params = _build_params(system, args)
     if args.out:  # a path that cannot be written fails before any line is printed
-        Path(args.out).write_text(json.dumps(params_to_document(params), indent=2) + "\n")
+        with _open_out(args.out) as fileobj:
+            fileobj.write(json.dumps(params_to_document(params), indent=2) + "\n")
     print(f"method: {params.method}")
     print(f"alpha: {params.alpha!r}")
     print(f"beta: {params.beta!r}")
@@ -244,7 +248,7 @@ def cmd_simulate(args) -> int:
     import numpy as np
 
     from .io import load_system
-    from .simulate import TRACE_COLUMNS, TraceStream, _trace_cells
+    from .simulate import TraceStream
 
     system = load_system(args.system)
     params = _build_params(system, args)
@@ -255,9 +259,8 @@ def cmd_simulate(args) -> int:
     x0 = _parse_x0(args.x0, system) if args.x0 else np.ones(system.n) / math.sqrt(system.n)
     w, w_bar = _make_disturbances(args.w, steps, system)
     trace = TraceStream(system, params, seq, x0, w, w_bar, steps, args.rel_tol)
-    # the plant states stay in the stream's process: the CSV shows only their norms
-    columns = ((start, *cells) for start, _, *cells in trace._blocks())
-    _write_csv(trace, columns, TRACE_COLUMNS, _trace_cells, args.out)
+    with nullcontext(sys.stdout) if args.out in (None, "-") else _open_out(args.out) as fileobj:
+        trace.write_csv(fileobj)
     if trace.diverged:
         print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
               file=sys.stderr)
@@ -293,14 +296,7 @@ def cmd_jsr(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .io import load_system
-    from .scheduler import (
-        POLICIES,
-        SCHEDULE_COLUMNS,
-        ExponentialTarget,
-        PracticalTarget,
-        ScheduleStream,
-        _decision_cells,
-    )
+    from .scheduler import POLICIES, ExponentialTarget, PracticalTarget, ScheduleStream
 
     if args.seed is not None and args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
@@ -320,8 +316,8 @@ def cmd_schedule(args) -> int:
         w_bar = system.disturbance_bound if isinstance(target, PracticalTarget) else 0.0
     stream = ScheduleStream(params, target, args.steps, policy=policy, w_bar=w_bar,
                             v0=args.v0, seed=args.seed)
-    _write_csv(stream, stream._blocks(), SCHEDULE_COLUMNS,
-               lambda *block: _decision_cells(stream.practical, *block), args.out)
+    with nullcontext(sys.stdout) if args.out in (None, "-") else _open_out(args.out) as fileobj:
+        stream.write_csv(fileobj)
     if stream.alarm is not None:
         k, alarm = stream.alarm
         print(f"alarm at k={k}: {alarm}", file=sys.stderr)

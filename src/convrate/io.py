@@ -23,11 +23,9 @@ and square lists of numbers. :class:`SystemModel` checks the meaning (mode
 0 present, one matrix size, the ranges of the bound and the cost weight),
 and its errors come back as :class:`DocumentError` too.
 
-Both CSV tables (trace and decisions) are rendered here too:
-:func:`csv_blocks` joins the cells of each block of rows it is given, column
-by column, so a writer streams a table one block at a time, and
-:func:`_forked` computes the blocks in a child process while the writer
-renders them.
+Both CSV tables (trace and decisions) are written here too:
+:func:`write_table` writes a table one block of rows at a time, rendering
+each block while a child process (:func:`_forked`) computes the next.
 """
 
 from __future__ import annotations
@@ -153,22 +151,15 @@ def params_to_document(params: AbstractionParams) -> dict:
     return doc
 
 
-def csv_blocks(header, blocks):
-    """CSV lines of a table, header first, one list per block of rows.
-
-    Each block of ``blocks`` holds the cells of its rows column by column.
-    A writer that consumes the lines one block at a time, as the blocks are
-    made, holds at most ``CSV_BLOCK_ROWS`` rows of text.
-    """
-    yield [",".join(header)]
-    for columns in blocks:
-        yield list(map(",".join, zip(*columns)))
-
-
-def write_csv(blocks, fileobj) -> None:
-    """Write :func:`csv_blocks` lines, newline-terminated, one block at a time."""
-    for block in blocks:
-        fileobj.write("\n".join(block) + "\n")
+def write_table(fileobj, stream, header, cells, blocks) -> None:
+    """Write a CSV table to ``fileobj``: the ``header`` line, then the rows of each block of
+    ``blocks``, whose cells ``cells(*block)`` gives column by column, each line ending in a
+    newline. ``blocks``, built on ``stream``'s own generator, runs in a child process
+    (:func:`_forked`) while this one renders and writes each block it receives."""
+    with _forked(stream, blocks) as received:
+        fileobj.write(",".join(header) + "\n")  # after the fork: a reader of it sees the child
+        for block in received:
+            fileobj.write("\n".join(map(",".join, zip(*cells(*block)))) + "\n")
 
 
 @contextmanager
@@ -176,8 +167,7 @@ def _forked(stream, blocks):
     """The items of the generator ``blocks``, computed in a forked child process.
 
     The child runs ``blocks`` (built on ``stream``'s own generator) and
-    pickles each item through a pipe, so it computes the next block while
-    this process renders the last one. After the last item it sends the
+    pickles each item through a pipe. After the last item it sends the
     attributes of ``stream`` named by ``stream._END_STATE``, which are set
     here once the last item has been read; if ``blocks`` raises, the child
     sends the exception and it is raised here. The child writes nothing
@@ -234,7 +224,7 @@ def _received(stream, pipe):
     while True:
         try:
             item = pickle.load(pipe)
-        except EOFError:
+        except (EOFError, pickle.UnpicklingError):  # no item, or a block cut short
             raise RuntimeError("the stream's child process ended early") from None
         if isinstance(item, BaseException):
             raise item

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParameterError, check_nonnegative
-from .io import CSV_BLOCK_ROWS, csv_blocks
+from .io import CSV_BLOCK_ROWS, write_table
 from .model import AbstractionParams
 from .simulate import w_bar_series
 
@@ -438,11 +438,11 @@ class ScheduleStream:
                 alarms.append(alarm)
             yield start, choices, admissible_sets, stored, alarms
 
-    def csv_blocks(self):
-        """The lines of ``schedule_csv_lines(run_schedule(...).records)``, header first, one
-        list per block of rows (see ``io.csv_blocks``); run this once."""
-        return csv_blocks(SCHEDULE_COLUMNS, (_decision_cells(self.practical, *block)
-                                             for block in self._blocks()))
+    def write_csv(self, fileobj) -> None:
+        """Write the lines of ``schedule_csv_lines(run_schedule(...).records)`` to ``fileobj``
+        (see :func:`io.write_table`); run this once."""
+        write_table(fileobj, self, SCHEDULE_COLUMNS,
+                    lambda *block: _decision_cells(self.practical, *block), self._blocks())
 
 
 def run_schedule(params: AbstractionParams,
@@ -481,7 +481,7 @@ def _label(admissible: frozenset[int]) -> str:
 
 
 def _decision_cells(practical: bool, start: int, choices, admissible, stored, alarms):
-    """Cells of the decision rows ``start ..``, column by column (see ``io.csv_blocks``)."""
+    """Cells of the decision rows ``start ..``, column by column."""
     labels = {modes: _label(modes) for modes in set(admissible)}
     if practical:
         kappa_hat, v_bar = [""] * len(stored), list(map(repr, stored))

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError, ParameterError, check_nonnegative
-from .io import CSV_BLOCK_ROWS, csv_blocks
+from .io import CSV_BLOCK_ROWS, write_table
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
 from .model import AbstractionParams, SystemModel
 
@@ -182,9 +182,10 @@ def w_bar_series(w_bar, steps: int) -> np.ndarray:
 
 
 def _rows(params: AbstractionParams, modes, gains, value: float, product: float):
-    """``(vbar, kappa)`` lists from the row ``(value, product)`` on, one more row per mode,
-    over plain floats (an overflow is inf); they stop before a ``vbar`` past
-    ``OVERFLOW_LIMIT``, so no later mode is looked up."""
+    """``(vbar, kappa, row)``: lists from the row ``(value, product)`` on, one more row per
+    mode, over plain floats (an overflow is inf), and the row after their first
+    ``CSV_BLOCK_ROWS``, carried into the next block, or None where they end. They stop
+    before a ``vbar`` past ``OVERFLOW_LIMIT``, so no later mode is looked up."""
     beta, rates = params.beta, params.rho
     vbar, kappa = [value], [product]
     for mode, gain in zip(modes, gains):
@@ -195,21 +196,9 @@ def _rows(params: AbstractionParams, modes, gains, value: float, product: float)
         product *= rate
         vbar.append(value)
         kappa.append(product)
-    return vbar, kappa
-
-
-def _series(params: AbstractionParams, seq: Sequence[int], gains: np.ndarray,
-            row: tuple[float, float]):
-    """``(vbar, kappa)`` lists of :func:`_rows` from ``row`` on, over the modes
-    ``seq[:len(gains)]``, one ``CSV_BLOCK_ROWS`` block of rows at a time,
-    carrying one row from block to block as :class:`TraceStream` does."""
-    start = 0
-    while row is not None:
-        stop = min(start + CSV_BLOCK_ROWS, len(gains))
-        vbar, kappa = _rows(params, seq[start:stop], gains[start:stop].tolist(), *row)
-        row = (vbar.pop(), kappa.pop()) if len(vbar) > CSV_BLOCK_ROWS else None
-        yield vbar, kappa
-        start = stop
+    if len(vbar) > CSV_BLOCK_ROWS:
+        return vbar[:-1], kappa[:-1], (vbar[-1], kappa[-1])
+    return vbar, kappa, None
 
 
 def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
@@ -224,8 +213,10 @@ def simulate_abstraction(params: AbstractionParams, seq: Sequence[int],
     horizon = _horizon(seq, horizon)
     x0_norm = check_nonnegative(x0_norm, "x0_norm")
     gains = w_bar_series(0.0 if w_bar is None else w_bar, horizon)
-    vbar, rows = np.empty(horizon + 1), 0
-    for values, _ in _series(params, seq, gains, (params.alpha * x0_norm, 1.0)):
+    vbar, rows, row = np.empty(horizon + 1), 0, (params.alpha * x0_norm, 1.0)
+    while row is not None:  # one block of rows at a time, as TraceStream carries them
+        stop = rows + CSV_BLOCK_ROWS
+        values, _, row = _rows(params, seq[rows:stop], gains[rows:stop].tolist(), *row)
         vbar[rows:rows + len(values)] = values
         rows += len(values)
     return vbar[:rows]
@@ -335,7 +326,7 @@ def _float_cells(values) -> list[str]:
 
 
 def _trace_cells(start: int, sigma, w_norm, x_norm, vbar, kappa, cost):
-    """Cells of the trace rows ``start ..``, column by column (see ``io.csv_blocks``)."""
+    """Cells of the trace rows ``start ..``, column by column."""
     return (
         map(str, range(start, start + len(x_norm))),
         ["" if mode is None else str(mode) for mode in sigma],
@@ -346,11 +337,9 @@ def _trace_cells(start: int, sigma, w_norm, x_norm, vbar, kappa, cost):
 
 def trace_csv_lines(trace: Trace) -> list[str]:
     """Render a trace as CSV lines under the fixed column contract."""
-    series = (trace.sigma, trace.w_norm, trace.x_norm, trace.vbar, trace.kappa, trace.cost_bound)
-    blocks = (_trace_cells(start, *(None if s is None else s[start:start + CSV_BLOCK_ROWS]
-                                    for s in series))
-              for start in range(0, len(trace), CSV_BLOCK_ROWS))
-    return [line for block in csv_blocks(TRACE_COLUMNS, blocks) for line in block]
+    cells = _trace_cells(0, trace.sigma, trace.w_norm, trace.x_norm, trace.vbar, trace.kappa,
+                         trace.cost_bound)
+    return [",".join(TRACE_COLUMNS), *map(",".join, zip(*cells))]
 
 
 class TraceStream:
@@ -411,15 +400,14 @@ class TraceStream:
         while row is not None:
             w, w_norms = self._first_block if start == 0 else self._disturbances(start)
             gains = w_norms if self._w_bar is None else self._w_bar[start:start + len(w)]
-            vbar, kappa = _rows(params, seq[start:start + len(w)], gains.tolist(), *row)
+            vbar, kappa, row = _rows(params, seq[start:start + len(w)], gains.tolist(), *row)
             if start:  # carry the last state of the previous block, which was full
                 states[0] = states[-1]
-            # the plant runs as far as the abstraction: past a diverged vbar it may overflow
-            x = _run_plant(seq, start, w[:len(vbar) - 1], self._matrices, states)
-            rows = min(len(vbar), CSV_BLOCK_ROWS)
-            row = (vbar[rows], kappa[rows]) if rows < len(vbar) else None
-            self._length, self.diverged = start + rows, len(vbar) <= len(w)
-            x, vbar, kappa = x[:rows], np.array(vbar[:rows]), np.array(kappa[:rows])
+            # the plant stops where vbar and its carried row stop (past them it may overflow)
+            x = _run_plant(seq, start, w[:len(vbar) - (row is None)], self._matrices, states)
+            rows = len(vbar)
+            self._length, self.diverged = start + rows, row is None and rows <= len(w)
+            x, vbar, kappa = x[:rows], np.array(vbar), np.array(kappa)
             x_norm = row_norms(x)
             first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
             if first is not None and self._first_violation is None:
@@ -434,14 +422,15 @@ class TraceStream:
             yield start, x, sigma, w_norms, x_norm, vbar, kappa, cost
             start += CSV_BLOCK_ROWS
 
-    def csv_blocks(self):
-        """Trace CSV lines, header first, one list per block of rows; run this once."""
-        return csv_blocks(TRACE_COLUMNS, (_trace_cells(start, *cells)
-                                          for start, _, *cells in self._blocks()))
+    def write_csv(self, fileobj) -> None:
+        """Write the trace CSV to ``fileobj`` (see :func:`io.write_table`); run this once.
+        The plant states stay with the blocks' generator: the CSV shows only their norms."""
+        write_table(fileobj, self, TRACE_COLUMNS, _trace_cells,
+                    ((start, *cells) for start, _, *cells in self._blocks()))
 
     @property
     def report(self) -> GuaranteeReport:
-        """The guarantee check of every row, once :meth:`csv_blocks` has been consumed."""
+        """The guarantee check of every row, once :meth:`write_csv` has run."""
         first = self._first_violation
         return GuaranteeReport(holds=first is None, first_violation=first,
                                max_ratio=float(np.max(self._max_ratios)))

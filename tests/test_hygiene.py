@@ -4,10 +4,11 @@ Every name a module of the package imports is used in that module: a
 stdlib ``ast`` check stands in for the unused-import rule of a linter
 (``__init__.py`` only re-exports). Every module-level private name is
 used somewhere in the package, so a half-removed second code path cannot
-linger. And each shared validation rule has one copy: the scalar range
-check in ``errors.py``, the ``w_bar`` series rule in ``simulate.py``, the
-sequence length check in ``sequences.py`` and the undeclared-mode error
-in ``model.py``.
+linger. The CLI reads only public names of the modules it drives. And each
+shared validation rule has one copy: the scalar range check in
+``errors.py``, the ``w_bar`` series rule in ``simulate.py``, the sequence
+length check in ``sequences.py`` and the undeclared-mode error in
+``model.py``.
 """
 
 from __future__ import annotations
@@ -103,3 +104,28 @@ def test_validation_rule_has_one_copy(text, owner):
     counts = {module: (PACKAGE / module).read_text().count(text)
               for module in sorted(path.name for path in PACKAGE.glob("*.py"))}
     assert {module: count for module, count in counts.items() if count} == {owner: 1}
+
+
+def private_reads(source: str) -> list[str]:
+    """Private names that ``source`` imports from within the package, and private
+    attributes that it reads off anything but ``self`` (dunders exempt)."""
+    tree = ast.parse(source)
+    found = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")]
+    found += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.endswith("__")
+              and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    return found
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    assert private_reads((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_private_read_check_sees_each_kind_of_use():
+    source = ("from .a import _b, c\nfrom os import _exit\nfrom . import d\n"
+              "x = d._e + c.f + type(c).__name__\n"
+              "class G:\n    def h(self):\n        return self._i, c()._j\n")
+    assert private_reads(source) == ["_b", "_e", "_j"]

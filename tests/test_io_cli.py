@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -357,6 +358,25 @@ class TestPathErrors:
         assert code == 2
         assert captured.out == ""  # a failed command prints no partial result
         assert captured.err == f"error: {named.format(**paths)}: {os.strerror(errno_code)}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, forked", [
+        (["analyze", "{system}"], False),
+        (["simulate", "{system}", "--sigma", "0,1"], True),
+        (["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", str(CSV_BLOCK_ROWS + 1)],
+         True),
+        (["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "3"], True),
+        (["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "9000"],
+         True),
+    ], ids=["analyze", "simulate", "simulate past a buffer", "schedule",
+            "schedule past a buffer"])
+    def test_failed_write_to_out_is_exit_2(self, argv, forked, scalar_path, capsys, forks):
+        # the write, or the close that flushes a short output, fails with no path of its
+        # own; the command names --out, and its child, if any, has been waited for
+        code = run([arg.format(system=scalar_path) for arg in argv] + ["--out", "/dev/full"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: /dev/full: {os.strerror(errno.ENOSPC)}\n")
+        assert len(forks) == forked and all(map(_reaped, forks))
 
     def test_error_without_a_path_propagates(self, scalar_path):
         with mock.patch.object(cli, "cmd_jsr", side_effect=BrokenPipeError(errno.EPIPE, "pipe")):
@@ -766,6 +786,24 @@ class TestForkedStreams:
         out, err, code = self._forked_and_in_process(argv, capsys, monkeypatch, forks)
         assert (err, code) == (f"error: {message}\n", 2)
         assert len(out.splitlines()) == CSV_BLOCK_ROWS + 1
+
+    @pytest.mark.parametrize("case", ["simulate seed:7 8192", "schedule greedy"])
+    def test_block_cut_short_is_an_early_end(self, case, paths, capsys, monkeypatch, forks):
+        # the child dies halfway through sending its first block
+        def half_a_block(stream, blocks, fd):
+            try:
+                data = pickle.dumps(next(blocks), pickle.HIGHEST_PROTOCOL)
+                with open(fd, "wb") as pipe:
+                    pipe.write(data[:len(data) // 2])
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr("convrate.io._produce", half_a_block)
+        code = run([arg.format(**paths) for arg in PIPELINE_CASES[case]])
+        out, err = capsys.readouterr()
+        assert (err, code) == ("error: the stream's child process ended early\n", 1)
+        assert out.startswith("k,") and out.count("\n") == 1  # the header alone
+        assert len(forks) == 1 and _reaped(forks[0])
 
     def test_interrupt_in_the_child_is_raised(self, paths, monkeypatch, forks):
         def interrupted(k, admissible, rng):

@@ -32,7 +32,7 @@ from convrate import (
 )
 from convrate import scheduler
 from convrate.cli import run as cli_run
-from convrate.io import CSV_BLOCK_ROWS, save_system, write_csv
+from convrate.io import CSV_BLOCK_ROWS, save_system
 from convrate.scheduler import POLICIES, ScheduleStream, StepRecord, schedule_csv_lines
 from conftest import two_mode_system
 
@@ -378,8 +378,11 @@ def wide_gate_cases(draw):
 
 def run_lines(params, target, steps, **kwargs) -> tuple[list[str], tuple[int, str] | None]:
     """The decision CSV lines of a streamed run, and its first alarm."""
-    stream = ScheduleStream(params, target, steps, **kwargs)
-    return [line for block in stream.csv_blocks() for line in block], stream.alarm
+    stream, text = ScheduleStream(params, target, steps, **kwargs), io.StringIO()
+    stream.write_csv(text)
+    lines = text.getvalue().split("\n")
+    assert lines.pop() == ""  # every line ends in a newline
+    return lines, stream.alarm
 
 
 def first_alarm(run) -> tuple[int, str] | None:
@@ -645,13 +648,8 @@ class TestScheduleCsv:
         records = [pool[k % len(pool)] for k in range(rows)]
         # plain booleans: pytest's diff of two block-sized tables, repeated
         # while hypothesis shrinks, would take minutes to report a failure
-        lines = schedule_csv_lines(records)
-        same = lines == references.schedule_csv_lines(records)
+        same = schedule_csv_lines(records) == references.schedule_csv_lines(records)
         assert same
-        stream = io.StringIO()
-        write_csv([lines], stream)
-        streamed = stream.getvalue() == "\n".join(lines) + "\n"
-        assert streamed
 
 
 @st.composite

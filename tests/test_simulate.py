@@ -27,7 +27,7 @@ from convrate import (
     trace_csv_lines,
 )
 from convrate import counterexample
-from convrate.io import CSV_BLOCK_ROWS, write_csv
+from convrate.io import CSV_BLOCK_ROWS
 from convrate.simulate import TRACE_COLUMNS, TraceStream, _float_cells
 from conftest import random_spd, two_mode_system, valid_rho_for
 
@@ -358,10 +358,9 @@ class TestTraceCsv:
         assert first == second
 
     def test_write_adds_trailing_newline(self, tmp_path):
-        trace = co_simulate(SCALAR, PARAMS, (0,), [1.0])
         target = tmp_path / "trace.csv"
         with open(target, "w") as handle:
-            write_csv([trace_csv_lines(trace)], handle)
+            TraceStream(SCALAR, PARAMS, (0,), [1.0]).write_csv(handle)
         text = target.read_text()
         assert text.endswith("\n")
         assert text.splitlines()[0] == ",".join(TRACE_COLUMNS)
@@ -490,28 +489,31 @@ class TestCsvAgainstCellReference:
                              cost_weight=[[2.0]] if weighted else None)
         rng = np.random.default_rng(rows)
         seq = tuple(int(m) for m in rng.integers(0, 2, rows - 1))
-        trace = co_simulate(system, PARAMS, seq, [1.0], rng.standard_normal(rows - 1))
+        w = rng.standard_normal(rows - 1)
+        trace = co_simulate(system, PARAMS, seq, [1.0], w)
         assert len(trace) == rows and (trace.cost_bound is not None) == weighted
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
-        stream = io.StringIO()
-        write_csv([lines], stream)
-        assert stream.getvalue() == "\n".join(lines) + "\n"
+        assert _stream_lines(TraceStream(system, PARAMS, seq, [1.0], w)) == lines
 
     def test_streamed_diverged_trace(self):
         # 1.15^k passes the overflow guard near k = 4943, past the first row block
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 1.15})
-        trace = co_simulate(SystemModel(modes={0: [[1.0]]}), params, (0,) * 6000, [1.0])
+        system = SystemModel(modes={0: [[1.0]]})
+        trace = co_simulate(system, params, (0,) * 6000, [1.0])
         assert trace.diverged and CSV_BLOCK_ROWS < len(trace) < 6000
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
-        stream = io.StringIO()
-        write_csv([lines], stream)
-        assert stream.getvalue() == "\n".join(lines) + "\n"
+        assert _stream_lines(TraceStream(system, params, (0,) * 6000, [1.0])) == lines
 
 
 def _stream_lines(stream: TraceStream) -> list[str]:
-    return [line for block in stream.csv_blocks() for line in block]
+    """The lines that ``stream.write_csv`` writes, each checked to end in a newline."""
+    text = io.StringIO()
+    stream.write_csv(text)
+    lines = text.getvalue().split("\n")
+    assert lines.pop() == ""
+    return lines
 
 
 class TestTraceStream:
@@ -612,7 +614,7 @@ class TestTraceStream:
         stream = TraceStream(SystemModel(modes={0: [[1.0]]}), params, seq, [1.0], w, None, steps)
         assert (len(stream), stream.diverged) == (0, False)  # nothing streamed yet
         text = io.StringIO()
-        write_csv(stream.csv_blocks(), text)
+        stream.write_csv(text)
         lines = text.getvalue().split("\n")
         assert (len(stream), stream.diverged) == (CSV_BLOCK_ROWS, True)
         assert lines == references.trace_csv_lines(co_simulate(
