@@ -7,8 +7,9 @@ to CSV), ``jsr`` (brute-force averaged spectral radius), ``schedule``
 built-in demo system's characteristic values).
 
 Exit codes: 0 success / property proven; 1 not proven, guarantee violated,
-alarm fired, or analysis infeasible; 2 usage, parse, or parameter errors, or
-a path that cannot be read or written.
+alarm fired, or analysis infeasible, or a reader closed the stdout pipe; 2
+usage, parse, or parameter errors, a path that cannot be read or written, or
+another failed write to stdout.
 
 Each command imports the modules it runs, inside its function, so help
 texts and usage errors, which argparse handles before any command runs,
@@ -186,6 +187,31 @@ def _open_out(path: str) -> TextIOWrapper:
     return TextIOWrapper(BufferedWriter(_OutFile(path, "w")))
 
 
+class _Stdout(FileIO):
+    """Standard output for writing, which records whether a write failed, so that
+    :func:`main` tells that from any other OSError, such as one of ``os.fork``."""
+
+    failed = False
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError:
+            self.failed = True
+            raise
+
+
+def _wrap_stdout() -> _Stdout:
+    """Put a :class:`_Stdout` under a new ``sys.stdout`` that encodes and buffers as the
+    old one does (a ``FileIO`` buffer is Python's unbuffered mode), and return it."""
+    old = sys.stdout
+    raw = _Stdout(old.fileno(), "w", closefd=False)
+    sys.stdout = TextIOWrapper(raw if isinstance(old.buffer, FileIO) else BufferedWriter(raw),
+                               old.encoding, old.errors, line_buffering=old.line_buffering,
+                               write_through=old.write_through)
+    return raw
+
+
 def cmd_analyze(args) -> int:
     from .io import load_system, params_to_document
 
@@ -260,11 +286,11 @@ def cmd_simulate(args) -> int:
     w, w_bar = _make_disturbances(args.w, steps, system)
     trace = TraceStream(system, params, seq, x0, w, w_bar, steps, args.rel_tol)
     with nullcontext(sys.stdout) if args.out in (None, "-") else _open_out(args.out) as fileobj:
-        trace.write_csv(fileobj)
-    if trace.diverged:
-        print(f"trace diverged: vbar exceeded the overflow guard at step {len(trace)}",
+        rows, report = trace.write_csv(fileobj)
+        fileobj.flush()  # a failed write to stdout, too, fails before the verdict
+    if rows <= steps:
+        print(f"trace diverged: vbar exceeded the overflow guard at step {rows}",
               file=sys.stderr)
-    report = trace.report
     if not report.holds:
         print(f"guarantee violated at k={report.first_violation}: "
               f"|x_k| > vbar_k (max ratio {report.max_ratio:.6g})", file=sys.stderr)
@@ -317,10 +343,11 @@ def cmd_schedule(args) -> int:
     stream = ScheduleStream(params, target, args.steps, policy=policy, w_bar=w_bar,
                             v0=args.v0, seed=args.seed)
     with nullcontext(sys.stdout) if args.out in (None, "-") else _open_out(args.out) as fileobj:
-        stream.write_csv(fileobj)
-    if stream.alarm is not None:
-        k, alarm = stream.alarm
-        print(f"alarm at k={k}: {alarm}", file=sys.stderr)
+        alarm = stream.write_csv(fileobj)
+        fileobj.flush()
+    if alarm is not None:
+        k, text = alarm
+        print(f"alarm at k={k}: {text}", file=sys.stderr)
         return 1
     return 0
 
@@ -450,12 +477,18 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    stdout = _wrap_stdout()
     try:
         code = run()
-        sys.stdout.flush()  # a closed pipe fails here, inside the try, not at exit
-    except BrokenPipeError:
-        # The reader closed stdout (e.g. ``| head``). Python flushes stdout again
-        # at exit, so point it at devnull first: no traceback, no second error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        sys.stdout.flush()  # a failed write to stdout fails here at the latest, not at exit
+    except OSError as exc:
+        if not stdout.failed:
+            raise
+        # Python flushes stdout again at exit, so point it at devnull first: what stdout
+        # still buffers goes there, with no traceback and no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout (e.g. ``| head``)
+            sys.exit(1)
+        print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(code)

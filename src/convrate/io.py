@@ -151,30 +151,33 @@ def params_to_document(params: AbstractionParams) -> dict:
     return doc
 
 
-def write_table(fileobj, stream, header, cells, blocks) -> None:
+def write_table(fileobj, header, cells, blocks):
     """Write a CSV table to ``fileobj``: the ``header`` line, then the rows of each block of
-    ``blocks``, whose cells ``cells(*block)`` gives column by column, each line ending in a
-    newline. ``blocks``, built on ``stream``'s own generator, runs in a child process
-    (:func:`_forked`) while this one renders and writes each block it receives."""
-    with _forked(stream, blocks) as received:
+    the generator ``blocks``, whose cells ``cells(*block)`` gives column by column, each
+    line ending in a newline; return what ``blocks`` returns. ``blocks`` runs in a child
+    process (:func:`_forked`) while this one renders and writes each block it receives."""
+    with _forked(blocks) as received:
         fileobj.write(",".join(header) + "\n")  # after the fork: a reader of it sees the child
-        for block in received:
+        while True:
+            try:
+                block = next(received)
+            except StopIteration as end:
+                return end.value
             fileobj.write("\n".join(map(",".join, zip(*cells(*block)))) + "\n")
 
 
 @contextmanager
-def _forked(stream, blocks):
+def _forked(blocks):
     """The items of the generator ``blocks``, computed in a forked child process.
 
-    The child runs ``blocks`` (built on ``stream``'s own generator) and
-    pickles each item through a pipe. After the last item it sends the
-    attributes of ``stream`` named by ``stream._END_STATE``, which are set
-    here once the last item has been read; if ``blocks`` raises, the child
-    sends the exception and it is raised here. The child writes nothing
-    else and leaves through ``os._exit``. On leaving the context, by any
-    path, the pipe is closed and the child waited for (a child still
-    writing fails on the closed pipe). Where ``os.fork`` is missing,
-    ``blocks`` runs in this process.
+    The child runs ``blocks``, pickles each item through a pipe and then
+    sends the exception that ended it. For the ``StopIteration`` of a
+    ``blocks`` that returned, the generator yielded here returns its value;
+    any other exception is raised here. The child writes nothing else and
+    leaves through ``os._exit``. On leaving the context, by any path, the
+    pipe is closed and the child waited for (a child still writing fails on
+    the closed pipe). Where ``os.fork`` is missing, ``blocks`` runs in this
+    process.
     """
     if not hasattr(os, "fork"):
         yield blocks
@@ -189,27 +192,26 @@ def _forked(stream, blocks):
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
-        _produce(stream, blocks, write_fd)
+        _produce(blocks, write_fd)
     os.close(write_fd)
     pipe = open(read_fd, "rb")
     try:
-        yield _received(stream, pipe)
+        yield _received(pipe)
     finally:  # closed first: a child blocked on a full pipe then fails and leaves
         pipe.close()
         os.waitpid(pid, 0)
 
 
-def _produce(stream, blocks, fd: int):
-    """The child of :func:`_forked`: send every item of ``blocks``, then the end
-    state of ``stream`` or the exception raised, and leave."""
+def _produce(blocks, fd: int):
+    """The child of :func:`_forked`: send every item of ``blocks``, then the exception
+    that ended it, and leave."""
     try:
         with open(fd, "wb") as pipe:
             try:
-                for block in blocks:
-                    pickle.dump(block, pipe, pickle.HIGHEST_PROTOCOL)
+                while True:
+                    pickle.dump(next(blocks), pipe, pickle.HIGHEST_PROTOCOL)
                     pipe.flush()
-                last = {name: getattr(stream, name) for name in stream._END_STATE}
-            except BaseException as exc:
+            except BaseException as exc:  # StopIteration too: it carries the return value
                 try:
                     last = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
                 except Exception:  # an exception that does not survive pickling
@@ -219,16 +221,16 @@ def _produce(stream, blocks, fd: int):
         os._exit(0)  # no atexit handler, no flush of the buffers copied at the fork
 
 
-def _received(stream, pipe):
-    """The items that :func:`_produce` sends; its end state is set on ``stream``."""
+def _received(pipe):
+    """The items that :func:`_produce` sends; returns the value of the StopIteration it
+    sends last."""
     while True:
         try:
             item = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):  # no item, or a block cut short
             raise RuntimeError("the stream's child process ended early") from None
+        if isinstance(item, StopIteration):
+            return item.value
         if isinstance(item, BaseException):
             raise item
-        if isinstance(item, dict):
-            vars(stream).update(item)
-            return
         yield item

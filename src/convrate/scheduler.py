@@ -378,12 +378,8 @@ class ScheduleStream:
     admissible sets seen so far, the policy and its generator; the practical
     gains of a block are built from the ``w_bar`` view as the block runs.
     Every argument is checked on construction, so a refusal comes before any
-    row. ``alarm`` is the first alarm streamed so far, as ``(k, text)``, or
-    None.
+    row.
     """
-
-    #: What a run of :meth:`_blocks` leaves behind.
-    _END_STATE = ("alarm",)
 
     def __init__(self, params: AbstractionParams,
                  target: ExponentialTarget | PracticalTarget,
@@ -407,14 +403,14 @@ class ScheduleStream:
         self._order, self._texts = _order(params), _alarms(target)
         self._policy = policy or greedy_policy()
         self._rng = np.random.default_rng(seed)
-        self.alarm: tuple[int, str] | None = None
 
     def _blocks(self):
         """``(start, choices, admissible, stored, alarms)`` of each block of steps in turn;
-        each step applies the gate kernel to plain floats."""
+        each step applies the gate kernel to plain floats. Returns the first alarm, as
+        ``(k, text)``, or None."""
         now, limit, coefficients = self._initial, self._limit, self._coefficients
         params, order, texts, sets = self._params, self._order, self._texts, {}
-        policy, rng, fired, beta = self._policy, self._rng, False, self._params.beta
+        policy, rng, first, beta = self._policy, self._rng, None, self._params.beta
         for start in range(0, self._steps, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, self._steps)
             if self._w_bar is None:
@@ -428,21 +424,24 @@ class ScheduleStream:
                 if admissible is None:
                     admissible = sets[mask] = _modes(order, mask)
                 alarm = _alarm(texts, now, limit, mask)
-                if alarm is not None and not fired:
-                    fired, self.alarm = True, (k, alarm)
-                chosen = 0 if fired else policy(k, admissible, rng)
+                if alarm is not None and first is None:
+                    first = k, alarm
+                chosen = 0 if first else policy(k, admissible, rng)
                 now = _pick(after, order, params, chosen)
                 choices.append(chosen)
                 admissible_sets.append(admissible)
                 stored.append(now)
                 alarms.append(alarm)
             yield start, choices, admissible_sets, stored, alarms
+        return first
 
-    def write_csv(self, fileobj) -> None:
+    def write_csv(self, fileobj) -> tuple[int, str] | None:
         """Write the lines of ``schedule_csv_lines(run_schedule(...).records)`` to ``fileobj``
-        (see :func:`io.write_table`); run this once."""
-        write_table(fileobj, self, SCHEDULE_COLUMNS,
-                    lambda *block: _decision_cells(self.practical, *block), self._blocks())
+        (see :func:`io.write_table`); run this once. Returns the first alarm, as
+        ``(k, text)``, or None."""
+        return write_table(fileobj, SCHEDULE_COLUMNS,
+                           lambda *block: _decision_cells(self.practical, *block),
+                           self._blocks())
 
 
 def run_schedule(params: AbstractionParams,
@@ -464,12 +463,11 @@ def run_schedule(params: AbstractionParams,
     by block.
     """
     stream = ScheduleStream(params, target, steps, policy, w_bar, v0, seed)
-    run = ScheduleRun([], [], [], [], stream.practical, False)
+    columns = [], [], [], []
     for _, *block in stream._blocks():
-        for column, values in zip((run.choices, run.admissible, run.stored, run.alarms), block):
+        for column, values in zip(columns, block):
             column += values
-    run.alarm_fired = stream.alarm is not None
-    return run
+    return ScheduleRun(*columns, stream.practical, alarm_fired=any(columns[3]))
 
 
 #: Exact column contract of the decision CSV emission.

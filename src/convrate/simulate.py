@@ -253,13 +253,15 @@ def co_simulate(system: SystemModel, params: AbstractionParams, seq: Sequence[in
     stream = TraceStream(system, params, seq, x0, w, w_bar, horizon)
     x, columns = np.empty((horizon + 1, system.n)), np.empty((5, horizon + 1))
     sigma = []
-    for start, states, modes, *series in stream._blocks():
-        for column, values in zip((x, *columns), (states, *series)):
-            column[start:start + len(states)] = np.nan if values is None else values
+    for start, modes, *series in stream._blocks():
+        rows = start + len(modes)
+        x[start:rows] = stream._states[:rows - start]  # the block's states, while it is current
+        for column, values in zip(columns, series):
+            column[start:rows] = np.nan if values is None else values
         sigma += modes
-    w_norm, x_norm, vbar, kappa_series, cost = columns[:, :len(stream)]
-    return Trace(sigma=tuple(sigma), w_norm=w_norm, x=x[:len(stream)], x_norm=x_norm,
-                 vbar=vbar, kappa=kappa_series, diverged=stream.diverged,
+    w_norm, x_norm, vbar, kappa_series, cost = columns[:, :rows]
+    return Trace(sigma=tuple(sigma), w_norm=w_norm, x=x[:rows], x_norm=x_norm,
+                 vbar=vbar, kappa=kappa_series, diverged=rows <= horizon,
                  cost_bound=None if system.cost_weight is None else cost,
                  meta=dict(meta or {}))
 
@@ -349,8 +351,7 @@ class TraceStream:
     :class:`Trace`. The plant and the abstraction run one ``CSV_BLOCK_ROWS``
     block of rows at a time and the stream yields its blocks, carrying one
     state row and one ``(vbar, kappa)`` row; it ends where ``vbar`` passes
-    ``OVERFLOW_LIMIT``, and the plant runs no further than that. ``len()``
-    and ``diverged`` count the rows streamed so far.
+    ``OVERFLOW_LIMIT``, and the plant runs no further than that.
 
     The arguments are those of :func:`co_simulate`, plus ``rel_tol``.
     ``disturbances`` is None (zero) or anything whose ``[a:b]`` holds the
@@ -358,9 +359,6 @@ class TraceStream:
     stream slices each block once, in step order, and checks it then, the
     first one on construction, so every refusal comes before any row.
     """
-
-    #: What a run of :meth:`_blocks` leaves for ``len()``, ``diverged`` and ``report``.
-    _END_STATE = ("_length", "diverged", "_first_violation", "_max_ratios")
 
     def __init__(self, system: SystemModel, params: AbstractionParams, seq: Sequence[int],
                  x0, disturbances=None, w_bar=None, horizon: int | None = None,
@@ -378,12 +376,6 @@ class TraceStream:
         self._w_bar = None if w_bar is None else w_bar_series(w_bar, horizon)
         for mode in self._matrices:  # a mode without a rate is refused before any row
             params.rate(int(mode))
-        self._length, self.diverged = 0, False
-        self._first_violation: int | None = None
-        self._max_ratios: list[float] = []
-
-    def __len__(self) -> int:
-        return self._length
 
     def _disturbances(self, start: int):
         """Disturbances of the steps in the block of rows from ``start``, and their norms."""
@@ -393,10 +385,11 @@ class TraceStream:
         return w, _disturbance_norms(w, self._bound, start)
 
     def _blocks(self):
-        """``(start, states, sigma, |w_k|, |x_k|, vbar, kappa, cost bound or None)`` of each
-        block of rows in turn, with the guarantee checked; ``states`` is a view that the
-        next block overwrites."""
+        """``(start, sigma, |w_k|, |x_k|, vbar, kappa, cost bound or None)`` of each block of
+        rows in turn, the block's plant states in ``self._states`` while it is current;
+        returns the number of rows and the :class:`GuaranteeReport` of them all."""
         params, seq, states, row, start = self._params, self._seq, self._states, self._row, 0
+        first_violation, max_ratio = None, 0.0
         while row is not None:
             w, w_norms = self._first_block if start == 0 else self._disturbances(start)
             gains = w_norms if self._w_bar is None else self._w_bar[start:start + len(w)]
@@ -406,31 +399,25 @@ class TraceStream:
             # the plant stops where vbar and its carried row stop (past them it may overflow)
             x = _run_plant(seq, start, w[:len(vbar) - (row is None)], self._matrices, states)
             rows = len(vbar)
-            self._length, self.diverged = start + rows, row is None and rows <= len(w)
             x, vbar, kappa = x[:rows], np.array(vbar), np.array(kappa)
             x_norm = row_norms(x)
-            first, max_ratio = _guarantee(x_norm, vbar, self._rel_tol)
-            if first is not None and self._first_violation is None:
-                self._first_violation = start + first
-            self._max_ratios.append(max_ratio)
+            first, block_ratio = _guarantee(x_norm, vbar, self._rel_tol)
+            if first is not None and first_violation is None:
+                first_violation = start + first
+            max_ratio = max(max_ratio, block_ratio)
             sigma: list[int | None] = [int(m) for m in seq[start:start + min(rows, len(w))]]
             w_norms = w_norms[:rows]
             if rows > len(w):  # the final row of a completed trace
                 sigma.append(None)
                 w_norms = np.append(w_norms, math.nan)
             cost = None if self._weight is None else cost_bound(self._weight, vbar)
-            yield start, x, sigma, w_norms, x_norm, vbar, kappa, cost
-            start += CSV_BLOCK_ROWS
+            yield start, sigma, w_norms, x_norm, vbar, kappa, cost
+            start += rows  # CSV_BLOCK_ROWS, but for the last block
+        return start, GuaranteeReport(holds=first_violation is None,
+                                      first_violation=first_violation, max_ratio=max_ratio)
 
-    def write_csv(self, fileobj) -> None:
+    def write_csv(self, fileobj) -> tuple[int, GuaranteeReport]:
         """Write the trace CSV to ``fileobj`` (see :func:`io.write_table`); run this once.
-        The plant states stay with the blocks' generator: the CSV shows only their norms."""
-        write_table(fileobj, self, TRACE_COLUMNS, _trace_cells,
-                    ((start, *cells) for start, _, *cells in self._blocks()))
-
-    @property
-    def report(self) -> GuaranteeReport:
-        """The guarantee check of every row, once :meth:`write_csv` has run."""
-        first = self._first_violation
-        return GuaranteeReport(holds=first is None, first_violation=first,
-                               max_ratio=float(np.max(self._max_ratios)))
+        Returns the number of rows, fewer than ``horizon + 1`` where the trace diverged,
+        and the guarantee check of them all."""
+        return write_table(fileobj, TRACE_COLUMNS, _trace_cells, self._blocks())

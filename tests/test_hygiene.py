@@ -4,7 +4,8 @@ Every name a module of the package imports is used in that module: a
 stdlib ``ast`` check stands in for the unused-import rule of a linter
 (``__init__.py`` only re-exports). Every module-level private name is
 used somewhere in the package, so a half-removed second code path cannot
-linger. The CLI reads only public names of the modules it drives. And each
+linger. The CLI reads only public names of the modules it drives, and ``io``
+none of the streams whose blocks it writes; no module calls ``vars()``. And each
 shared validation rule has one copy: the scalar range check in
 ``errors.py``, the ``w_bar`` series rule in ``simulate.py``, the sequence
 length check in ``sequences.py`` and the undeclared-mode error in
@@ -14,6 +15,7 @@ length check in ``sequences.py`` and the undeclared-mode error in
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,15 +110,19 @@ def test_validation_rule_has_one_copy(text, owner):
 
 def private_reads(source: str) -> list[str]:
     """Private names that ``source`` imports from within the package, and private
-    attributes that it reads off anything but ``self`` (dunders exempt)."""
+    attributes that it reads off anything but ``self`` or a standard-library module
+    (dunders exempt)."""
     tree = ast.parse(source)
     found = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level
              for alias in node.names if alias.name.startswith("_")]
+    exempt = {"self"} | {alias.asname or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.Import) for alias in node.names
+                         if alias.name.split(".")[0] in sys.stdlib_module_names}
     found += [node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
               and not node.attr.endswith("__")
-              and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+              and not (isinstance(node.value, ast.Name) and node.value.id in exempt)]
     return found
 
 
@@ -124,8 +130,35 @@ def test_cli_reads_no_private_name_of_another_module():
     assert private_reads((PACKAGE / "cli.py").read_text()) == []
 
 
+def test_io_reads_no_private_name_of_a_stream():
+    # io runs any generator of blocks and returns what it returns
+    assert private_reads((PACKAGE / "io.py").read_text()) == []
+
+
 def test_private_read_check_sees_each_kind_of_use():
     source = ("from .a import _b, c\nfrom os import _exit\nfrom . import d\n"
               "x = d._e + c.f + type(c).__name__\n"
               "class G:\n    def h(self):\n        return self._i, c()._j\n")
     assert private_reads(source) == ["_b", "_e", "_j"]
+
+
+def test_private_read_check_exempts_standard_library_modules():
+    source = ("import os\nimport os.path as p\nimport numpy as np\nfrom . import io\n"
+              "os._exit(p._joinrealpath + np._core + io._forked)\n")
+    assert sorted(private_reads(source)) == ["_core", "_forked"]
+
+
+def vars_calls(source: str) -> int:
+    """How many times ``source`` calls the builtin ``vars``."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "vars" for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_calls_vars(module):
+    # an object's attributes are set by name where they are set, not from a dict
+    assert vars_calls((PACKAGE / module).read_text()) == 0
+
+
+def test_vars_check_sees_a_call():
+    assert vars_calls("vars(x).update(y)\nd = vars\nz = x.vars(1)\n") == 1

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ import references
 from conftest import two_mode_system
 from convrate import (
     AbstractionParams,
+    GuaranteeReport,
     MkConstraint,
     ParameterError,
     SystemModel,
@@ -34,6 +36,7 @@ from convrate.io import (
     save_system,
     system_from_document,
     system_to_document,
+    write_table,
 )
 
 SCALAR_DOC = {
@@ -402,6 +405,75 @@ class TestClosedPipe:
             err = process.stderr.read()
             assert process.wait(timeout=60) == 1
         assert err == b""  # neither a traceback nor an "Exception ignored" line
+
+
+def _convrate_env(unbuffered: bool) -> dict:
+    """The environment of a ``python -m convrate`` run, with or without ``PYTHONUNBUFFERED``."""
+    import convrate
+
+    env = dict(os.environ, PYTHONPATH=str(Path(convrate.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _running(marker: str) -> list[int]:
+    """The processes whose command line holds ``marker``, read from /proc."""
+    found = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if marker.encode() in cmdline.read_bytes():
+                found.append(int(cmdline.parent.name))
+        except OSError:  # the process ended while the directory was read
+            continue
+    return found
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+class TestFailedStdout:
+    """A failed write to stdout other than a closed pipe is an error line, exit 2, in
+    either buffering mode, with nothing after it: no traceback, no failed flush at exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{system}", "--method", "robust", "--rho", "0.6"],
+        ["jsr", "{system}", "--m", "1", "--K", "3"],
+        ["simulate", "{system}", "--sigma", "0,1,0"],
+        ["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "20000"],
+        ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "3"],
+        ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "20000"],
+    ], ids=["analyze", "jsr", "simulate", "simulate past a buffer", "schedule",
+            "schedule past a buffer"])
+    def test_full_stdout_is_exit_2(self, argv, unbuffered, scalar_path):
+        command = [sys.executable, "-m", "convrate", *(a.format(system=scalar_path) for a in argv)]
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(command, stdout=full, stderr=subprocess.PIPE,
+                                    env=_convrate_env(unbuffered), timeout=120)
+        assert result.returncode == 2
+        assert result.stderr == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n".encode()
+        if Path("/proc/self/cmdline").exists():  # the stream's child left with the command
+            assert _running(scalar_path) == []
+
+    def test_failed_fork_is_not_a_stdout_error(self, unbuffered, scalar_path):
+        # an OSError of os.fork propagates as before, though stdout is full too
+        code = ("import errno, os, sys\n"
+                "def fork():\n"
+                "    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
+                "os.fork = fork\n"
+                "from convrate.cli import main\n"
+                f"sys.argv = ['convrate', 'schedule', {scalar_path!r}, '--rho-hat', '0.9',"
+                " '--alpha-hat', '2']\n"
+                "main()\n")
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run([sys.executable, "-c", code], stdout=full,
+                                    stderr=subprocess.PIPE, env=_convrate_env(unbuffered),
+                                    timeout=120)
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"Traceback")
+        assert result.stderr.endswith(f"[Errno {errno.EAGAIN}] "
+                                      f"{os.strerror(errno.EAGAIN)}\n".encode())
+        assert b"<stdout>" not in result.stderr
 
 
 def _streaming_documents() -> dict[str, dict]:
@@ -790,7 +862,7 @@ class TestForkedStreams:
     @pytest.mark.parametrize("case", ["simulate seed:7 8192", "schedule greedy"])
     def test_block_cut_short_is_an_early_end(self, case, paths, capsys, monkeypatch, forks):
         # the child dies halfway through sending its first block
-        def half_a_block(stream, blocks, fd):
+        def half_a_block(blocks, fd):
             try:
                 data = pickle.dumps(next(blocks), pickle.HIGHEST_PROTOCOL)
                 with open(fd, "wb") as pipe:
@@ -857,6 +929,69 @@ class TestForkedStreams:
                 assert process.returncode != 0
                 assert err.endswith(b"KeyboardInterrupt\n")
         assert not Path(f"/proc/{children[0]}").exists()
+
+
+def _two_blocks(end):
+    """Two blocks of ``(start, values)``, then return ``end``, or raise it if it is an
+    exception."""
+    yield 0, [1.5, 2.5]
+    yield 2, [3.5]
+    if isinstance(end, BaseException):
+        raise end
+    return end
+
+
+def _cells(start, values):
+    return map(str, range(start, start + len(values))), map(repr, values)
+
+
+#: What ``write_table`` writes of :func:`_two_blocks`.
+TWO_BLOCKS_TABLE = "k,x\n0,1.5\n1,2.5\n2,3.5\n"
+
+
+class TestWriteTable:
+    """``io.write_table`` returns what its generator returns, forked or in process."""
+
+    @pytest.fixture(params=["forked", "in process"])
+    def forked(self, request, monkeypatch, forks):
+        if request.param == "forked" and not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        if request.param == "in process":
+            monkeypatch.delattr(os, "fork")
+        return request.param == "forked"
+
+    @pytest.mark.parametrize("end", [None, (5, "kappa budget exceeded"),
+                                     GuaranteeReport(False, 3, 1.5)],
+                             ids=["None", "tuple", "frozen dataclass"])
+    def test_returns_what_the_generator_returns(self, end, forked, forks):
+        text = StringIO()
+        assert write_table(text, ("k", "x"), _cells, _two_blocks(end)) == end
+        assert text.getvalue() == TWO_BLOCKS_TABLE
+        assert len(forks) == forked and all(map(_reaped, forks))
+
+    def test_exception_after_the_last_block_is_raised(self, forked, forks):
+        text = StringIO()
+        with pytest.raises(ParameterError, match="after the last block"):
+            write_table(text, ("k", "x"), _cells,
+                        _two_blocks(ParameterError("after the last block")))
+        assert text.getvalue() == TWO_BLOCKS_TABLE
+        assert len(forks) == forked and all(map(_reaped, forks))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_leaving_before_its_return_value_is_an_early_end(self, forks):
+        parent = os.getpid()
+
+        def blocks():
+            yield 0, [1.5]
+            if os.getpid() != parent:
+                os._exit(0)  # the child leaves without sending its StopIteration
+            return 1
+
+        text = StringIO()
+        with pytest.raises(RuntimeError, match="^the stream's child process ended early$"):
+            write_table(text, ("k", "x"), _cells, blocks())
+        assert text.getvalue() == "k,x\n0,1.5\n"
+        assert len(forks) == 1 and _reaped(forks[0])
 
 
 class TestJsrCommand:

@@ -379,10 +379,10 @@ def wide_gate_cases(draw):
 def run_lines(params, target, steps, **kwargs) -> tuple[list[str], tuple[int, str] | None]:
     """The decision CSV lines of a streamed run, and its first alarm."""
     stream, text = ScheduleStream(params, target, steps, **kwargs), io.StringIO()
-    stream.write_csv(text)
+    alarm = stream.write_csv(text)
     lines = text.getvalue().split("\n")
     assert lines.pop() == ""  # every line ends in a newline
-    return lines, stream.alarm
+    return lines, alarm
 
 
 def first_alarm(run) -> tuple[int, str] | None:

@@ -11,6 +11,7 @@ import references
 from convrate import (
     AbstractionParams,
     DimensionError,
+    GuaranteeReport,
     MkConstraint,
     ParameterError,
     SystemModel,
@@ -494,7 +495,7 @@ class TestCsvAgainstCellReference:
         assert len(trace) == rows and (trace.cost_bound is not None) == weighted
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
-        assert _stream_lines(TraceStream(system, PARAMS, seq, [1.0], w)) == lines
+        assert _stream_lines(TraceStream(system, PARAMS, seq, [1.0], w))[0] == lines
 
     def test_streamed_diverged_trace(self):
         # 1.15^k passes the overflow guard near k = 4943, past the first row block
@@ -504,16 +505,17 @@ class TestCsvAgainstCellReference:
         assert trace.diverged and CSV_BLOCK_ROWS < len(trace) < 6000
         lines = trace_csv_lines(trace)
         assert lines == references.trace_csv_lines(trace)
-        assert _stream_lines(TraceStream(system, params, (0,) * 6000, [1.0])) == lines
+        assert _stream_lines(TraceStream(system, params, (0,) * 6000, [1.0]))[0] == lines
 
 
-def _stream_lines(stream: TraceStream) -> list[str]:
-    """The lines that ``stream.write_csv`` writes, each checked to end in a newline."""
+def _stream_lines(stream: TraceStream) -> tuple[list[str], int, GuaranteeReport]:
+    """The lines that ``stream.write_csv`` writes, each checked to end in a newline, and
+    the row count and guarantee report that it returns."""
     text = io.StringIO()
-    stream.write_csv(text)
+    rows, report = stream.write_csv(text)
     lines = text.getvalue().split("\n")
     assert lines.pop() == ""
-    return lines
+    return lines, rows, report
 
 
 class TestTraceStream:
@@ -523,10 +525,11 @@ class TestTraceStream:
         w_bar = np.linalg.norm(w, axis=1)
         stream = TraceStream(system, params, seq, x0, w, w_bar, len(w), rel_tol)
         trace = co_simulate(system, params, seq, x0, w, w_bar, len(w))
-        assert _stream_lines(stream) == references.trace_csv_lines(trace)
-        assert (len(stream), stream.diverged) == (len(trace), trace.diverged)
-        assert stream.report == check_guarantee(trace, rel_tol)
-        return stream
+        lines, rows, report = _stream_lines(stream)
+        assert lines == references.trace_csv_lines(trace)
+        assert (rows, rows <= len(w)) == (len(trace), trace.diverged)
+        assert report == check_guarantee(trace, rel_tol)
+        return rows, report
 
     @given(plant_cases(), st.floats(0.0, 3.0), st.booleans(), st.sampled_from([0.0, 1e-9, 0.5]))
     @settings(max_examples=150, deadline=None)
@@ -546,8 +549,7 @@ class TestTraceStream:
         params = AbstractionParams(alpha=2.0, beta=1.0,
                                    rho={0: 0.5 * (1 - 1e-4), 1: 2.0 * (1 - 1e-4)})
         seq = (0, 1) * rows
-        stream = self._check(system, params, seq, [1.0], np.zeros((rows, 1)))
-        report = stream.report
+        _, report = self._check(system, params, seq, [1.0], np.zeros((rows, 1)))
         if rows > 2 * CSV_BLOCK_ROWS:
             assert CSV_BLOCK_ROWS < report.first_violation < rows
             assert 1.0 < report.max_ratio < 2.0
@@ -558,9 +560,9 @@ class TestTraceStream:
         # 1.15^k passes the overflow guard near k = 4943, past the first row block
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 1.15})
         rng = np.random.default_rng(4)
-        stream = self._check(SystemModel(modes={0: [[1.0]]}), params, (0,) * 6000, [1.0],
-                             rng.standard_normal((6000, 1)))
-        assert stream.diverged and CSV_BLOCK_ROWS < len(stream) < 6000
+        rows, _ = self._check(SystemModel(modes={0: [[1.0]]}), params, (0,) * 6000, [1.0],
+                              rng.standard_normal((6000, 1)))
+        assert CSV_BLOCK_ROWS < rows < 6000  # diverged: a completed trace has 6001 rows
 
     def test_short_source_is_refused(self):
         # an empty source is refused on construction; one that runs out at the
@@ -586,8 +588,9 @@ class TestTraceStream:
              "broadcast row": np.broadcast_to([0.05, -0.02], (steps, 2))}[source]
         stream = TraceStream(system, params, seq, [1.0, 0.0], w, None, steps)
         trace = co_simulate(system, params, seq, [1.0, 0.0], w, None, steps)
-        assert _stream_lines(stream) == references.trace_csv_lines(trace)
-        assert stream.report == check_guarantee(trace)
+        lines, _, report = _stream_lines(stream)
+        assert lines == references.trace_csv_lines(trace)
+        assert report == check_guarantee(trace)
 
     def test_default_w_bar_is_the_exact_disturbance_norm(self):
         # None takes |w_k|, as in co_simulate; a zero bound would break the guarantee
@@ -599,10 +602,11 @@ class TestTraceStream:
         w = 0.1 * rng.standard_normal((steps, 2))
         stream = TraceStream(system, params, seq, [1.0, 0.0], w, None, steps)
         trace = co_simulate(system, params, seq, [1.0, 0.0], w)
-        assert _stream_lines(stream) == references.trace_csv_lines(trace)
+        lines, _, report = _stream_lines(stream)
+        assert lines == references.trace_csv_lines(trace)
         vbar = references.abstraction_series(params, seq, 1.0, np.linalg.norm(w, axis=1))
         assert trace.vbar.tobytes() == vbar.tobytes()
-        assert stream.report == check_guarantee(trace) and stream.report.holds
+        assert report == check_guarantee(trace) and report.holds
 
     def test_divergence_on_a_block_edge_writes_no_empty_line(self):
         # vbar = rate^k passes the overflow guard first at k = CSV_BLOCK_ROWS, so the
@@ -612,14 +616,13 @@ class TestTraceStream:
         steps = 2 * CSV_BLOCK_ROWS
         seq, w = (0,) * steps, np.zeros((steps, 1))
         stream = TraceStream(SystemModel(modes={0: [[1.0]]}), params, seq, [1.0], w, None, steps)
-        assert (len(stream), stream.diverged) == (0, False)  # nothing streamed yet
         text = io.StringIO()
-        stream.write_csv(text)
+        rows, _ = stream.write_csv(text)
         lines = text.getvalue().split("\n")
-        assert (len(stream), stream.diverged) == (CSV_BLOCK_ROWS, True)
+        assert rows == CSV_BLOCK_ROWS  # diverged: fewer rows than steps + 1
         assert lines == references.trace_csv_lines(co_simulate(
             SystemModel(modes={0: [[1.0]]}), params, seq, [1.0], w)) + [""]
-        assert len(lines) == len(stream) + 2 and "" not in lines[:-1]
+        assert len(lines) == rows + 2 and "" not in lines[:-1]
 
     def test_disturbances_are_checked_before_w_bar(self):
         # `simulate --w const:nan` gives NaN disturbances and a NaN bound
