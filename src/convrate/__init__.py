@@ -23,8 +23,8 @@ _EXPORTS = {
                      "UnsupportedConfigurationError"), "errors"),
     **dict.fromkeys(("cholesky", "eigenvalues", "solve_discrete_lyapunov", "spectral_norm",
                      "spectral_radius"), "linalg"),
-    **dict.fromkeys(("MkConstraint", "StabilityVerdict", "best_mk_for_ratio", "mk_alpha_tilde",
-                     "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio",
+    **dict.fromkeys(("MkConstraint", "StabilityVerdict", "best_mk_for_ratio", "count_mk_sequences",
+                     "mk_alpha_tilde", "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio",
                      "safe_initial_radius", "skip_count_bound"), "mk"),
     **dict.fromkeys(("AbstractionParams", "SystemModel"), "model"),
     **dict.fromkeys(("NominalCertificate", "RhoValidation", "build_nominal_abstraction",
@@ -33,9 +33,9 @@ _EXPORTS = {
                      "admissible_modes", "exponential_state", "greedy_policy",
                      "kappa_hat_step", "practical_state", "practical_step", "random_policy",
                      "round_robin_policy", "run_schedule", "supervisor_check"), "scheduler"),
-    **dict.fromkeys(("JsrResult", "averaged_spectral_radius", "count_mk_sequences",
-                     "enumerate_mk_sequences", "random_mk_sequence", "transition_product",
-                     "validate_mk", "worst_case_sequence"), "sequences"),
+    **dict.fromkeys(("JsrResult", "averaged_spectral_radius", "enumerate_mk_sequences",
+                     "random_mk_sequence", "transition_product", "validate_mk",
+                     "worst_case_sequence"), "sequences"),
     **dict.fromkeys(("GuaranteeReport", "Trace", "check_guarantee", "co_simulate",
                      "cost_bound", "cost_transform", "kappa", "simulate_abstraction",
                      "simulate_plant", "trace_csv_lines"), "simulate"),

@@ -7,18 +7,24 @@ to CSV), ``jsr`` (brute-force averaged spectral radius), ``schedule``
 built-in demo system's characteristic values).
 
 Exit codes: 0 success / property proven; 1 not proven, guarantee violated,
-alarm fired, or analysis infeasible, or a reader closed the stdout pipe; 2
-usage, parse, or parameter errors, a path that cannot be read or written, or
-another failed write to stdout.
+alarm fired, or analysis infeasible, a refused over-cap search, or a reader
+closed the stdout pipe; 2 usage, parse, or parameter errors, a path that
+cannot be read or written, another failed write to stdout, or a stdout that
+was closed before the command started (``error: <stdout>: Bad file
+descriptor``, before anything runs).
 
 Each command imports the modules it runs, inside its function, so help
 texts and usage errors, which argparse handles before any command runs,
-load no numpy.
+load no numpy. ``jsr`` and ``repro-counterexample`` refuse an over-cap
+search before numpy or the system document loads: the refusal and the
+count it names need only (m, K) and the length, which the numpy-free
+:mod:`convrate.mk` handles.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -300,14 +306,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_jsr(args) -> int:
-    from .io import load_system
-    from .mk import MkConstraint
-    from .sequences import averaged_spectral_radius
+    from .mk import MkConstraint, check_enumeration_caps
 
     if args.max_length < 1:
         raise ParameterError(f"--max-length must be >= 1, got {args.max_length}")
-    system = load_system(args.system)
     mk = MkConstraint(args.m, args.K)
+    if args.length >= 1:  # a shorter length is the search's own refusal
+        check_enumeration_caps(mk, args.length, args.max_length)
+    from .io import load_system
+    from .sequences import averaged_spectral_radius
+
+    system = load_system(args.system)
     result = averaged_spectral_radius(system, mk, args.length, max_length=args.max_length)
     print(f"rho_hat_{args.length}({mk.m},{mk.K}) = {result.rho_hat!r}")
     print("attained by sigma = " + ",".join(str(s) for s in result.sequence))
@@ -353,6 +362,11 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_repro_counterexample(args) -> int:
+    from .mk import ENUMERATION_CAP, MkConstraint, check_enumeration_caps
+
+    # the report's own refusal, before numpy loads: the command has no flag that
+    # raises the cap, so the refusal offers only a shorter length
+    check_enumeration_caps(MkConstraint(1, 2), args.length, ENUMERATION_CAP, "reduce the length")
     from . import counterexample
 
     rep = counterexample.report(length=args.length)
@@ -477,6 +491,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if sys.stdout is None:  # started with stdout closed, e.g. ``convrate --help >&-``
+        print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
+        sys.exit(2)
     stdout = _wrap_stdout()
     try:
         code = run()

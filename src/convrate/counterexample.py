@@ -23,9 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import build_robustness_abstraction
-from .errors import ResourceCapError
 from .linalg import eigenvalues, spectral_norm
-from .mk import MkConstraint, StabilityVerdict, mk_verdict
+from .mk import (
+    ENUMERATION_CAP,
+    MkConstraint,
+    StabilityVerdict,
+    check_enumeration_caps,
+    mk_verdict,
+)
 from .model import SystemModel
 from .sequences import JsrResult, averaged_spectral_radius
 
@@ -73,10 +78,11 @@ def report(length: int = 24) -> Report:
     The bracket checks on the brute-force radii are calibrated for the
     default length 24; for other lengths only the strict inequalities that
     hold at any multiple of 4 are applied. A length above the enumeration
-    cap (``sequences.ENUMERATION_CAP``) raises ``ResourceCapError`` before
-    any search; the report has no way to raise the cap, so the message
-    offers only a shorter length.
+    cap (``mk.ENUMERATION_CAP``) raises ``ResourceCapError`` before any
+    search; the report has no way to raise the cap, so the message offers
+    only a shorter length.
     """
+    check_enumeration_caps(MkConstraint(1, 2), length, ENUMERATION_CAP, "reduce the length")
     a, c = A_VALUE, C_VALUE
     demo = system()
     checks: list[CheckRow] = []
@@ -101,11 +107,7 @@ def report(length: int = 24) -> Report:
     add("eigenvalues_A1A1A0A0", eigs[2], dominant, ok_eigs,
         detail="remaining eigenvalues 0, 0")
 
-    try:
-        jsr_12 = averaged_spectral_radius(demo, MkConstraint(1, 2), length)
-    except ResourceCapError as exc:
-        raise ResourceCapError(str(exc).replace("reduce the length, or raise the cap",
-                                                "reduce the length"), exc.estimated_count) from None
+    jsr_12 = averaged_spectral_radius(demo, MkConstraint(1, 2), length)
     ok_12 = jsr_12.rho_hat < 0.9
     if length == 24:
         ok_12 = ok_12 and 0.70 <= jsr_12.rho_hat <= 0.72

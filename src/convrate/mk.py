@@ -6,16 +6,36 @@ rates combine into the effective decay ``rho_tilde = rho0^(m/K) *
 rho1^((K-m)/K)`` with overshoot ``alpha_tilde = (rho1/rho0)^(K-m)``. A
 verdict is only ever "proven stable" or "not proven": the criterion is
 sufficient, not necessary.
+
+The module also holds the (m,K) window automaton that counting, enumeration
+and the spectral-radius search share (:func:`_window_automaton`), the exact
+count of admissible sequences over it, and the caps that refuse an
+enumeration too large to run. They are plain Python over integer lists, and
+the module imports no numpy, so a command can refuse an over-cap search
+before numpy or the system document loads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .errors import ParameterError, UnsupportedConfigurationError
-from .model import AbstractionParams
+from .errors import ParameterError, ResourceCapError, UnsupportedConfigurationError
+
+if TYPE_CHECKING:
+    from .model import AbstractionParams
+
+#: Cap on enumerated sequence length, and the search's default cap.
+ENUMERATION_CAP = 24
+#: Largest supported window for enumeration (automaton state is 2^(K-1)).
+MAX_WINDOW = 12
+#: Longest refused length whose exact count the refusal names: at K=12 the
+#: count takes under 0.2 s and has at most 302 digits, while at 16,500 it
+#: takes 13 s and has too many digits for ``str``.
+_REFUSAL_COUNT_LENGTH = 1000
+#: Largest window automaton that counting builds (2^18 states took ~35 MB).
+COUNT_STATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,16 +167,13 @@ def best_mk_for_ratio(ratio: float, max_K: int) -> MkConstraint:
         raise ParameterError(f"ratio must be in [0, 1], got {ratio}")
     if max_K < 1:
         raise ParameterError(f"max_K must be >= 1, got {max_K}")
-    best: tuple[Fraction, int] | None = None
+    best_m_bar, best_K = 0, 1
     for K in range(1, max_K + 1):
         # nudge: log-derived ratios for exactly-rational targets round down
         m_bar = min(K, int(math.floor(ratio * K + 1e-12)))
-        frac = Fraction(m_bar, K)
-        if best is None or frac > best[0]:
-            best = (frac, K)
-    frac, K = best
-    m_bar = int(frac * K)
-    return MkConstraint(m=K - m_bar, K=K)
+        if m_bar * best_K > best_m_bar * K:  # m_bar/K > best_m_bar/best_K, exactly
+            best_m_bar, best_K = m_bar, K
+    return MkConstraint(m=best_K - best_m_bar, K=best_K)
 
 
 def safe_initial_radius(r0: float, alpha: float, alpha_tilde: float) -> float:
@@ -186,3 +203,89 @@ def skip_count_bound(mk: MkConstraint, k: int) -> int:
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
     return mk.m_bar * (k // mk.K) + min(mk.m_bar, k % mk.K)
+
+
+def _check_length(length: int) -> None:
+    if length < 0:
+        raise ParameterError(f"length must be >= 0, got {length}")
+
+
+def _window_automaton(mk: MkConstraint, length: int) -> tuple[list[int], list[int]]:
+    """Successor table of the (m,K) window automaton for sequences of ``length``.
+
+    The state is the bitmask of the last K-1 symbols; appending a symbol
+    forms a K-symbol window, and the step is admissible iff that window
+    holds at most ``m_bar`` skips. A sequence of at least K symbols puts
+    every symbol inside a complete window, so the test applies from the
+    first symbol on (missing history counts as executes) and no walk enters
+    a branch that cannot be completed; shorter sequences hold no complete
+    window and are unconstrained.
+
+    Only the states reachable from the empty history (state 0) are numbered,
+    breadth-first, so a window that admits few skips stays small at any K.
+    Entry ``[sym][state]`` is the state after appending ``sym``, or -1 when
+    that step is inadmissible.
+    """
+    K = mk.K
+    limit = mk.m_bar if length >= K else K
+    keep = (1 << (K - 1)) - 1
+    number = {0: 0}
+    masks = [0]
+    table: tuple[list[int], list[int]] = ([], [])
+    for mask in masks:  # grows while it is walked: breadth-first discovery
+        for sym in (0, 1):
+            window = (mask << 1) | sym
+            if window.bit_count() > limit:
+                table[sym].append(-1)
+                continue
+            successor = window & keep
+            if successor not in number:
+                number[successor] = len(masks)
+                masks.append(successor)
+            table[sym].append(number[successor])
+    return table
+
+
+def count_mk_sequences(mk: MkConstraint, length: int) -> int:
+    """Exact number of admissible binary sequences of the given length.
+
+    Propagates the per-state completion counts through the window
+    automaton, without enumerating. Raises :class:`ResourceCapError`,
+    before building anything, when the automaton would have more than
+    ``COUNT_STATE_CAP`` states.
+    """
+    _check_length(length)
+    if length < mk.K:
+        return 2**length  # no complete window
+    states = sum(math.comb(mk.K - 1, ones) for ones in range(min(mk.m_bar, mk.K - 1) + 1))
+    if states > COUNT_STATE_CAP:
+        raise ResourceCapError(
+            f"counting ({mk.m},{mk.K}) sequences needs {states} automaton states, "
+            f"above the cap {COUNT_STATE_CAP}"
+        )
+    steps = list(zip(*_window_automaton(mk, length)))
+    # counts[s]: the admissible r-symbol words from state s; the trailing 0 is
+    # what an inadmissible step (successor -1) reads
+    counts = [1] * len(steps) + [0]
+    for _ in range(length):
+        counts = [counts[execute] + counts[skip] for execute, skip in steps] + [0]
+    return counts[0]
+
+
+def check_enumeration_caps(mk: MkConstraint, length: int, max_length: int,
+                           remedy: str = "reduce the length, or raise the cap") -> None:
+    """Refuse, with :class:`ResourceCapError`, a window above ``MAX_WINDOW`` or a
+    length above ``max_length``; the refusal names the exact count of
+    sequences up to ``_REFUSAL_COUNT_LENGTH`` and ends with ``remedy``."""
+    if mk.K > MAX_WINDOW:
+        raise ResourceCapError(
+            f"window K={mk.K} exceeds the supported maximum {MAX_WINDOW} for enumeration"
+        )
+    if length > max_length:
+        count = None if length > _REFUSAL_COUNT_LENGTH else count_mk_sequences(mk, length)
+        visits = "" if count is None else f"; this would visit {count} sequences"
+        raise ResourceCapError(
+            f"length {length} exceeds the enumeration cap {max_length}{visits} "
+            f"({remedy} to proceed)",
+            estimated_count=count,
+        )

@@ -4,7 +4,9 @@ A :class:`SystemModel` is the mode-indexed family of transition matrices
 ``x_{k+1} = A_{sigma_k} x_k + w_k``; mode 0 is always the nominal closed
 loop. An :class:`AbstractionParams` is the scalar triple (alpha, beta,
 per-mode rho) driving the one-dimensional comparison dynamics
-``vbar_{k+1} = rho_{sigma_k} * vbar_k + beta * wbar_k``.
+``vbar_{k+1} = rho_{sigma_k} * vbar_k + beta * wbar_k``;
+:func:`w_bar_series` reads the disturbance bounds ``wbar_k`` of that
+recursion for both the co-simulation and the scheduler.
 """
 
 from __future__ import annotations
@@ -103,6 +105,24 @@ class SystemModel:
         return (self.disturbance_bound == other.disturbance_bound
                 and self.name == other.name
                 and self.labels == other.labels)
+
+
+def w_bar_series(w_bar, steps: int) -> np.ndarray:
+    """The first ``steps`` entries of a disturbance bound: one bound, or one bound per step.
+
+    The one owner of the rule for ``w_bar``: it provides ``steps`` entries, finite and
+    >= 0 (later entries are never read); one bound is a read-only view, not a copy.
+    """
+    values = np.asarray(w_bar, dtype=float)
+    values = np.broadcast_to(values, steps) if values.ndim == 0 else values.reshape(-1)
+    if len(values) < steps:
+        raise ParameterError(f"w_bar must provide {steps} entries, got {len(values)}")
+    values = values[:steps]
+    # min and max allocate nothing per step; a refusal then looks up the first bad entry
+    if len(values) and not (values.min() >= 0.0 and math.isfinite(values.max())):
+        bad = np.flatnonzero(~(values >= 0.0) | ~np.isfinite(values))
+        check_nonnegative(values[bad[0]], "w_bar")
+    return values
 
 
 @dataclass

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, check_nonnegative
 from .io import CSV_BLOCK_ROWS, write_table
-from .model import AbstractionParams
-from .simulate import w_bar_series
+from .model import AbstractionParams, w_bar_series
 
 #: exp() overflows above this; treat larger log values as infinity.
 _LOG_MAX = math.log(float("1e308"))

@@ -5,18 +5,15 @@ over every window of K consecutive entries that lies fully inside the
 sequence.
 
 Counting, enumeration and the spectral-radius search run on one window
-automaton (:func:`_window_automaton`). Its state is the bitmask of the last
-K-1 symbols; appending a symbol forms a K-symbol window, and the step is
-admissible iff that window holds at most ``m_bar`` skips. A sequence of at
-least K symbols puts every symbol inside a complete window, so the test
-applies from the first symbol on (missing history counts as executes) and
-no walk enters a branch that cannot be completed; shorter sequences hold no
-complete window and are unconstrained.
+automaton (:func:`convrate.mk._window_automaton`). It lives in
+:mod:`convrate.mk` with the count and the enumeration caps, so that a
+refused search loads no numpy; the search converts its table with
+``np.array``.
 
-- :func:`count_mk_sequences` propagates a vector of per-state completion
-  counts (exact integers) through the automaton, without enumerating; the
-  search's ``count`` is that number, since every admissible sequence is
-  either visited or pruned.
+- :func:`count_mk_sequences` propagates per-state completion counts (exact
+  integers) through the automaton, without enumerating; the search's
+  ``count`` is that number, since every admissible sequence is either
+  visited or pruned.
 - :func:`enumerate_mk_sequences` walks it depth-first, in ascending order.
 - :func:`averaged_spectral_radius` walks it level by level: each frontier
   block is multiplied by both mode matrices with one stacked matmul, and
@@ -42,27 +39,23 @@ argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceCapError, UnsupportedConfigurationError
-from .mk import MkConstraint
+from .errors import ParameterError, UnsupportedConfigurationError
+from .mk import (
+    ENUMERATION_CAP,
+    MkConstraint,
+    _check_length,
+    _window_automaton,
+    check_enumeration_caps,
+    count_mk_sequences,
+)
 from .model import SystemModel
 
-#: Cap on enumerated sequence length, and the search's default cap.
-ENUMERATION_CAP = 24
-#: Largest supported window for enumeration (automaton state is 2^(K-1)).
-MAX_WINDOW = 12
 #: Byte budget of one block of products in the batched search and its set-up.
 EIG_CHUNK_BYTES = 4 << 20
-#: Longest refused length whose exact count the refusal names: at K=12 the
-#: count takes under 0.2 s and has at most 302 digits, while at 16,500 it
-#: takes 13 s and has too many digits for ``str``.
-_REFUSAL_COUNT_LENGTH = 1000
-#: Largest window automaton that counting builds (2^18 states took ~35 MB).
-COUNT_STATE_CAP = 1 << 20
 #: Relative slack of the search's pruning test. It must cover the rounding
 #: of the Frobenius norms, of the bound tables and of the eigensolver's
 #: backward error, each a few multiples of n^2 u (u = 2^-53) or less; the
@@ -118,11 +111,6 @@ def validate_mk(seq: Sequence[int], mk: MkConstraint) -> SequenceValidation:
     return SequenceValidation(True)
 
 
-def _check_length(length: int) -> None:
-    if length < 0:
-        raise ParameterError(f"length must be >= 0, got {length}")
-
-
 def worst_case_sequence(mk: MkConstraint, length: int) -> tuple[int, ...]:
     """Front-loaded pattern skipping the first ``m_bar`` slots of each window.
 
@@ -133,75 +121,8 @@ def worst_case_sequence(mk: MkConstraint, length: int) -> tuple[int, ...]:
     return (window * -(-length // mk.K))[:length]
 
 
-def _window_automaton(mk: MkConstraint, length: int) -> np.ndarray:
-    """Successor table of the (m,K) window automaton for sequences of ``length``.
-
-    Only the states reachable from the empty history (state 0) are numbered,
-    breadth-first, so a window that admits few skips stays small at any K.
-    Entry ``[sym, state]`` is the state after appending ``sym``, or -1 when
-    that step is inadmissible.
-    """
-    K = mk.K
-    limit = mk.m_bar if length >= K else K
-    keep = (1 << (K - 1)) - 1
-    number = {0: 0}
-    masks = [0]
-    table: tuple[list[int], list[int]] = ([], [])
-    for mask in masks:  # grows while it is walked: breadth-first discovery
-        for sym in (0, 1):
-            window = (mask << 1) | sym
-            if window.bit_count() > limit:
-                table[sym].append(-1)
-                continue
-            successor = window & keep
-            if successor not in number:
-                number[successor] = len(masks)
-                masks.append(successor)
-            table[sym].append(number[successor])
-    return np.array(table)
-
-
-def count_mk_sequences(mk: MkConstraint, length: int) -> int:
-    """Exact number of admissible binary sequences of the given length.
-
-    Raises :class:`ResourceCapError`, before building anything, when the
-    automaton would have more than ``COUNT_STATE_CAP`` states.
-    """
-    _check_length(length)
-    if length < mk.K:
-        return 2**length  # no complete window
-    states = sum(comb(mk.K - 1, ones) for ones in range(min(mk.m_bar, mk.K - 1) + 1))
-    if states > COUNT_STATE_CAP:
-        raise ResourceCapError(
-            f"counting ({mk.m},{mk.K}) sequences needs {states} automaton states, "
-            f"above the cap {COUNT_STATE_CAP}"
-        )
-    table = _window_automaton(mk, length)
-    counts = np.ones(table.shape[1], dtype=object)  # Python ints: exact
-    for _ in range(length):  # counts[s]: the admissible r-symbol words from state s
-        counts = counts[table[0]] + np.where(table[1] >= 0, counts[table[1]], 0)
-    return int(counts[0])
-
-
-def _check_enumeration_caps(mk: MkConstraint, length: int, max_length: int) -> None:
-    _check_length(length)
-    if mk.K > MAX_WINDOW:
-        raise ResourceCapError(
-            f"window K={mk.K} exceeds the supported maximum {MAX_WINDOW} for enumeration"
-        )
-    if length > max_length:
-        count = None if length > _REFUSAL_COUNT_LENGTH else count_mk_sequences(mk, length)
-        visits = "" if count is None else f"; this would visit {count} sequences"
-        raise ResourceCapError(
-            f"length {length} exceeds the enumeration cap {max_length}{visits} "
-            "(reduce the length, or raise the cap to proceed)",
-            estimated_count=count,
-        )
-
-
-def _paths(table: np.ndarray, depth: int) -> Iterator[tuple[int, ...]]:
+def _paths(table: tuple[list[int], list[int]], depth: int) -> Iterator[tuple[int, ...]]:
     """Every admissible path of ``depth`` symbols from state 0, ascending."""
-    table = table.tolist()
     symbols = [0] * depth
     stack = [(0, 0, 0)]  # (symbols fixed, state, the last fixed symbol)
     while stack:
@@ -219,7 +140,8 @@ def _paths(table: np.ndarray, depth: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_mk_sequences(mk: MkConstraint, length: int) -> Iterator[tuple[int, ...]]:
     """Yield every admissible binary sequence of the given length once, ascending."""
-    _check_enumeration_caps(mk, length, ENUMERATION_CAP)
+    _check_length(length)
+    check_enumeration_caps(mk, length, ENUMERATION_CAP)
     return _paths(_window_automaton(mk, length), length)
 
 
@@ -303,10 +225,12 @@ def _incumbent(execute: np.ndarray, skip: np.ndarray, table: np.ndarray, length:
     walk computes for that leaf.
     """
     positions = np.arange(length)
+    # return_index: without it np.unique imports numpy.ma, for a check that no
+    # plain array needs
     words = np.unique(np.concatenate([
         (np.arange(1 << period)[:, np.newaxis] >> positions % period) & 1
         for period in range(1, min(INCUMBENT_PERIOD, length) + 1)
-    ]), axis=0)
+    ]), axis=0, return_index=True)[0]
     states = np.zeros(len(words), dtype=np.int64)
     for depth in range(length):
         states = np.where(states >= 0, table[words[:, depth], states], -1)
@@ -377,7 +301,7 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
-    _check_enumeration_caps(mk, length, max_length)
+    check_enumeration_caps(mk, length, max_length)
     declared = set(system.modes)
     if declared == {0}:
         product = np.linalg.matrix_power(system.modes[0], length)
@@ -390,7 +314,7 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     n = system.n
     chunk = max(1, EIG_CHUNK_BYTES // (8 * n**2))
 
-    table = _window_automaton(mk, length)
+    table = np.array(_window_automaton(mk, length))
     execute, skip = system.modes[0], system.modes[1]
     incumbent = _incumbent(execute, skip, table, length, chunk)
     floor = incumbent * (1.0 - PRUNE_MARGIN) if incumbent >= PRUNE_FLOOR else 0.0

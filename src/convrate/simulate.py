@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, NotPositiveDefiniteError, ParameterError, check_nonnegative
 from .io import CSV_BLOCK_ROWS, write_table
 from .linalg import as_square_matrix, check_psd, cholesky, row_norms
-from .model import AbstractionParams, SystemModel
+from .model import AbstractionParams, SystemModel, w_bar_series
 
 #: Abstraction states beyond this truncate the trace with a diverged marker.
 OVERFLOW_LIMIT = 1e300
@@ -161,24 +161,6 @@ def simulate_plant(system: SystemModel, seq: Sequence[int], x0,
     states = np.empty((horizon + 1, system.n))
     states[0] = x0
     return _run_plant(seq, 0, w, _mode_matrices(system, seq[:horizon]), states)
-
-
-def w_bar_series(w_bar, steps: int) -> np.ndarray:
-    """The first ``steps`` entries of a disturbance bound: one bound, or one bound per step.
-
-    The one owner of the rule for ``w_bar``: it provides ``steps`` entries, finite and
-    >= 0 (later entries are never read); one bound is a read-only view, not a copy.
-    """
-    values = np.asarray(w_bar, dtype=float)
-    values = np.broadcast_to(values, steps) if values.ndim == 0 else values.reshape(-1)
-    if len(values) < steps:
-        raise ParameterError(f"w_bar must provide {steps} entries, got {len(values)}")
-    values = values[:steps]
-    # min and max allocate nothing per step; a refusal then looks up the first bad entry
-    if len(values) and not (values.min() >= 0.0 and math.isfinite(values.max())):
-        bad = np.flatnonzero(~(values >= 0.0) | ~np.isfinite(values))
-        check_nonnegative(values[bad[0]], "w_bar")
-    return values
 
 
 def _rows(params: AbstractionParams, modes, gains, value: float, product: float):

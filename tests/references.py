@@ -14,15 +14,10 @@ import numpy as np
 
 from convrate.errors import NumericError
 from convrate.linalg import spectral_radius, top_singular_value
+from convrate.mk import ENUMERATION_CAP, _window_automaton, check_enumeration_caps
 from convrate.nominal import OVERFLOW_LIMIT
 from convrate.scheduler import SCHEDULE_COLUMNS, ExponentialTarget, SchedulerState
-from convrate.sequences import (
-    EIG_CHUNK_BYTES,
-    ENUMERATION_CAP,
-    JsrResult,
-    _check_enumeration_caps,
-    _window_automaton,
-)
+from convrate.sequences import EIG_CHUNK_BYTES, JsrResult
 from convrate.simulate import OVERFLOW_LIMIT as VBAR_LIMIT
 from convrate.simulate import TRACE_COLUMNS
 
@@ -211,6 +206,29 @@ def schedule_csv_lines(records) -> list[str]:
     return lines
 
 
+def window_count(mk, length: int) -> int:
+    """Admissible binary sequences of ``length``, by their last K-1 symbols.
+
+    Unlike the library's automaton, which counts a missing history as
+    executes, this checks only the complete windows: a symbol is appended
+    to a history of at most K-1 symbols, and once the window holds K
+    symbols its skips are summed and its oldest symbol dropped.
+    """
+    counts = {(): 1}
+    for _ in range(length):
+        following: dict[tuple[int, ...], int] = {}
+        for history, count in counts.items():
+            for sym in (0, 1):
+                window = history + (sym,)
+                if len(window) == mk.K:
+                    if sum(window) > mk.m_bar:
+                        continue
+                    window = window[1:]
+                following[window] = following.get(window, 0) + count
+        counts = following
+    return sum(counts.values())
+
+
 def averaged_spectral_radius(system, mk, length: int,
                              max_length: int = ENUMERATION_CAP) -> JsrResult:
     """The unpruned level-synchronous walk: every admissible leaf goes through ``eigvals``.
@@ -219,13 +237,13 @@ def averaged_spectral_radius(system, mk, length: int,
     mode, skip child before execute child, so the frontier stays in
     descending order; ties go to the first maximiser in that order.
     """
-    _check_enumeration_caps(mk, length, max_length)
+    check_enumeration_caps(mk, length, max_length)
     if set(system.modes) == {0}:
         product = np.linalg.matrix_power(system.modes[0], length)
         radius = float(np.max(np.abs(np.linalg.eigvals(product))))
         return JsrResult(radius ** (1.0 / length), (0,) * length, 1)
     eig_chunk = max(1, EIG_CHUNK_BYTES // (8 * system.n**2))
-    table = _window_automaton(mk, length)
+    table = np.array(_window_automaton(mk, length))
     execute, skip = system.modes[0], system.modes[1]
     bits_dtype = np.int64 if length <= 63 else object
     best_radius = -1.0

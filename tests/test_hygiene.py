@@ -7,9 +7,8 @@ used somewhere in the package, so a half-removed second code path cannot
 linger. The CLI reads only public names of the modules it drives, and ``io``
 none of the streams whose blocks it writes; no module calls ``vars()``. And each
 shared validation rule has one copy: the scalar range check in
-``errors.py``, the ``w_bar`` series rule in ``simulate.py``, the sequence
-length check in ``sequences.py`` and the undeclared-mode error in
-``model.py``.
+``errors.py``, the ``w_bar`` series rule in ``model.py``, the sequence
+length check in ``mk.py`` and the undeclared-mode error in ``model.py``.
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ def test_scalar_range_check_has_one_copy():
 
 
 @pytest.mark.parametrize("text, owner", [
-    ("w_bar must provide", "simulate.py"),
-    ("length must be >= 0, got", "sequences.py"),
+    ("w_bar must provide", "model.py"),
+    ("length must be >= 0, got", "mk.py"),
     ("has no convergence rate", "model.py"),
 ])
 def test_validation_rule_has_one_copy(text, owner):

@@ -407,6 +407,19 @@ class TestClosedPipe:
         assert err == b""  # neither a traceback nor an "Exception ignored" line
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["jsr", "{system}", "--m", "1", "--K", "2", "--length", "4"],
+], ids=["help", "jsr"])
+def test_closed_stdout_is_exit_2_without_a_traceback(argv, scalar_path):
+    # e.g. ``convrate --help >&-``: Python starts such a process with sys.stdout None
+    command = [sys.executable, "-m", "convrate", *(a.format(system=scalar_path) for a in argv)]
+    result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command],
+                            stderr=subprocess.PIPE, env=_convrate_env(False), timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == f"error: <stdout>: {os.strerror(errno.EBADF)}\n".encode()
+
+
 def _convrate_env(unbuffered: bool) -> dict:
     """The environment of a ``python -m convrate`` run, with or without ``PYTHONUNBUFFERED``."""
     import convrate

@@ -1,7 +1,8 @@
 """Load on demand: the package and the CLI import a module only when it is used.
 
-``import convrate`` loads no numpy; help texts and argparse usage errors
-exit before numpy loads; each command imports only the modules it runs.
+``import convrate`` loads no numpy; help texts, argparse usage errors and
+the refusals of an over-cap search exit before numpy loads; each command
+imports only the modules it runs.
 Module sets are read from ``sys.modules`` in a fresh interpreter.
 """
 
@@ -28,9 +29,9 @@ EXPORTS = {
                "UnsupportedConfigurationError"),
     "linalg": ("cholesky", "eigenvalues", "solve_discrete_lyapunov", "spectral_norm",
                "spectral_radius"),
-    "mk": ("MkConstraint", "StabilityVerdict", "best_mk_for_ratio", "mk_alpha_tilde",
-           "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio", "safe_initial_radius",
-           "skip_count_bound"),
+    "mk": ("MkConstraint", "StabilityVerdict", "best_mk_for_ratio", "count_mk_sequences",
+           "mk_alpha_tilde", "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio",
+           "safe_initial_radius", "skip_count_bound"),
     "model": ("AbstractionParams", "SystemModel"),
     "nominal": ("NominalCertificate", "RhoValidation", "build_nominal_abstraction",
                 "nominal_certificate", "sweep_rho", "validate_rho"),
@@ -38,9 +39,9 @@ EXPORTS = {
                   "exponential_state", "greedy_policy", "kappa_hat_step", "practical_state",
                   "practical_step", "random_policy", "round_robin_policy", "run_schedule",
                   "supervisor_check"),
-    "sequences": ("JsrResult", "averaged_spectral_radius", "count_mk_sequences",
-                  "enumerate_mk_sequences", "random_mk_sequence", "transition_product",
-                  "validate_mk", "worst_case_sequence"),
+    "sequences": ("JsrResult", "averaged_spectral_radius", "enumerate_mk_sequences",
+                  "random_mk_sequence", "transition_product", "validate_mk",
+                  "worst_case_sequence"),
     "simulate": ("GuaranteeReport", "Trace", "check_guarantee", "co_simulate", "cost_bound",
                  "cost_transform", "kappa", "simulate_abstraction", "simulate_plant",
                  "trace_csv_lines"),
@@ -75,6 +76,25 @@ class TestCommandLine:
     def test_help_and_usage_errors_load_no_numpy(self, argv):
         assert cli_modules(*argv) == {"convrate", "convrate.cli", "convrate.errors"}
 
+    @pytest.mark.parametrize("argv", [
+        ("jsr", "missing.json", "--m", "6", "--K", "12", "--length", "200"),
+        ("jsr", "missing.json", "--m", "1", "--K", "13", "--length", "4"),
+        ("repro-counterexample", "--length", "40"),
+    ], ids=["jsr length", "jsr window", "repro length"])
+    def test_cap_refusals_load_no_numpy(self, argv):
+        # refused from (m, K) and the length alone, before the document is read
+        assert cli_modules(*argv) == {"convrate", "convrate.cli", "convrate.errors",
+                                      "convrate.mk"}
+
+    def test_jsr_search_loads_no_masked_arrays(self, tmp_path):
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"name": "d", "modes": [
+            {"id": 0, "A": [[0.5, 0.1], [0.0, 0.4]]}, {"id": 1, "A": [[1.1, 0.0], [0.2, 0.9]]}]}))
+        # np.unique loads numpy.ma unless it is asked for an index output
+        loaded = cli_modules("jsr", str(path), "--m", "2", "--K", "4", "--length", "12")
+        assert "convrate.sequences" in loaded
+        assert "numpy.ma" not in loaded
+
     def test_jsr_loads_no_scheduler_or_simulation(self, tmp_path):
         path = tmp_path / "demo.json"
         path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
@@ -90,6 +110,15 @@ class TestCommandLine:
         loaded = cli_modules("analyze", str(path), "--method", "robust", "--rho", "0.6")
         assert {"numpy", "convrate.builders"} <= loaded
         assert not loaded & {"convrate.sequences", "convrate.scheduler", "convrate.simulate"}
+
+    def test_schedule_loads_no_sequences_or_simulation(self, tmp_path):
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
+                                                           {"id": 1, "A": [[1.2]]}]}))
+        loaded = cli_modules("schedule", str(path), "--rho-hat", "0.9", "--alpha-hat", "2",
+                             "--steps", "5", "--out", str(tmp_path / "out.csv"))
+        assert {"numpy", "convrate.scheduler"} <= loaded
+        assert not loaded & {"convrate.sequences", "convrate.simulate"}
 
     def test_policy_choices_are_the_schedulers_policies(self):
         schedule = cli.build_parser()._subparsers._group_actions[0].choices["schedule"]
@@ -123,6 +152,17 @@ class TestPackageNamespace:
         loaded = loaded_modules("from convrate import MkConstraint")
         assert "convrate.mk" in loaded
         assert not loaded & {"convrate.sequences", "convrate.scheduler", "convrate.simulate"}
+
+    def test_count_loads_no_numpy(self):
+        # the count a refusal names is plain Python, and so is its module
+        assert loaded_modules("from convrate import count_mk_sequences, MkConstraint\n"
+                              "count_mk_sequences(MkConstraint(6, 12), 200)") == {
+            "convrate", "convrate.errors", "convrate.mk"}
+
+    def test_search_module_still_names_the_count(self):
+        from convrate import sequences
+
+        assert sequences.count_mk_sequences is convrate.count_mk_sequences
 
     def test_submodule_attribute_imports_it(self):
         assert loaded_modules("import convrate\nconvrate.io.load_system") >= {"convrate.io"}

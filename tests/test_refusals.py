@@ -2,7 +2,8 @@
 
 CLI cases go through ``cli.run`` (exit 2 and one ``error:`` line); library
 cases raise the named error with a matching message. Branches that only a
-LAPACK failure reaches are left out.
+LAPACK failure reaches are left out. A search over the cap is refused before
+the system document is read, so that refusal wins over a document error.
 """
 
 import json
@@ -11,6 +12,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import references
 
 from convrate import (
     AbstractionParams,
@@ -22,6 +27,7 @@ from convrate import (
     SystemModel,
     Trace,
     co_simulate,
+    count_mk_sequences,
 )
 from convrate.builders import robustness_abstraction
 from convrate.cli import run
@@ -200,3 +206,35 @@ def test_library_refusal(case):
     pattern = re.escape(message) + ("" if message.endswith(": ") else "$")
     with pytest.raises(error, match=f"^{pattern}"):
         call()
+
+
+#: ``(argv, exit code, message)``, where ``{doc}`` is a missing or a non-JSON document:
+#: the cap refusal, or the (m,K) error, comes before the document is read.
+PRECEDENCE = {
+    "--length 200": (["jsr", "{doc}", "--m", "6", "--K", "12", "--length", "200"], 1,
+                     "length 200 exceeds the enumeration cap 24; this would visit "
+                     "485572847851254639676419031054289827353272136186976325 sequences "
+                     "(reduce the length, or raise the cap to proceed)"),
+    "--K 13": (["jsr", "{doc}", "--m", "1", "--K", "13", "--length", "4"], 1,
+               "window K=13 exceeds the supported maximum 12 for enumeration"),
+    "--m 3 --K 2": (["jsr", "{doc}", "--m", "3", "--K", "2", "--length", "4"], 2,
+                    "m must satisfy 0 <= m <= K, got m=3, K=2"),
+}
+
+
+@pytest.mark.parametrize("doc", ["missing", "not_json"])
+@pytest.mark.parametrize("case", PRECEDENCE)
+def test_cap_refusal_comes_before_the_document(case, doc, paths, tmp_path, capsys):
+    argv, code, message = PRECEDENCE[case]
+    paths = dict(paths, missing=str(tmp_path / "missing.json"))
+    assert run([arg.format(doc=paths[doc]) for arg in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda K: st.tuples(st.integers(0, K), st.just(K))),
+       st.integers(0, 60))
+def test_count_matches_the_window_reference(m_and_K, length):
+    # the count a refusal names, against complete-window checks over the last K-1 symbols
+    mk = MkConstraint(*m_and_K)
+    assert count_mk_sequences(mk, length) == references.window_count(mk, length)
