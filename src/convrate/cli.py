@@ -8,10 +8,14 @@ built-in demo system's characteristic values).
 
 Exit codes: 0 success / property proven; 1 not proven, guarantee violated,
 alarm fired, or analysis infeasible, a refused over-cap search, or a reader
-closed the stdout pipe; 2 usage, parse, or parameter errors, a path that
-cannot be read or written, another failed write to stdout, or a stdout that
-was closed before the command started (``error: <stdout>: Bad file
-descriptor``, before anything runs).
+closed the stdout pipe; 2 usage, parse, or parameter errors, or a failed
+read or write of a path. Every write, to ``--out`` or to stdout, help
+included, goes through one file class that names its path on failure, so
+one rule reports them all: ``error: <path>: <reason>``, with ``<stdout>``
+for standard output (whose unwritten bytes are then discarded), except a
+closed stdout pipe, which ends the run with exit 1 and no message. A stdout
+closed before the command starts is ``error: <stdout>: Bad file
+descriptor``, exit 2, before anything runs.
 
 Each command imports the modules it runs, inside its function, so help
 texts and usage errors, which argparse handles before any command runs,
@@ -138,7 +142,8 @@ def _make_disturbances(text: str, steps: int, system):
     ``seed:<s>``, taken in step order, equal the rows of the one-shot draw
     ``standard_normal((steps, n))`` followed by ``random(steps)``: drawn
     block by block, the normals come out the same, and the uniforms are
-    reached by drawing and discarding every normal on a twin generator.
+    reached by drawing and discarding every normal on a twin generator,
+    1 MiB at a time.
     """
     import numpy as np
 
@@ -155,8 +160,6 @@ def _make_disturbances(text: str, steps: int, system):
         row = np.pad([magnitude], (0, system.n - 1))  # the magnitude along the first axis
         return np.broadcast_to(row, (steps, system.n)), magnitude
     if text.startswith("seed:"):
-        from .io import CSV_BLOCK_ROWS
-
         try:
             seed = int(text[len("seed:"):])
         except ValueError:
@@ -170,52 +173,39 @@ def _make_disturbances(text: str, steps: int, system):
                 "--w seed: the system document declares no disturbance_bound"
             )
         normals, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
-        for start in range(0, steps, CSV_BLOCK_ROWS):
-            uniforms.standard_normal((min(CSV_BLOCK_ROWS, steps - start), system.n))
+        skip = steps * system.n  # the state after N normals does not depend on their split
+        while skip:
+            skip -= uniforms.standard_normal(min(skip, 1 << 17)).size
         return _SeededDisturbances(normals, uniforms, bound, system.n), bound
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
 
-class _OutFile(FileIO):
-    """A file opened for writing whose failed writes name it, so that :func:`run` reports
-    a path error: the OSError of a write, or of the close that flushes, names no path."""
+class _File(FileIO):
+    """A file opened for writing, standard output included, whose failed writes name
+    it (``<stdout>`` for fd 1), so that :func:`run` reports a path error: the OSError
+    of a write, or of the flush or close that writes a buffer, names no path."""
 
     def write(self, data):
         try:
             return super().write(data)
         except OSError as exc:
-            exc.filename = self.name
+            exc.filename = "<stdout>" if self.name == 1 else self.name
             raise
 
 
 def _open_out(path: str) -> TextIOWrapper:
-    """``path`` opened for writing text, as by ``open(path, "w")``, through :class:`_OutFile`."""
-    return TextIOWrapper(BufferedWriter(_OutFile(path, "w")))
+    """``path`` opened for writing text, as by ``open(path, "w")``, through :class:`_File`."""
+    return TextIOWrapper(BufferedWriter(_File(path, "w")))
 
 
-class _Stdout(FileIO):
-    """Standard output for writing, which records whether a write failed, so that
-    :func:`main` tells that from any other OSError, such as one of ``os.fork``."""
-
-    failed = False
-
-    def write(self, data):
-        try:
-            return super().write(data)
-        except OSError:
-            self.failed = True
-            raise
-
-
-def _wrap_stdout() -> _Stdout:
-    """Put a :class:`_Stdout` under a new ``sys.stdout`` that encodes and buffers as the
-    old one does (a ``FileIO`` buffer is Python's unbuffered mode), and return it."""
+def _wrap_stdout() -> None:
+    """Put a :class:`_File` under a new ``sys.stdout`` that encodes and buffers as the
+    old one does (a ``FileIO`` buffer is Python's unbuffered mode)."""
     old = sys.stdout
-    raw = _Stdout(old.fileno(), "w", closefd=False)
+    raw = _File(old.fileno(), "w", closefd=False)
     sys.stdout = TextIOWrapper(raw if isinstance(old.buffer, FileIO) else BufferedWriter(raw),
                                old.encoding, old.errors, line_buffering=old.line_buffering,
                                write_through=old.write_through)
-    return raw
 
 
 def cmd_analyze(args) -> int:
@@ -385,8 +375,17 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
                         help="Lyapunov weight matrix as inline JSON or a JSON file path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help fails as any other write to stdout does: argparse
+    drops the OSError of each write that it makes itself (and still does so for its
+    messages to stderr), so help on a full stdout would be lost with exit 0."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convrate",
         description="Convergence rate abstractions for weakly-hard control: "
                     "analysis, verification, simulation, scheduling.",
@@ -466,26 +465,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if getattr(args, "steps", None) is not None and args.steps < 0:  # simulate, schedule
-            raise ParameterError(f"--steps must be >= 0, got {args.steps}")
-        return args.func(args)
-    except (ValueError, LookupError) as exc:
-        # str() of a KeyError is the repr of its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            args = build_parser().parse_args(argv)
+            if getattr(args, "steps", None) is not None and args.steps < 0:  # simulate, schedule
+                raise ParameterError(f"--steps must be >= 0, got {args.steps}")
+            code = args.func(args)
+        except SystemExit as exc:  # help, or a usage error that argparse has printed
+            code = exc.code
+        except (ValueError, LookupError) as exc:
+            # str() of a KeyError is the repr of its message
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
+            code = 2
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()  # a failed write to stdout fails here at the latest, not at exit
+        return code
     except OSError as exc:
-        if exc.filename is None:  # not about a path, e.g. a closed pipe
+        if exc.filename is None:  # not about a path, e.g. a failed fork
             raise
+        if exc.filename == "<stdout>":
+            # Python flushes stdout again at exit, so point it at devnull first: what
+            # stdout still buffers goes there, with no traceback and no second error.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            if isinstance(exc, BrokenPipeError):  # the reader closed stdout (e.g. ``| head``)
+                return 1
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
@@ -494,18 +500,5 @@ def main() -> None:
     if sys.stdout is None:  # started with stdout closed, e.g. ``convrate --help >&-``
         print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
         sys.exit(2)
-    stdout = _wrap_stdout()
-    try:
-        code = run()
-        sys.stdout.flush()  # a failed write to stdout fails here at the latest, not at exit
-    except OSError as exc:
-        if not stdout.failed:
-            raise
-        # Python flushes stdout again at exit, so point it at devnull first: what stdout
-        # still buffers goes there, with no traceback and no second error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
-        if isinstance(exc, BrokenPipeError):  # the reader closed stdout (e.g. ``| head``)
-            sys.exit(1)
-        print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
-        sys.exit(2)
-    sys.exit(code)
+    _wrap_stdout()
+    sys.exit(run())

@@ -456,8 +456,10 @@ class TestFailedStdout:
         ["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "20000"],
         ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "3"],
         ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "20000"],
+        ["--help"],
+        ["analyze", "--help"],
     ], ids=["analyze", "jsr", "simulate", "simulate past a buffer", "schedule",
-            "schedule past a buffer"])
+            "schedule past a buffer", "help", "analyze help"])
     def test_full_stdout_is_exit_2(self, argv, unbuffered, scalar_path):
         command = [sys.executable, "-m", "convrate", *(a.format(system=scalar_path) for a in argv)]
         with open("/dev/full", "wb") as full:
@@ -487,6 +489,33 @@ class TestFailedStdout:
         assert result.stderr.endswith(f"[Errno {errno.EAGAIN}] "
                                       f"{os.strerror(errno.EAGAIN)}\n".encode())
         assert b"<stdout>" not in result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]], ids=["help", "analyze help"])
+def test_help_to_a_closed_pipe_is_exit_1_without_a_message(argv, unbuffered):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)  # the reader has gone before the help is written
+    try:
+        result = subprocess.run([sys.executable, "-m", "convrate", *argv], stdout=write_fd,
+                                stderr=subprocess.PIPE, env=_convrate_env(unbuffered),
+                                timeout=60)
+    finally:
+        os.close(write_fd)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="argparse drops a failed write to stderr from Python 3.11 on")
+def test_usage_error_on_a_full_stderr_is_still_exit_2():
+    # only help, on stdout, raises: argparse still drops a failed write to stderr
+    # (unbuffered, so that no text is left for Python's own flush of stderr at exit)
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "convrate", "bogus"],
+                                stdout=subprocess.PIPE, stderr=full, env=_convrate_env(True),
+                                timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
 
 
 def _streaming_documents() -> dict[str, dict]:
