@@ -15,7 +15,9 @@ one rule reports them all: ``error: <path>: <reason>``, with ``<stdout>``
 for standard output (whose unwritten bytes are then discarded), except a
 closed stdout pipe, which ends the run with exit 1 and no message. A stdout
 closed before the command starts is ``error: <stdout>: Bad file
-descriptor``, exit 2, before anything runs.
+descriptor``, exit 2, before anything runs. A failed write to stderr is
+dropped, so the exit code is the one the command would report, a usage
+error's 2 included, whatever Python's version or buffering mode.
 
 Each command imports the modules it runs, inside its function, so help
 texts and usage errors, which argparse handles before any command runs,
@@ -143,7 +145,7 @@ def _make_disturbances(text: str, steps: int, system):
     ``standard_normal((steps, n))`` followed by ``random(steps)``: drawn
     block by block, the normals come out the same, and the uniforms are
     reached by drawing and discarding every normal on a twin generator,
-    1 MiB at a time.
+    into one reused 64 KiB buffer.
     """
     import numpy as np
 
@@ -174,8 +176,9 @@ def _make_disturbances(text: str, steps: int, system):
             )
         normals, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
         skip = steps * system.n  # the state after N normals does not depend on their split
+        discard = np.empty(1 << 13)
         while skip:
-            skip -= uniforms.standard_normal(min(skip, 1 << 17)).size
+            skip -= uniforms.standard_normal(out=discard[:min(skip, discard.size)]).size
         return _SeededDisturbances(normals, uniforms, bound, system.n), bound
     raise DocumentError(f"--w: expected zero, const:<v> or seed:<s>, got {text!r}")
 
@@ -198,14 +201,25 @@ def _open_out(path: str) -> TextIOWrapper:
     return TextIOWrapper(BufferedWriter(_File(path, "w")))
 
 
-def _wrap_stdout() -> None:
-    """Put a :class:`_File` under a new ``sys.stdout`` that encodes and buffers as the
-    old one does (a ``FileIO`` buffer is Python's unbuffered mode)."""
-    old = sys.stdout
-    raw = _File(old.fileno(), "w", closefd=False)
-    sys.stdout = TextIOWrapper(raw if isinstance(old.buffer, FileIO) else BufferedWriter(raw),
-                               old.encoding, old.errors, line_buffering=old.line_buffering,
-                               write_through=old.write_through)
+class _Stderr(FileIO):
+    """Standard error, whose failed writes are dropped: it is where a failure would be
+    reported, so the exit code stays the command's own, in either buffering mode (a
+    failed flush of stderr at exit would otherwise make it 120)."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError:
+            return len(data)
+
+
+def _rewrap(old: TextIOWrapper, raw_class) -> TextIOWrapper:
+    """A stream over a ``raw_class`` on ``old``'s descriptor that encodes and buffers as
+    ``old`` does (a ``FileIO`` buffer is Python's unbuffered mode)."""
+    raw = raw_class(old.fileno(), "w", closefd=False)
+    return TextIOWrapper(raw if isinstance(old.buffer, FileIO) else BufferedWriter(raw),
+                         old.encoding, old.errors, line_buffering=old.line_buffering,
+                         write_through=old.write_through)
 
 
 def cmd_analyze(args) -> int:
@@ -497,8 +511,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if sys.stderr is not None:
+        sys.stderr = _rewrap(sys.stderr, _Stderr)
     if sys.stdout is None:  # started with stdout closed, e.g. ``convrate --help >&-``
         print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
         sys.exit(2)
-    _wrap_stdout()
+    sys.stdout = _rewrap(sys.stdout, _File)
     sys.exit(run())

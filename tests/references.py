@@ -3,7 +3,9 @@
 Each function is the plain per-step (or per-cell) loop the library ran
 before it batched the work. The tests require the library's result to
 equal these bit for bit: the arithmetic is the same, only its grouping
-into numpy calls differs.
+into numpy calls differs. The one exception is :func:`kronecker_lyapunov`,
+the solver the library ran before its doubling solve, which the tests
+compare within a tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from convrate.errors import NumericError
-from convrate.linalg import spectral_radius, top_singular_value
+from convrate.linalg import RESIDUAL_TOL, spectral_norm, spectral_radius, top_singular_value
 from convrate.mk import ENUMERATION_CAP, _window_automaton, check_enumeration_caps
 from convrate.nominal import OVERFLOW_LIMIT
 from convrate.scheduler import SCHEDULE_COLUMNS, ExponentialTarget, SchedulerState
@@ -281,3 +283,18 @@ def averaged_spectral_radius(system, mk, length: int,
         stack.append((depth + 1, child_products, child_states, child_bits))
     sequence = tuple((best_bits >> i) & 1 for i in range(length))
     return JsrResult(best_radius ** (1.0 / length), sequence, count)
+
+
+def kronecker_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``A.T P A - P = -Q`` by one dense solve of ``(I - kron(A.T, A.T)) vec P = vec Q``.
+
+    O(n^6) flops and O(n^4) memory. Raises :class:`NumericError` where
+    :func:`convrate.solve_discrete_lyapunov` checks its residual, so that a
+    refusal of either means the same.
+    """
+    n = A.shape[0]
+    P = np.linalg.solve(np.eye(n * n) - np.kron(A.T, A.T), Q.reshape(-1)).reshape(n, n)
+    P = (P + P.T) / 2.0
+    if spectral_norm(A.T @ P @ A - P + Q) > RESIDUAL_TOL * spectral_norm(Q):
+        raise NumericError("Lyapunov residual exceeds RESIDUAL_TOL * ||Q||")
+    return P

@@ -162,6 +162,21 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "rho must be < 1" in capsys.readouterr().err
 
+    def test_lyapunov_at_n96(self, tmp_path, capsys):
+        # the Kronecker system of n = 96 would hold 96^4 floats (680 MB)
+        rng = np.random.default_rng(96)
+        q, _ = np.linalg.qr(rng.standard_normal((96, 96)))
+        A0 = q @ np.diag(rng.uniform(-0.5, 0.5, 96)) @ q.T
+        modes = [A0, A0 + 0.5 * np.outer(q[:, 0], q[:, 1]), 0.5 * A0]
+        path = tmp_path / "n96.json"
+        path.write_text(json.dumps({"modes": [{"id": i, "A": A.tolist()}
+                                              for i, A in enumerate(modes)]}))
+        assert run(["analyze", str(path), "--method", "lyapunov"]) == 0
+        out = capsys.readouterr().out
+        rates = [line for line in out.splitlines() if line.startswith("rho[")]
+        assert [line.split(":")[0] for line in rates] == ["rho[0]", "rho[1]", "rho[2]"]
+        assert float(rates[0].split()[1]) < 1.0
+
     def test_unstable_nominal_lyapunov(self, tmp_path, capsys):
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps({"modes": [{"id": 0, "A": [[1.1]]}]}))
@@ -506,16 +521,48 @@ def test_help_to_a_closed_pipe_is_exit_1_without_a_message(argv, unbuffered):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="argparse drops a failed write to stderr from Python 3.11 on")
 def test_usage_error_on_a_full_stderr_is_still_exit_2():
-    # only help, on stdout, raises: argparse still drops a failed write to stderr
-    # (unbuffered, so that no text is left for Python's own flush of stderr at exit)
+    # only help, on stdout, raises: a failed write to stderr is dropped
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "convrate", "bogus"],
                                 stdout=subprocess.PIPE, stderr=full, env=_convrate_env(True),
                                 timeout=60)
     assert (result.returncode, result.stdout) == (2, b"")
+
+
+#: ``argparse.ArgumentParser._print_message`` as Python 3.10 has it: a failed write raises.
+_RAISING_PRINT_MESSAGE = (
+    "import argparse, sys\n"
+    "def _print_message(self, message, file=None):\n"
+    "    if message:\n"
+    "        (file or sys.stderr).write(message)\n"
+    "argparse.ArgumentParser._print_message = _print_message\n"
+)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("raising", [False, True], ids=["argparse drops", "argparse raises"])
+@pytest.mark.parametrize("argv, code", [
+    (["bogus"], 2),
+    (["jsr", "{absent}", "--m", "1", "--K", "3"], 2),
+    (["jsr", "{system}", "--m", "1", "--K", "3", "--length", "40"], 1),
+    (["analyze", "{system}", "--method", "robust", "--rho", "0.6"], 0),
+], ids=["usage error", "missing document", "refusal", "success"])
+def test_full_stderr_leaves_the_exit_code(argv, code, raising, unbuffered, scalar_path, tmp_path):
+    # a failed write to stderr is dropped in either buffering mode, whether argparse
+    # drops its own failed writes (Python 3.11 on) or raises (Python 3.10), so the exit
+    # code is the command's own: not 120 from a failed flush at exit, nor 1 from a traceback
+    argv = [a.format(system=scalar_path, absent=tmp_path / "absent.json") for a in argv]
+    program = (_RAISING_PRINT_MESSAGE if raising else "import sys\n") + (
+        f"sys.argv = ['convrate', *{argv!r}]\n"
+        "from convrate.cli import main\n"
+        "main()\n")
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-c", program], stdout=subprocess.PIPE,
+                                stderr=full, env=_convrate_env(unbuffered), timeout=60)
+    assert result.returncode == code
+    assert (result.stdout == b"") == (code != 0)
 
 
 def _streaming_documents() -> dict[str, dict]:

@@ -1,24 +1,54 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import references
 from convrate import (
     DimensionError,
     NoStableSolutionError,
     NotPositiveDefiniteError,
+    NumericError,
     cholesky,
     eigenvalues,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
 )
-from convrate import counterexample
+from convrate import counterexample, linalg
 from convrate.io import CSV_BLOCK_ROWS
-from convrate.linalg import row_norms
+from convrate.linalg import RESIDUAL_TOL, row_norms
 from conftest import random_spd, random_stable_matrix
 
 DEMO = counterexample.system()
+EPS = np.finfo(float).eps
+#: Distances 1 - radius of the near-boundary parity sample.
+PARITY_GAPS = (1e-5, 1e-6, 1e-7)
+
+
+def _parity_sample() -> list[list[np.ndarray]]:
+    """20 random 4x4 matrices per gap, each scaled to spectral radius 1 - gap."""
+    rng = np.random.default_rng(3)
+    sample = []
+    for gap in PARITY_GAPS:
+        group = []
+        for _ in range(20):
+            A = rng.standard_normal((4, 4))
+            group.append(A * ((1.0 - gap) / np.max(np.abs(np.linalg.eigvals(A)))))
+        sample.append(group)
+    return sample
+
+
+PARITY_SAMPLE = _parity_sample()
+
+
+def _assert_solves(A: np.ndarray, Q: np.ndarray) -> None:
+    """The solve returns a symmetric positive definite P within the residual tolerance."""
+    P = solve_discrete_lyapunov(A, Q)
+    assert P.tolist() == P.T.tolist()
+    assert np.linalg.eigvalsh(P)[0] > 0
+    assert spectral_norm(A.T @ P @ A - P + Q) <= RESIDUAL_TOL * spectral_norm(Q)
 
 
 class TestSpectralNorm:
@@ -202,16 +232,72 @@ class TestDiscreteLyapunov:
         assert residual <= 1e-9 * spectral_norm(Q)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_in_place_coefficient_matches_eye_minus_kron(self, seed):
-        # I - kron(A.T, A.T) is built in place; sparse A puts +0.0 and -0.0 into kron
+    def test_matches_kronecker_reference(self, seed):
+        # sparse A puts +0.0 and -0.0 into the products
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(1, 13))
         A = random_stable_matrix(rng, n) * (rng.random((n, n)) < 0.6)
         A /= max(1.0, 1.25 * float(np.max(np.abs(np.linalg.eigvals(A)))))
         Q = random_spd(rng, n)
-        vec_p = np.linalg.solve(np.eye(n * n) - np.kron(A.T, A.T), Q.reshape(-1))
-        expected = (vec_p.reshape(n, n) + vec_p.reshape(n, n).T) / 2.0
-        assert solve_discrete_lyapunov(A, Q).tobytes() == expected.tobytes()
+        P = solve_discrete_lyapunov(A, Q)
+        expected = references.kronecker_lyapunov(A, Q)
+        tolerance = 16 * n * EPS * np.linalg.cond(expected) * np.max(np.abs(expected))
+        assert np.max(np.abs(P - expected)) <= tolerance
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_property_near_the_boundary(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        n = int(rng.integers(1, 9))
+        A = rng.standard_normal((n, n))
+        A *= (1.0 - 10.0 ** -rng.uniform(1.0, 6.0)) / spectral_radius(A)
+        _assert_solves(A, random_spd(rng, n))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_property_non_normal(self, seed):
+        # an orthogonal similarity of a scaled Jordan block: powers grow before they decay
+        rng = np.random.default_rng(1200 + seed)
+        n = int(rng.integers(2, 5))
+        J = rng.uniform(0.3, 0.9) * np.eye(n) + rng.uniform(0.1, 1.0) * np.eye(n, k=1)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        _assert_solves(q @ J @ q.T, random_spd(rng, n))
+
+    @pytest.mark.parametrize("index", range(len(PARITY_GAPS)))
+    def test_no_refusal_where_the_reference_accepts(self, index):
+        # the doubling and its correction round refuse no system that the Kronecker
+        # solve accepts, at radius 1 - gap (20 random 4x4 systems per gap)
+        for A in PARITY_SAMPLE[index]:
+            try:
+                references.kronecker_lyapunov(A, np.eye(4))
+            except NumericError:
+                continue
+            _assert_solves(A, np.eye(4))
+
+    def test_squaring_cap(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SQUARINGS", 1)
+        with pytest.raises(NumericError, match="cap of 1 squarings"):
+            solve_discrete_lyapunov(0.5 * np.eye(2), np.eye(2))
+        # zero dynamics converge before the first squaring
+        assert solve_discrete_lyapunov(np.zeros((2, 2)), np.eye(2)).tolist() == np.eye(2).tolist()
+
+    @pytest.mark.parametrize("coupling, squarings", [(1e200, 0), (1e100, 1)])
+    def test_overflow_is_a_numeric_error(self, coupling, squarings):
+        # stable, but A^k grows past the float range before it decays
+        A = 0.5 * np.eye(3) + coupling * np.eye(3, k=1)
+        with pytest.raises(NumericError, match=f"overflowed after {squarings} squarings"):
+            solve_discrete_lyapunov(A, np.eye(3))
+
+    def test_peak_memory_at_n128(self):
+        # the Kronecker coefficient alone would take 128^4 floats, 2.1 GB
+        rng = np.random.default_rng(128)
+        q, _ = np.linalg.qr(rng.standard_normal((128, 128)))
+        A = q @ np.diag(rng.uniform(-0.9, 0.9, 128)) @ q.T
+        tracemalloc.start()
+        try:
+            solve_discrete_lyapunov(A, np.eye(128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_unstable_rejected(self):
         with pytest.raises(NoStableSolutionError, match="no stable solution"):

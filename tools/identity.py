@@ -17,7 +17,8 @@ The matrix:
 * ``simulate`` with every ``--w`` mode at 0, 1, 4095-4097, 8192 and 8193
   steps, a diverging run, ``--out -`` and files;
 * ``schedule`` with every policy, exponential and practical, and an alarm;
-* ``analyze``, ``mk-check``, ``jsr`` and ``repro-counterexample`` runs;
+* ``analyze`` (``--method lyapunov`` at n=64 too), ``mk-check``, ``jsr`` and
+  ``repro-counterexample`` runs;
 * every CLI refusal of ``tests/test_refusals.py`` (read from its literals),
   the ``jsr`` cap refusals and usage errors;
 * unusable ``--out`` paths, ``/dev/full`` as ``--out``, as stdout (with and
@@ -50,6 +51,7 @@ sys.path.insert(0, str(REPO / "perfbench"))
 
 import documents  # noqa: E402
 import inputs  # noqa: E402
+import numpy as np  # noqa: E402
 import run as bench  # noqa: E402
 
 SEEDS = (1, 7, 43)
@@ -70,6 +72,17 @@ DOCUMENTS = {
                "disturbance_bound": 0.1,
                "cost_weight_Q": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]},
 }
+
+
+def _large(n: int) -> dict:
+    """A seeded n x n document: a symmetric nominal mode with spectral radius < 0.9
+    and a rank-one skip mode next to it."""
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    nominal = q @ np.diag(rng.uniform(-0.9, 0.9, n)) @ q.T
+    skip = nominal + 0.5 * np.outer(q[:, 0], q[:, 1])
+    return {"name": f"n{n}", "modes": [{"id": 0, "A": nominal.tolist()},
+                                       {"id": 1, "A": skip.tolist()}]}
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,7 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
     paths = {"out": str(work / "out"), "absent": str(work / "absent"), "dir": str(docs),
              "not_json": str(docs / "q.txt")}
     (docs / "q.txt").write_text("not JSON\n")
-    for name, doc in {**_literal(refusals, "DOCUMENTS"), **DOCUMENTS}.items():
+    for name, doc in {**_literal(refusals, "DOCUMENTS"), **DOCUMENTS, "n64": _large(64)}.items():
         paths[name] = str(docs / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(doc))
 
@@ -129,6 +142,9 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
         "20000", "--w", "const:0.05", "--out", "{out}/diverged.csv")
     add("simulate robust --out -", "simulate", "{scalar}", "--method", "robust", "--rho", "0.6",
         "--sigma", "0,1,1,0,0", "--x0", "2", "--out", "-")
+    add("simulate robust --w seed:7", "simulate", "{bounded}", "--method", "robust", "--rho",
+        "0.6", "--sigma", "mk-worst:1,2", "--steps", "8193", "--w", "seed:7", "--out",
+        "{out}/robust.csv")
     add("simulate --x0 dominant", "simulate", "{costed}", "--sigma", "0,1,0,1", "--x0",
         "dominant:0,1")
     for policy in ("greedy", "random", "round-robin"):
@@ -143,6 +159,7 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
         "--rho-hat", "0.9", "--alpha-hat", "100", "--steps", "50", "--out", "-")
     add("analyze robust", "analyze", "{bounded}", "--method", "robust", "--rho", "0.6")
     add("analyze lyapunov --out", "analyze", "{costed}", "--out", "{out}/params.json")
+    add("analyze lyapunov n=64", "analyze", "{n64}", "--method", "lyapunov")
     add("mk-check", "mk-check", "{scalar}", "--m", "1", "--K", "3", "--method", "robust",
         "--rho", "0.6")
     add("mk-check --json --r0", "mk-check", "{bounded}", "--m", "2", "--K", "5", "--r0", "3",
