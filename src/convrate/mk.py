@@ -263,13 +263,19 @@ def count_mk_sequences(mk: MkConstraint, length: int) -> int:
             f"counting ({mk.m},{mk.K}) sequences needs {states} automaton states, "
             f"above the cap {COUNT_STATE_CAP}"
         )
-    steps = list(zip(*_window_automaton(mk, length)))
-    # counts[s]: the admissible r-symbol words from state s; the trailing 0 is
-    # what an inadmissible step (successor -1) reads
-    counts = [1] * len(steps) + [0]
+    execute, skip = _window_automaton(mk, length)
+    # an execute adds no skip, so every state may execute; a state whose last
+    # K-1 symbols already hold m_bar skips may not skip, and takes its execute
+    # successor's count as is. Numbered last, those states need no addition.
+    order = sorted(range(len(execute)), key=lambda state: skip[state] < 0)
+    place = {state: at for at, state in enumerate(order)}
+    adds = [(place[execute[state]], place[skip[state]]) for state in order if skip[state] >= 0]
+    copies = [place[execute[state]] for state in order if skip[state] < 0]
+    # counts[place[s]]: the admissible r-symbol words from state s
+    counts = [1] * len(order)
     for _ in range(length):
-        counts = [counts[execute] + counts[skip] for execute, skip in steps] + [0]
-    return counts[0]
+        counts = [counts[e] + counts[s] for e, s in adds] + [counts[e] for e in copies]
+    return counts[place[0]]
 
 
 def check_enumeration_caps(mk: MkConstraint, length: int, max_length: int,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,16 @@ class TestAveragedSpectralRadius:
         assert result.count == 539_695
         assert result.sequence == (1, 1, 0, 0) * 6
         assert sum(sent) < 0.01 * result.count
+
+    def test_peak_memory_of_the_demo_search(self):
+        # the walk holds at most one cache-sized block of products per level
+        tracemalloc.start()
+        try:
+            averaged_spectral_radius(DEMO, MkConstraint(1, 2), 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_wide_window_matches_unpruned_walk(self):
         # K = 12 with up to 11 skips per window: 2^11 automaton states

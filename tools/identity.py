@@ -18,7 +18,8 @@ The matrix:
   steps, a diverging run, ``--out -`` and files;
 * ``schedule`` with every policy, exponential and practical, and an alarm;
 * ``analyze`` (``--method lyapunov`` at n=64 too), ``mk-check``, ``jsr`` and
-  ``repro-counterexample`` runs;
+  ``repro-counterexample`` runs, with two ``jsr`` searches whose frontier
+  spans many blocks of ``sequences.EIG_CHUNK_BYTES``;
 * every CLI refusal of ``tests/test_refusals.py`` (read from its literals),
   the ``jsr`` cap refusals and usage errors;
 * unusable ``--out`` paths, ``/dev/full`` as ``--out``, as stdout (with and
@@ -71,6 +72,9 @@ DOCUMENTS = {
                          {"id": 1, "A": [[1.1, 0.0, 0.2], [0.1, 0.9, 0.0], [0.0, 0.3, 1.0]]}],
                "disturbance_bound": 0.1,
                "cost_weight_Q": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]},
+    # the modes of convrate.counterexample.system()
+    "demo": {"modes": [{"id": 0, "A": [[0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+                       {"id": 1, "A": [[0.5, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}]},
 }
 
 
@@ -123,7 +127,8 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
     paths = {"out": str(work / "out"), "absent": str(work / "absent"), "dir": str(docs),
              "not_json": str(docs / "q.txt")}
     (docs / "q.txt").write_text("not JSON\n")
-    for name, doc in {**_literal(refusals, "DOCUMENTS"), **DOCUMENTS, "n64": _large(64)}.items():
+    for name, doc in {**_literal(refusals, "DOCUMENTS"), **DOCUMENTS, "n8": _large(8),
+                      "n64": _large(64)}.items():
         paths[name] = str(docs / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(doc))
 
@@ -168,6 +173,8 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
         "--K", "2000", "--method", "robust", "--rho", "0.6")
     add("jsr", "jsr", "{bounded}", "--m", "2", "--K", "4", "--length", "12")
     add("jsr rho_hat >= 1", "jsr", "{scalar}", "--m", "1", "--K", "2", "--length", "8")
+    add("jsr demo (1,2) L=24", "jsr", "{demo}", "--m", "1", "--K", "2", "--length", "24")
+    add("jsr n=8 (3,6) L=22", "jsr", "{n8}", "--m", "3", "--K", "6", "--length", "22")
     add("repro-counterexample", "repro-counterexample")
 
     for name, (argv, _) in _literal(refusals, "CLI_REFUSALS").items():
