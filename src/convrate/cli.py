@@ -17,7 +17,12 @@ closed stdout pipe, which ends the run with exit 1 and no message. A stdout
 closed before the command starts is ``error: <stdout>: Bad file
 descriptor``, exit 2, before anything runs. A failed write to stderr is
 dropped, so the exit code is the one the command would report, a usage
-error's 2 included, whatever Python's version or buffering mode.
+error's 2 included, whatever Python's version or buffering mode. Once the
+command has returned, :func:`main` flushes stdout and stderr and leaves
+through ``os._exit``, without the interpreter's teardown: no child process
+or open ``--out`` file is left by then, and convrate registers no atexit
+hook (one that the environment registers, e.g. a coverage tool's, is
+skipped).
 
 Each command imports the modules it runs, inside its function, so help
 texts and usage errors, which argparse handles before any command runs,
@@ -517,4 +522,9 @@ def main() -> None:
         print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
         sys.exit(2)
     sys.stdout = _rewrap(sys.stdout, _File)
-    sys.exit(run())
+    code = run()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # every child has been waited for and every --out file closed, so the interpreter's
+    # teardown (9-30 ms) would only free memory
+    os._exit(code)

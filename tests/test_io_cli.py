@@ -565,6 +565,31 @@ def test_full_stderr_leaves_the_exit_code(argv, code, raising, unbuffered, scala
     assert (result.stdout == b"") == (code != 0)
 
 
+@pytest.mark.parametrize("argv, lines, last_err", [
+    (["jsr", "{system}", "--m", "1", "--K", "2", "--length", "8"], 3, None),
+    (["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "5000"], 5002,
+     "guarantee holds"),
+    (["analyze", "{system}", "--method", "robust", "--rho", "0.6"], 8, None),
+    (["--help"], None, None),
+], ids=["jsr", "simulate", "analyze", "help"])
+def test_block_buffered_output_is_complete_at_exit(argv, lines, last_err, scalar_path,
+                                                   capsys):
+    # without PYTHONUNBUFFERED, stdout and stderr to pipes are block-buffered, and the
+    # CLI leaves through os._exit: what it printed is all there, as run() prints it
+    argv = [a.format(system=scalar_path) for a in argv]
+    result = subprocess.run([sys.executable, "-m", "convrate", *argv], capture_output=True,
+                            env=_convrate_env(False), timeout=120)
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == (code, out, err)
+    assert code == 0
+    if lines is not None:
+        assert len(out.splitlines()) == lines
+    else:
+        assert out.startswith("usage: convrate") and out.endswith("\n")
+    assert (err.splitlines()[-1].startswith(last_err) if last_err else err == "")
+
+
 def _streaming_documents() -> dict[str, dict]:
     """n = 1, 3 (with a cost weight) and 32, each with a disturbance bound."""
     rng = np.random.default_rng(32)

@@ -60,9 +60,19 @@ def loaded_modules(code: str) -> set[str]:
 
 
 def cli_modules(*argv: str) -> set[str]:
-    """Modules loaded by ``python -m convrate argv``, whatever its exit code."""
+    """Modules loaded by ``python -m convrate argv``, whatever its exit code.
+
+    The CLI leaves through ``os._exit``, which would end the probe before it
+    reads ``sys.modules``; in this process it raises ``SystemExit`` instead (a
+    forked child of a streamed command still leaves through the real one)."""
     return loaded_modules(
-        "import runpy, sys\n"
+        "import os, runpy, sys\n"
+        "_exit, probe = os._exit, os.getpid()\n"
+        "def exit_to_the_probe(code):\n"
+        "    if os.getpid() != probe:\n"
+        "        _exit(code)\n"
+        "    raise SystemExit(code)\n"
+        "os._exit = exit_to_the_probe\n"
         f"sys.argv = ['convrate', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('convrate', run_name='__main__', alter_sys=True)\n"

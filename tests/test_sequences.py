@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references
@@ -27,6 +27,19 @@ from convrate.mk import _REFUSAL_COUNT_LENGTH, check_enumeration_caps
 DEMO = counterexample.system()
 #: The scalar system whose skip and execute rates cancel exactly in pairs.
 HALVE_DOUBLE = SystemModel(modes={0: [[0.5]], 1: [[2.0]]})
+
+
+def benchmark_jsr8(seed):
+    """The modes of the benchmark's ``jsr8`` document for ``seed``: two 8x8 normal
+    matrices from ``default_rng([seed, 0])``, each scaled to unit spectral norm."""
+    rng = np.random.default_rng([seed, 0])
+    modes = [rng.standard_normal((8, 8)) for _ in range(2)]
+    return tuple(a / np.linalg.norm(a, 2) for a in modes)
+
+
+#: The benchmark's seed-5 search system: its best tiling of a short word is far below
+#: ``rho_hat``, so the walk's own leaves do most of the pruning.
+JSR8_SEED5 = benchmark_jsr8(5)
 
 
 def naive_admissible(mk, length):
@@ -403,7 +416,9 @@ class TestAveragedSpectralRadius:
         result = averaged_spectral_radius(system, mk, 12)
         assert result == references.averaged_spectral_radius(system, mk, 12)
 
-    def test_demo_search_prunes_nearly_every_leaf(self, monkeypatch):
+    @pytest.fixture
+    def eigvals_sent(self, monkeypatch):
+        """The number of matrices in each call of ``np.linalg.eigvals`` during the test."""
         sent = []
         eigvals = np.linalg.eigvals
 
@@ -412,10 +427,23 @@ class TestAveragedSpectralRadius:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
+        return sent
+
+    def test_demo_search_prunes_nearly_every_leaf(self, eigvals_sent):
         result = averaged_spectral_radius(DEMO, MkConstraint(2, 4), 24)
         assert result.count == 539_695
         assert result.sequence == (1, 1, 0, 0) * 6
-        assert sum(sent) < 0.01 * result.count
+        assert sum(eigvals_sent) < 0.01 * result.count
+
+    def test_best_leaf_so_far_prunes_the_benchmark_search(self, eigvals_sent):
+        # 5,279 matrices reach eigvals when only the tilings of words of period <= 10 set
+        # the incumbent, 39,908 with period <= 6, and 552 once the best leaf so far
+        # raises it too
+        A0, A1 = JSR8_SEED5
+        result = averaged_spectral_radius(SystemModel(modes={0: A0, 1: A1}),
+                                          MkConstraint(3, 6), 20)
+        assert result.count == 126_099
+        assert sum(eigvals_sent) < 2_000
 
     def test_peak_memory_of_the_demo_search(self):
         # the walk holds at most one cache-sized block of products per level
@@ -451,6 +479,8 @@ class TestAveragedSpectralRadius:
                                        nilpotent_pairs())),
            st.sampled_from([None, 1, 2, 3, 7]))
     @settings(max_examples=150, deadline=None)
+    @example((JSR8_SEED5, MkConstraint(3, 6), 12), None)
+    @example((JSR8_SEED5, MkConstraint(3, 6), 12), 3)
     def test_pruned_equals_unpruned_walk(self, case, chunk):
         (A0, A1), mk, length = case
         system = SystemModel(modes={0: A0, 1: A1})

@@ -18,8 +18,9 @@ The matrix:
   steps, a diverging run, ``--out -`` and files;
 * ``schedule`` with every policy, exponential and practical, and an alarm;
 * ``analyze`` (``--method lyapunov`` at n=64 too), ``mk-check``, ``jsr`` and
-  ``repro-counterexample`` runs, with two ``jsr`` searches whose frontier
-  spans many blocks of ``sequences.EIG_CHUNK_BYTES``;
+  ``repro-counterexample`` runs, with ``jsr`` searches whose frontier spans
+  many blocks of ``sequences.EIG_CHUNK_BYTES``, and the benchmark's seed-5
+  n=8 search, where the best leaf found so far does most of the pruning;
 * every CLI refusal of ``tests/test_refusals.py`` (read from its literals),
   the ``jsr`` cap refusals and usage errors;
 * unusable ``--out`` paths, ``/dev/full`` as ``--out``, as stdout (with and
@@ -131,6 +132,8 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
                       "n64": _large(64)}.items():
         paths[name] = str(docs / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(doc))
+    (docs / "seed5").mkdir()
+    paths["jsr8_seed5"] = str(documents.write_documents(["jsr8"], 5, docs / "seed5")["jsr8"])
 
     cases = []
 
@@ -174,6 +177,9 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
     add("jsr", "jsr", "{bounded}", "--m", "2", "--K", "4", "--length", "12")
     add("jsr rho_hat >= 1", "jsr", "{scalar}", "--m", "1", "--K", "2", "--length", "8")
     add("jsr demo (1,2) L=24", "jsr", "{demo}", "--m", "1", "--K", "2", "--length", "24")
+    add("jsr demo (2,4) L=24", "jsr", "{demo}", "--m", "2", "--K", "4", "--length", "24")
+    add("jsr benchmark jsr8 seed 5 (3,6) L=20", "jsr", "{jsr8_seed5}", "--m", "3", "--K", "6",
+        "--length", "20")
     add("jsr n=8 (3,6) L=22", "jsr", "{n8}", "--m", "3", "--K", "6", "--length", "22")
     add("repro-counterexample", "repro-counterexample")
 
