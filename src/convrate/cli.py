@@ -524,7 +524,8 @@ def main() -> None:
     sys.stdout = _rewrap(sys.stdout, _File)
     code = run()
     sys.stdout.flush()
-    sys.stderr.flush()
+    if sys.stderr is not None:  # None when started with stderr closed
+        sys.stderr.flush()
     # every child has been waited for and every --out file closed, so the interpreter's
     # teardown (9-30 ms) would only free memory
     os._exit(code)

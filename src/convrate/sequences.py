@@ -78,7 +78,10 @@ PRUNE_FLOOR = 2.0**-900
 #: Longest period of the words tiled into the search's first incumbent. The walk
 #: raises the incumbent to each larger leaf it finds, so the tilings need only
 #: start it: over the benchmark's n=8 (3,6) L=20 searches at seeds 1-15, period 6
-#: took 0.53 s in all, period 10 0.66 s.
+#: took 0.53 s in all, period 10 0.66 s. Without the tilings, the walk's first leaf
+#: block starts it, and the matrices sent to ``eigvals`` rise from 22,487 to 38,611
+#: over those searches, from 76 to 4,224 for the demo's modes at (2,4) L=24, and
+#: from 13,616 to 156,881 over 70 random searches (n 2-8, K up to 12, L 12 and 18).
 INCUMBENT_PERIOD = 6
 #: Word length up to which the norm bound tables are exact.
 NORM_BLOCK = 4

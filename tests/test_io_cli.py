@@ -435,6 +435,25 @@ def test_closed_stdout_is_exit_2_without_a_traceback(argv, scalar_path):
     assert result.stderr == f"error: <stdout>: {os.strerror(errno.EBADF)}\n".encode()
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["jsr", "{system}", "--m", "1", "--K", "2", "--length", "8"],
+    ["jsr", "{system}", "--m", "1"],
+], ids=["help", "jsr", "usage-error"])
+def test_closed_stderr_keeps_the_exit_code_and_stdout(argv, unbuffered, scalar_path, capsys):
+    # e.g. ``convrate --help 2>&-``: Python starts such a process with sys.stderr None
+    argv = [a.format(system=scalar_path) for a in argv]
+    code = run(argv)
+    out, _ = capsys.readouterr()
+    result = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m",
+                             "convrate", *argv], stdout=subprocess.PIPE,
+                            env=_convrate_env(unbuffered), timeout=60)
+    assert result.returncode == code
+    if code == 0:  # a usage error prints its usage to stdout when stderr is None
+        assert result.stdout.decode() == out
+
+
 def _convrate_env(unbuffered: bool) -> dict:
     """The environment of a ``python -m convrate`` run, with or without ``PYTHONUNBUFFERED``."""
     import convrate

@@ -25,7 +25,7 @@ The matrix:
   the ``jsr`` cap refusals and usage errors;
 * unusable ``--out`` paths, ``/dev/full`` as ``--out``, as stdout (with and
   without ``PYTHONUNBUFFERED``) and as stderr, a stdout pipe whose reader
-  has gone, and a closed stdout, ``--help`` included;
+  has gone, and a closed stdout or stderr, ``--help`` included;
 * the benchmark's commands at seeds 1, 7 and 43, on the documents of
   ``perfbench/documents.py``.
 
@@ -94,7 +94,7 @@ def _large(n: int) -> dict:
 class Case:
     """One command. ``argv`` holds ``{name}`` placeholders for the scratch paths; stdout
     and stderr are each ``pipe`` (read to the end), ``full`` (``/dev/full``),
-    ``gone`` (a pipe whose reader has closed it) or, for stdout only, ``closed``."""
+    ``gone`` (a pipe whose reader has closed it) or ``closed``."""
 
     name: str
     argv: tuple[str, ...]
@@ -231,6 +231,11 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
                     unbuffered=unbuffered)
     for name in ("help", "jsr"):
         add(f"{name}, stdout closed", *runs[name], stdout="closed")
+    runs["jsr usage error"] = ("jsr", "{bounded}", "--m", "1")
+    for unbuffered in (False, True):
+        for name in ("help", "jsr", "jsr usage error", "analyze"):
+            add(f"{name}, stderr closed, {MODES[unbuffered]}", *runs[name], stderr="closed",
+                unbuffered=unbuffered)
 
     for seed in SEEDS:
         for workload, names in inputs.WORKLOAD_DOCUMENTS.items():
@@ -266,11 +271,12 @@ def execute(tree: Path, case: Case, paths: dict[str, str], env: dict[str, str]) 
     if case.unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "convrate", *(arg.format(**paths) for arg in case.argv)]
+    closed = [fd for fd, kind in ((1, case.stdout), (2, case.stderr)) if kind == "closed"]
     with ExitStack() as stack:
         result = subprocess.run(
             argv, stdin=subprocess.DEVNULL, stdout=_stream(case.stdout, stack),
             stderr=_stream(case.stderr, stack), env=env, cwd=out.parent, timeout=TIMEOUT,
-            preexec_fn=(lambda: os.close(1)) if case.stdout == "closed" else None)
+            preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None)
     files = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(out.rglob("*")) if path.is_file()}
     # a traceback names the tree's own files
