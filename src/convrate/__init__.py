@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 #: The module that defines each public name.
 _EXPORTS = {
-    **dict.fromkeys(("build_robustness_abstraction", "contractive_transform", "gamma_bounds",
-                     "lyapunov_abstraction", "robustness_abstraction"), "builders"),
+    **dict.fromkeys(("build_robustness_abstraction", "gamma_bounds", "lyapunov_abstraction",
+                     "robustness_abstraction"), "builders"),
     **dict.fromkeys(("DimensionError", "NoStableSolutionError", "NotPositiveDefiniteError",
                      "NumericError", "ParameterError", "ResourceCapError",
                      "UnsupportedConfigurationError"), "errors"),
@@ -27,12 +27,12 @@ _EXPORTS = {
                      "mk_alpha_tilde", "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio",
                      "safe_initial_radius", "skip_count_bound"), "mk"),
     **dict.fromkeys(("AbstractionParams", "SystemModel"), "model"),
-    **dict.fromkeys(("NominalCertificate", "RhoValidation", "build_nominal_abstraction",
-                     "nominal_certificate", "sweep_rho", "validate_rho"), "nominal"),
+    **dict.fromkeys(("NominalCertificate", "build_nominal_abstraction", "nominal_certificate"),
+                    "nominal"),
     **dict.fromkeys(("ExponentialTarget", "PracticalTarget", "SchedulerState",
                      "admissible_modes", "exponential_state", "greedy_policy",
-                     "kappa_hat_step", "practical_state", "practical_step", "random_policy",
-                     "round_robin_policy", "run_schedule", "supervisor_check"), "scheduler"),
+                     "kappa_hat_step", "random_policy", "round_robin_policy", "run_schedule",
+                     "supervisor_check"), "scheduler"),
     **dict.fromkeys(("JsrResult", "averaged_spectral_radius", "enumerate_mk_sequences",
                      "random_mk_sequence", "transition_product", "validate_mk",
                      "worst_case_sequence"), "sequences"),

@@ -113,16 +113,3 @@ def lyapunov_abstraction(system: SystemModel, Q=None) -> AbstractionParams:
     return AbstractionParams(alpha=alpha, beta=alpha, rho=rho, method="lyapunov",
                              lyapunov_P=P, diagnostics=diagnostics)
 
-
-def contractive_transform(params: AbstractionParams) -> np.ndarray:
-    """Coordinate change ``x -> R x`` in which the nominal loop is contractive.
-
-    Only defined for Lyapunov-built parameters; returns the Cholesky factor
-    of the stored ``P``.
-    """
-    if params.method != "lyapunov" or params.lyapunov_P is None:
-        raise ParameterError(
-            "contractive coordinates need Lyapunov-built parameters "
-            f"(got method={params.method!r})"
-        )
-    return cholesky(params.lyapunov_P)

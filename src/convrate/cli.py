@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
     if not report.holds:
         print(f"guarantee violated at k={report.first_violation}: "
-              f"|x_k| > vbar_k (max ratio {report.max_ratio:.6g})", file=sys.stderr)
+              f"|x_k| > vbar_k (max ratio 1 + {report.max_ratio - 1.0:.6g})", file=sys.stderr)
         return 1
     print(f"guarantee holds; max |x_k|/vbar_k = {report.max_ratio:.6g}", file=sys.stderr)
     return 0
@@ -516,16 +516,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    if sys.stderr is not None:
-        sys.stderr = _rewrap(sys.stderr, _Stderr)
+    # started with stderr closed, e.g. ``convrate --help 2>&-``, sys.stderr is None, and
+    # print(file=None) and argparse's usage would write to stdout instead
+    sys.stderr = open(os.devnull, "w") if sys.stderr is None else _rewrap(sys.stderr, _Stderr)
     if sys.stdout is None:  # started with stdout closed, e.g. ``convrate --help >&-``
         print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
         sys.exit(2)
     sys.stdout = _rewrap(sys.stdout, _File)
     code = run()
     sys.stdout.flush()
-    if sys.stderr is not None:  # None when started with stderr closed
-        sys.stderr.flush()
+    sys.stderr.flush()
     # every child has been waited for and every --out file closed, so the interpreter's
     # teardown (9-30 ms) would only free memory
     os._exit(code)

@@ -33,15 +33,8 @@ def check_nonnegative(value, name: str) -> float:
 
 
 class NotPositiveDefiniteError(ValueError):
-    """A matrix required to be symmetric positive definite is not.
-
-    ``minor`` is the order of the smallest leading principal minor that is
-    not positive, when known.
-    """
-
-    def __init__(self, message, minor=None):
-        super().__init__(message)
-        self.minor = minor
+    """A matrix required to be symmetric positive definite is not; the message
+    names the smallest leading principal minor that is not positive, when known."""
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -57,12 +50,5 @@ class NumericError(RuntimeError):
 
 
 class ResourceCapError(RuntimeError):
-    """An enumeration would exceed its configured resource cap.
-
-    ``estimated_count`` carries the exact number of sequences the
-    enumeration would visit, when it is cheap to compute.
-    """
-
-    def __init__(self, message, estimated_count=None):
-        super().__init__(message)
-        self.estimated_count = estimated_count
+    """An enumeration would exceed its configured resource cap; the message names
+    the exact number of sequences it would visit, when that is cheap to compute."""

@@ -153,11 +153,9 @@ def cholesky(P) -> np.ndarray:
     try:
         lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        minor = _failing_minor(sym)
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: leading principal minor of "
-            f"order {minor} is not positive",
-            minor=minor,
+            f"order {_failing_minor(sym)} is not positive"
         ) from None
     return np.ascontiguousarray(lower.T)
 
@@ -210,8 +208,7 @@ def solve_discrete_lyapunov(A, Q) -> np.ndarray:
     try:
         cholesky(Q)
     except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"Q must be symmetric positive definite: {exc}",
-                                       minor=exc.minor) from None
+        raise NotPositiveDefiniteError(f"Q must be symmetric positive definite: {exc}") from None
     radius = spectral_radius(A)
     if radius >= 1.0:
         raise NoStableSolutionError(

@@ -290,8 +290,5 @@ def check_enumeration_caps(mk: MkConstraint, length: int, max_length: int,
     if length > max_length:
         count = None if length > _REFUSAL_COUNT_LENGTH else count_mk_sequences(mk, length)
         visits = "" if count is None else f"; this would visit {count} sequences"
-        raise ResourceCapError(
-            f"length {length} exceeds the enumeration cap {max_length}{visits} "
-            f"({remedy} to proceed)",
-            estimated_count=count,
-        )
+        raise ResourceCapError(f"length {length} exceeds the enumeration cap {max_length}"
+                               f"{visits} ({remedy} to proceed)")

@@ -5,7 +5,8 @@ the spectral radius of ``A0`` and one, the norms ``||A0^k rho^-k||`` decay
 below one after finitely many steps. The first such step ``k_tilde`` and
 the maximum ``alpha_min`` of the norms before it certify the exponential
 bound ``|x_k| <= alpha_min * rho^k * |x_0|``, which is also the nominal
-one-dimensional abstraction.
+one-dimensional abstraction. A rate outside ``(spectral radius, 1)`` is
+refused with :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -31,25 +32,6 @@ SCREEN_MARGIN = 1e-8
 #: Frobenius norm up to which the scan's ``A.T @ A`` cannot overflow, so that the
 #: exact norm is finite and within ``OVERFLOW_LIMIT``.
 SCREEN_LIMIT = 1e150
-#: Relative gap kept above the spectral radius by :func:`sweep_rho`.
-SWEEP_MARGIN = 1e-3
-
-
-@dataclass(frozen=True)
-class RhoValidation:
-    """Outcome of checking a candidate decay rate against ``A0``.
-
-    Falsy when rejected; ``reason`` then names the violated bound and
-    ``spectral_radius`` reports the radius of ``A0``.
-    """
-
-    ok: bool
-    rho: float
-    spectral_radius: float
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -59,19 +41,6 @@ class NominalCertificate:
     rho: float
     k_tilde: int
     alpha_min: float
-
-
-def validate_rho(A0, rho: float) -> RhoValidation:
-    """Check ``spectral_radius(A0) < rho < 1``; rejection is a result, not an error."""
-    radius = spectral_radius(as_square_matrix(A0, "A0"))
-    rho = float(rho)
-    if not rho < 1.0:
-        return RhoValidation(False, rho, radius,
-                             f"rho must be < 1, got {rho} (spectral radius is {radius:.6g})")
-    if not rho > radius:
-        return RhoValidation(False, rho, radius,
-                             f"rho must exceed the spectral radius {radius:.6g}, got {rho}")
-    return RhoValidation(True, rho, radius)
 
 
 def _block_norms(products: np.ndarray):
@@ -157,13 +126,16 @@ def _scan_norms(A0: np.ndarray, rho: float, max_iterations: int) -> tuple[int, f
 
 
 def nominal_certificate(A0, rho: float) -> NominalCertificate:
-    """Validate ``rho`` and evaluate ``k_tilde`` and ``alpha_min`` for it."""
+    """Check ``spectral_radius(A0) < rho < 1`` and evaluate ``k_tilde`` and ``alpha_min`` for it."""
     A0 = as_square_matrix(A0, "A0")
-    check = validate_rho(A0, rho)
-    if not check:
-        raise ParameterError(check.reason)
-    k_tilde, alpha_min = _scan_norms(A0, check.rho, ITERATION_CAP)
-    return NominalCertificate(rho=check.rho, k_tilde=k_tilde, alpha_min=alpha_min)
+    radius = spectral_radius(A0)
+    rho = float(rho)
+    if not rho < 1.0:
+        raise ParameterError(f"rho must be < 1, got {rho} (spectral radius is {radius:.6g})")
+    if not rho > radius:
+        raise ParameterError(f"rho must exceed the spectral radius {radius:.6g}, got {rho}")
+    k_tilde, alpha_min = _scan_norms(A0, rho, ITERATION_CAP)
+    return NominalCertificate(rho=rho, k_tilde=k_tilde, alpha_min=alpha_min)
 
 
 def build_nominal_abstraction(A0, rho: float, beta: float | None = None) -> AbstractionParams:
@@ -187,21 +159,3 @@ def build_nominal_abstraction(A0, rho: float, beta: float | None = None) -> Abst
         diagnostics={"k_tilde": cert.k_tilde, "alpha_min": cert.alpha_min},
     )
 
-
-def sweep_rho(A0, num: int = 20) -> list[tuple[float, float]]:
-    """(rho, alpha_min) pairs on a log-spaced grid of admissible decay rates.
-
-    The grid spans ``spectral_radius(A0) * (1 + SWEEP_MARGIN)`` up to
-    (excluding) one, letting callers trade decay speed against overshoot.
-    """
-    A0 = as_square_matrix(A0, "A0")
-    if num < 1:
-        raise ParameterError("num must be >= 1")
-    radius = spectral_radius(A0)
-    low = max(radius * (1.0 + SWEEP_MARGIN), 1e-6)
-    if low >= 1.0:
-        raise ParameterError(
-            f"A0 is not Schur-stable enough to sweep: spectral radius {radius:.6g}"
-        )
-    grid = np.geomspace(low, 1.0, num=num, endpoint=False)
-    return [(float(r), nominal_certificate(A0, float(r)).alpha_min) for r in grid]

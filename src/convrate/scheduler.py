@@ -5,14 +5,14 @@ much of the allowed overshoot budget ``alpha_hat`` has been consumed; it
 is maintained in log domain so that long runs can neither overflow nor
 underflow. One rule gates both targets: a mode is admissible iff the value
 its step stores stays within budget, ``log kappa_hat <= log alpha_hat``
-(exponential mode) or ``vbar <= C`` (practical mode). The public step
-functions and :class:`ScheduleStream` apply it through one kernel: the limit
-and per-mode coefficients (``_rule``), the value after each mode with the
-admissible bitmask (``_admit``), the alarm (``_alarm``) and the chosen
-mode's stored value (``_pick``). The supervisor reports an alarm whenever no
-admissible mode remains or the invariant is already violated; it never
-executes the fallback itself - the surrounding harness switches to
-strictly nominal execution.
+(exponential mode) or ``vbar <= C`` (practical mode). :class:`ScheduleStream`
+runs either target, and the public step functions gate the exponential one,
+through one kernel: the limit and per-mode coefficients (``_rule``), the
+value after each mode with the admissible bitmask (``_admit``), the alarm
+(``_alarm``) and the chosen mode's stored value (``_pick``). The supervisor
+reports an alarm whenever no admissible mode remains or the invariant is
+already violated; it never executes the fallback itself - the surrounding
+harness switches to strictly nominal execution.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ class PracticalTarget:
 
 @dataclass(frozen=True)
 class SchedulerState:
-    """The log-domain damage counter and/or vbar."""
+    """The log-domain damage counter."""
 
     log_kappa_hat: float = 0.0
-    v_bar: float | None = None
 
     @property
     def kappa_hat(self) -> float:
@@ -79,11 +78,6 @@ def _kappa_hat(log_kappa_hat: float) -> float:
 def exponential_state() -> SchedulerState:
     """Fresh state with ``kappa_hat = 1``."""
     return SchedulerState()
-
-
-def practical_state(v0: float) -> SchedulerState:
-    """Fresh state carrying the abstraction value ``v0`` (e.g. alpha * |x0|)."""
-    return SchedulerState(v_bar=check_nonnegative(v0, "v0"))
 
 
 def _rule(params: AbstractionParams,
@@ -135,24 +129,21 @@ def _pick(after: list[float], order: dict[int, int], params: AbstractionParams,
 
 
 def _gate(state: SchedulerState, params: AbstractionParams,
-          target: ExponentialTarget | PracticalTarget,
-          w_bar_k: float = 0.0) -> tuple[float, float, list[float], int]:
+          target: ExponentialTarget) -> tuple[float, float, list[float], int]:
     """The gate rule applied to a state.
 
-    Returns the gated quantity now (``log kappa_hat`` or ``vbar``), its limit
-    (``log alpha_hat`` or C), its value after each mode, in ``params.rho``
-    order, computed exactly as the step stores it, and the :func:`_admit`
-    bitmask. A mode is admissible iff that value is within the limit, so
-    the gate never admits a step that then counts as over budget.
+    Returns ``log kappa_hat`` now, its limit ``log alpha_hat``, its value
+    after each mode, in ``params.rho`` order, computed exactly as the step
+    stores it, and the :func:`_admit` bitmask. A mode is admissible iff that
+    value is within the limit, so the gate never admits a step that then
+    counts as over budget.
     """
-    if isinstance(target, ExponentialTarget):
-        now, gain = state.log_kappa_hat, None
-    elif state.v_bar is None:
-        raise ParameterError("practical mode needs a state initialized via practical_state()")
-    else:
-        now, gain = state.v_bar, params.beta * check_nonnegative(w_bar_k, "w_bar")
+    if not isinstance(target, ExponentialTarget):
+        raise ParameterError("the step functions gate an exponential target; "
+                             "run a practical target with run_schedule()")
+    now = state.log_kappa_hat
     limit, coefficients = _rule(params, target)
-    return (now, limit, *_admit(now, coefficients, gain, limit))
+    return (now, limit, *_admit(now, coefficients, None, limit))
 
 
 def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
@@ -164,24 +155,14 @@ def kappa_hat_step(state: SchedulerState, sigma: int, params: AbstractionParams,
     absorbs all previous damage.
     """
     _, _, after, _ = _gate(state, params, target)
-    return SchedulerState(_pick(after, _order(params), params, sigma), state.v_bar)
+    return SchedulerState(_pick(after, _order(params), params, sigma))
 
 
 def admissible_modes(state: SchedulerState, params: AbstractionParams,
-                     target: ExponentialTarget | PracticalTarget,
-                     w_bar_k: float = 0.0) -> frozenset[int]:
-    """Modes whose step keeps ``kappa_hat <= alpha_hat`` (or ``vbar <= C``)."""
-    *_, mask = _gate(state, params, target, w_bar_k)
+                     target: ExponentialTarget) -> frozenset[int]:
+    """Modes whose step keeps ``kappa_hat <= alpha_hat``."""
+    *_, mask = _gate(state, params, target)
     return _modes(_order(params), mask)
-
-
-def practical_step(state: SchedulerState, sigma: int, w_bar_k: float,
-                   params: AbstractionParams,
-                   target: PracticalTarget) -> tuple[SchedulerState, bool]:
-    """Apply one mode to the abstraction state; flag whether it kept the bound."""
-    _, limit, after, _ = _gate(state, params, target, w_bar_k)
-    v_bar = _pick(after, _order(params), params, sigma)
-    return SchedulerState(state.log_kappa_hat, v_bar), v_bar <= limit
 
 
 @dataclass(frozen=True)
@@ -214,20 +195,17 @@ def _alarm(texts: tuple[str, str], now: float, limit: float, mask: int) -> str |
 
 
 def supervisor_check(state: SchedulerState, params: AbstractionParams,
-                     target: ExponentialTarget | PracticalTarget,
-                     w_bar_k: float = 0.0) -> SupervisorReport:
+                     target: ExponentialTarget) -> SupervisorReport:
     """Alarm when the budget is already blown or no admissible mode remains.
 
     The documented contract on alarm is that the caller switches to a
     deterministic safety mode guaranteeing nominal execution.
     """
-    now, limit, _, mask = _gate(state, params, target, w_bar_k)
+    now, limit, _, mask = _gate(state, params, target)
     reason = _alarm(_alarms(target), now, limit, mask)
     if reason is None:
         return SupervisorReport(True)
-    if isinstance(target, ExponentialTarget):
-        return SupervisorReport(False, reason, state.kappa_hat, target.alpha_hat)
-    return SupervisorReport(False, reason, now, limit)
+    return SupervisorReport(False, reason, state.kappa_hat, target.alpha_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,12 @@ from convrate import (
     AbstractionParams,
     MkConstraint,
     NoStableSolutionError,
-    ParameterError,
     SystemModel,
     build_nominal_abstraction,
     build_robustness_abstraction,
     check_guarantee,
+    cholesky,
     co_simulate,
-    contractive_transform,
     gamma_bounds,
     lyapunov_abstraction,
     random_mk_sequence,
@@ -128,18 +127,21 @@ class TestLyapunov:
 
 
 class TestContractiveTransform:
+    """``x -> R x``, with ``R`` the Cholesky factor of the Lyapunov ``P``, makes the
+    nominal loop contractive."""
+
     def test_identity(self):
         system = SystemModel(modes={0: np.zeros((2, 2))})
-        R = contractive_transform(lyapunov_abstraction(system))
+        R = cholesky(lyapunov_abstraction(system).lyapunov_P)
         assert np.allclose(R, np.eye(2), atol=1e-14)
 
     def test_scalar(self):
-        R = contractive_transform(lyapunov_abstraction(SystemModel(modes={0: [[0.5]]})))
+        R = cholesky(lyapunov_abstraction(SystemModel(modes={0: [[0.5]]})).lyapunov_P)
         assert R[0, 0] == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
 
     def test_oscillator_norm_never_increases(self):
         params = lyapunov_abstraction(SystemModel(modes={0: OSCILLATOR}))
-        R = contractive_transform(params)
+        R = cholesky(params.lyapunov_P)
         # spectral norm of the oscillator is > 1, so the leading right-
         # singular vector overshoots in Euclidean norm at the first step
         x = np.linalg.svd(OSCILLATOR)[2][0]
@@ -152,10 +154,6 @@ class TestContractiveTransform:
             assert current <= previous * (1 + 1e-12)
             previous = current
         assert max(euclidean) > euclidean[0]
-
-    def test_requires_lyapunov_method(self):
-        with pytest.raises(ParameterError, match="Lyapunov"):
-            contractive_transform(AbstractionParams(alpha=1, beta=1, rho={0: 0.5}))
 
 
 class TestGuaranteeSoundness:

@@ -4,7 +4,8 @@ Every name a module of the package imports is used in that module: a
 stdlib ``ast`` check stands in for the unused-import rule of a linter
 (``__init__.py`` only re-exports). Every module-level private name is
 used somewhere in the package, so a half-removed second code path cannot
-linger. The CLI reads only public names of the modules it drives, and ``io``
+linger. Every public name has a caller outside the tests, or a reason on
+a keep table. The CLI reads only public names of the modules it drives, and ``io``
 none of the streams whose blocks it writes; no module calls ``vars()``. And each
 shared validation rule has one copy: the scalar range check in
 ``errors.py``, the ``w_bar`` series rule in ``model.py``, the sequence
@@ -22,6 +23,7 @@ import pytest
 import convrate
 
 PACKAGE = Path(convrate.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -88,6 +90,51 @@ def test_private_name_check_sees_each_kind_of_use():
                        "def _imported():\n    pass\ndef _looked_up():\n    pass\n",
                "b.py": "from .a import _imported\nfrom . import a\nx = a._looked_up\n"}
     assert unreferenced_private_names(sources) == ["a.py:_DEAD", "a.py:_gone", "a.py:_Lost"]
+
+
+def exports_without_callers(exports, sources: dict[str, str]) -> list[str]:
+    """The names of ``exports`` that no source reads, imports or looks up as an
+    attribute, outside the module-level definition of the name itself."""
+    used = set()
+    for source in sources.values():
+        for top in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(top.name)
+            used |= names
+    return [name for name in exports if name not in used]
+
+
+#: Public names with no caller outside the tests, and why each stays.
+KEEP = {
+    "best_mk_for_ratio": "ROADMAP item 9 gives it a caller (the design line)",
+    "cost_transform": "acceptance criterion 9",
+    "permissible_skip_ratio": "ROADMAP item 9 gives it a caller (the design line)",
+    "random_mk_sequence": "draws the sequences of acceptance criteria 5, 6 and 9",
+    "skip_count_bound": "acceptance criterion 4",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # the package outside __init__.py, and the benchmark and the identity tool
+    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    paths += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    sources = {str(path): path.read_text() for path in sorted(paths)}
+    assert exports_without_callers(convrate.__all__, sources) == sorted(KEEP)
+
+
+def test_caller_check_skips_a_names_own_definition():
+    sources = {"a.py": "def f():\n    return f()\nclass C:\n    pass\n"
+                       "def g():\n    return h.k, C\n",
+               "b.py": "from .a import i\n"}
+    assert exports_without_callers(["f", "g", "C", "k", "i"], sources) == ["f", "g"]
 
 
 def test_scalar_range_check_has_one_copy():

@@ -440,18 +440,22 @@ def test_closed_stdout_is_exit_2_without_a_traceback(argv, scalar_path):
     ["--help"],
     ["jsr", "{system}", "--m", "1", "--K", "2", "--length", "8"],
     ["jsr", "{system}", "--m", "1"],
-], ids=["help", "jsr", "usage-error"])
+    ["jsr", "{system}", "--m", "6", "--K", "12", "--length", "200"],
+    ["simulate", "{system}", "--sigma", "0,1,0,1", "--out", "-"],
+], ids=["help", "jsr", "usage-error", "refusal", "simulate"])
 def test_closed_stderr_keeps_the_exit_code_and_stdout(argv, unbuffered, scalar_path, capsys):
-    # e.g. ``convrate --help 2>&-``: Python starts such a process with sys.stderr None
+    # e.g. ``convrate --help 2>&-``: Python starts such a process with sys.stderr None, and
+    # print(file=None) and argparse's usage would write to stdout
     argv = [a.format(system=scalar_path) for a in argv]
     code = run(argv)
-    out, _ = capsys.readouterr()
+    out, err = capsys.readouterr()
     result = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m",
                              "convrate", *argv], stdout=subprocess.PIPE,
                             env=_convrate_env(unbuffered), timeout=60)
     assert result.returncode == code
-    if code == 0:  # a usage error prints its usage to stdout when stderr is None
-        assert result.stdout.decode() == out
+    assert result.stdout.decode() == out
+    if code:  # a refusal or a usage error: its message is dropped, not moved to stdout
+        assert out == "" and err
 
 
 def _convrate_env(unbuffered: bool) -> dict:
@@ -652,7 +656,7 @@ def _expected_simulate(path, seq, steps: int, w_text: str, x0=None, rel_tol: flo
     if report.holds:
         return csv, err + f"guarantee holds; max |x_k|/vbar_k = {report.max_ratio:.6g}\n", 0
     return csv, err + (f"guarantee violated at k={report.first_violation}: |x_k| > vbar_k "
-                       f"(max ratio {report.max_ratio:.6g})\n"), 1
+                       f"(max ratio 1 + {report.max_ratio - 1.0:.6g})\n"), 1
 
 
 class TestSimulateStreaming:
@@ -735,6 +739,16 @@ class TestSimulateStreaming:
         first = int(err.split("violated at k=")[1].split(":")[0])
         assert CSV_BLOCK_ROWS < first < 6000
         assert ("trace diverged" in err) == (steps == 9000)
+
+    def test_violation_below_the_print_precision(self, tmp_path, capsys, monkeypatch):
+        # |x_k| = 1 while vbar_k = (1 - 2e-9)^k: the ratio 1 + 1e-8 would print as "1"
+        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.0 - 2e-9})
+        monkeypatch.setattr(cli, "_build_params", lambda system, args: params)
+        doc = {"modes": [{"id": 0, "A": [[0.5]]}, {"id": 1, "A": [[1.0]]}]}
+        _, err, code = self._check(tmp_path, capsys, doc, (1,) * 5, 5, "zero",
+                                   extra=("--x0", "1.0"), params=params)
+        assert (code, err) == (1, "guarantee violated at k=1: |x_k| > vbar_k "
+                                  "(max ratio 1 + 1e-08)\n")
 
     @pytest.mark.parametrize("modes, bound, sigma, steps", [
         # x_k shrinks by 0.6 every two steps: |x_k|^2 underflows from k ~ 1,400

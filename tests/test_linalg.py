@@ -198,12 +198,10 @@ class TestCholesky:
         assert spectral_norm(R.T @ R - P) <= 1e-10 * spectral_norm(P)
 
     def test_failing_minor_is_reported(self):
-        with pytest.raises(NotPositiveDefiniteError) as info:
+        with pytest.raises(NotPositiveDefiniteError, match="minor of order 2 is not positive$"):
             cholesky(np.diag([1.0, -1.0]))
-        assert info.value.minor == 2
-        with pytest.raises(NotPositiveDefiniteError) as info:
+        with pytest.raises(NotPositiveDefiniteError, match="minor of order 1 is not positive$"):
             cholesky([[-1.0]])
-        assert info.value.minor == 1
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotPositiveDefiniteError, match="symmetric"):

@@ -22,8 +22,8 @@ SRC = str(Path(convrate.__file__).resolve().parents[1])
 
 #: The public names of the package, by the module that defines them.
 EXPORTS = {
-    "builders": ("build_robustness_abstraction", "contractive_transform", "gamma_bounds",
-                 "lyapunov_abstraction", "robustness_abstraction"),
+    "builders": ("build_robustness_abstraction", "gamma_bounds", "lyapunov_abstraction",
+                 "robustness_abstraction"),
     "errors": ("DimensionError", "NoStableSolutionError", "NotPositiveDefiniteError",
                "NumericError", "ParameterError", "ResourceCapError",
                "UnsupportedConfigurationError"),
@@ -33,12 +33,10 @@ EXPORTS = {
            "mk_alpha_tilde", "mk_rho_tilde", "mk_verdict", "permissible_skip_ratio",
            "safe_initial_radius", "skip_count_bound"),
     "model": ("AbstractionParams", "SystemModel"),
-    "nominal": ("NominalCertificate", "RhoValidation", "build_nominal_abstraction",
-                "nominal_certificate", "sweep_rho", "validate_rho"),
+    "nominal": ("NominalCertificate", "build_nominal_abstraction", "nominal_certificate"),
     "scheduler": ("ExponentialTarget", "PracticalTarget", "SchedulerState", "admissible_modes",
-                  "exponential_state", "greedy_policy", "kappa_hat_step", "practical_state",
-                  "practical_step", "random_policy", "round_robin_policy", "run_schedule",
-                  "supervisor_check"),
+                  "exponential_state", "greedy_policy", "kappa_hat_step", "random_policy",
+                  "round_robin_policy", "run_schedule", "supervisor_check"),
     "sequences": ("JsrResult", "averaged_spectral_radius", "enumerate_mk_sequences",
                   "random_mk_sequence", "transition_product", "validate_mk",
                   "worst_case_sequence"),

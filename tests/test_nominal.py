@@ -12,8 +12,7 @@ from convrate import (
     build_nominal_abstraction,
     nominal_certificate,
     spectral_norm,
-    sweep_rho,
-    validate_rho,
+    spectral_radius,
 )
 from convrate import counterexample, nominal
 from conftest import random_stable_matrix, valid_rho_for
@@ -35,24 +34,27 @@ def brute_force_scan(A0, rho, limit=10_000):
 
 
 class TestValidateRho:
+    """``nominal_certificate`` accepts a rate strictly between the spectral radius and 1."""
+
     def test_accepts_scalar(self):
-        assert validate_rho(0.5, 0.6)
+        assert nominal_certificate(0.5, 0.6).rho == 0.6
 
     def test_rejects_below_radius(self):
-        check = validate_rho(0.5, 0.4)
-        assert not check
-        assert check.spectral_radius == pytest.approx(0.5)
-        assert "spectral radius" in check.reason
+        with pytest.raises(ParameterError) as info:
+            nominal_certificate(0.5, 0.4)
+        assert str(info.value) == "rho must exceed the spectral radius 0.5, got 0.4"
 
     def test_rejects_at_one(self):
-        check = validate_rho(0.5, 1.0)
-        assert not check and "< 1" in check.reason
+        with pytest.raises(ParameterError) as info:
+            nominal_certificate(0.5, 1.0)
+        assert str(info.value) == "rho must be < 1, got 1.0 (spectral radius is 0.5)"
 
     def test_demo_nominal_mode(self):
-        # eigenvalues are {1/2, 0, 0}, so 0.6 is admissible
-        check = validate_rho(DEMO_A0, 0.6)
-        assert check
-        assert check.spectral_radius == pytest.approx(0.5, abs=1e-12)
+        # eigenvalues are {1/2, 0, 0}, so 0.6 is admissible and 0.5 is not
+        assert spectral_radius(DEMO_A0) == pytest.approx(0.5, abs=1e-12)
+        assert nominal_certificate(DEMO_A0, 0.6).rho == 0.6
+        with pytest.raises(ParameterError, match="exceed the spectral radius 0.5, got 0.5$"):
+            nominal_certificate(DEMO_A0, 0.5)
 
 
 class TestKTilde:
@@ -229,8 +231,8 @@ class TestAlphaMin:
     def test_monotone_in_rho(self, seed):
         rng = np.random.default_rng(800 + seed)
         A0 = random_stable_matrix(rng, 3)
-        pairs = sweep_rho(A0, num=8)
-        alphas = [alpha for _, alpha in pairs]
+        grid = np.geomspace(max(spectral_radius(A0) * 1.001, 1e-6), 1.0, num=8, endpoint=False)
+        alphas = [nominal_certificate(A0, float(rho)).alpha_min for rho in grid]
         assert all(a >= b - 1e-9 for a, b in zip(alphas, alphas[1:]))
 
 
@@ -272,11 +274,3 @@ class TestBuildNominal:
             assert np.linalg.norm(x) <= alpha * rho**k * x0_norm * (1 + 1e-9)
             x = A0 @ x
 
-
-class TestSweepRho:
-    def test_pairs_are_consistent(self):
-        pairs = sweep_rho(DEMO_A0, num=5)
-        assert len(pairs) == 5
-        for rho, alpha in pairs:
-            assert 0.5 < rho < 1.0
-            assert alpha == nominal_certificate(DEMO_A0, rho).alpha_min

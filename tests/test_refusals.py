@@ -39,8 +39,8 @@ from convrate.mk import (
     safe_initial_radius,
     skip_count_bound,
 )
-from convrate.nominal import sweep_rho
-from convrate.scheduler import ScheduleStream, exponential_state, practical_step
+from convrate.nominal import nominal_certificate
+from convrate.scheduler import ScheduleStream, admissible_modes, exponential_state
 
 DOCUMENTS = {
     "scalar": {"modes": [{"id": 0, "A": [[0.5]]}, {"id": 1, "A": [[1.2]]}]},
@@ -133,9 +133,10 @@ LIBRARY_REFUSALS = {
                                         "alpha_hat must be >= 1, got 0.5"),
     "PracticalTarget bound 0": (lambda: PracticalTarget(0), ParameterError,
                                 "bound must be > 0, got 0"),
-    "practical_step without v_bar": (
-        lambda: practical_step(exponential_state(), 0, 0.0, _PARAMS, PracticalTarget(1.0)),
-        ParameterError, "practical mode needs a state initialized via practical_state()"),
+    "admissible_modes practical target": (
+        lambda: admissible_modes(exponential_state(), _PARAMS, PracticalTarget(1.0)),
+        ParameterError, "the step functions gate an exponential target; "
+                        "run a practical target with run_schedule()"),
     "ScheduleStream steps < 0": (
         lambda: ScheduleStream(_PARAMS, ExponentialTarget(0.9, 2.0), steps=-1),
         ParameterError, "steps must be >= 0, got -1"),
@@ -181,10 +182,11 @@ LIBRARY_REFUSALS = {
         lambda: solve_discrete_lyapunov(0.5 * np.eye(2), np.eye(3)), DimensionError,
         "A and Q must have equal shapes, got (2, 2) and (3, 3)"),
     # nominal
-    "sweep_rho num 0": (lambda: sweep_rho([[0.5]], num=0), ParameterError,
-                        "num must be >= 1"),
-    "sweep_rho unstable A0": (lambda: sweep_rho([[1.2]]), ParameterError,
-                              "A0 is not Schur-stable enough to sweep: spectral radius 1.2"),
+    "nominal_certificate rho >= 1": (lambda: nominal_certificate([[0.5]], 1.0), ParameterError,
+                                     "rho must be < 1, got 1.0 (spectral radius is 0.5)"),
+    "nominal_certificate rho <= spectral radius": (
+        lambda: nominal_certificate([[0.5]], 0.4), ParameterError,
+        "rho must exceed the spectral radius 0.5, got 0.4"),
     # simulate
     "Trace unequal lengths": (lambda: _trace(sigma=(0,)), DimensionError,
                               "trace series lengths differ: [1, 2]"),

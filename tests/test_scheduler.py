@@ -21,8 +21,6 @@ from convrate import (
     kappa_hat_step,
     lyapunov_abstraction,
     mk_verdict,
-    practical_state,
-    practical_step,
     random_policy,
     round_robin_policy,
     run_schedule,
@@ -101,37 +99,36 @@ class TestPolicies:
 
 
 class TestPractical:
+    """The practical gate, run through ``run_schedule`` and ``ScheduleStream``."""
+
     def test_nominal_keeps_bound(self):
-        state = practical_state(1.0)
-        target = PracticalTarget(2.0)
-        new_state, ok = practical_step(state, 0, 0.4, PARAMS, target)
-        assert ok and new_state.v_bar == pytest.approx(0.9, abs=1e-12)
+        run = run_schedule(PARAMS, PracticalTarget(2.0), 1, reckless_policy(0), 0.4, 1.0)
+        assert run.stored[0] == pytest.approx(0.9, abs=1e-12)
+        assert not run.alarm_fired
 
     def test_skip_violates_bound(self):
-        state = practical_state(1.8)
-        target = PracticalTarget(2.0)
-        new_state, ok = practical_step(state, 1, 0.0, PARAMS, target)
-        assert not ok
-        assert new_state.v_bar == pytest.approx(2.16, abs=1e-12)
+        # 1.2 * 1.8 = 2.16 > C: the gate admits only mode 0, and the step taken anyway alarms
+        run = run_schedule(PARAMS, PracticalTarget(2.0), 2, reckless_policy(1), 0.0, 1.8)
+        assert run.admissible[0] == {0}
+        assert run.stored[0] == pytest.approx(2.16, abs=1e-12)
+        assert run.alarms == [None, "state bound exceeded"]
 
     def test_contractive_modes_always_admissible(self):
         params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 0.9})
-        state = practical_state(1.5)
-        modes = admissible_modes(state, params, PracticalTarget(2.0), 0.0)
-        assert modes == {0, 1}
-
+        run = run_schedule(params, PracticalTarget(2.0), 20, round_robin_policy(), 0.0, 1.5)
+        assert set(run.admissible) == {frozenset({0, 1})}
 
     def test_disturbance_narrows_the_set(self):
         # 0.5 + 0.9 = 1.4 keeps C = 2; 1.2 + 0.9 = 2.1 does not
-        state = practical_state(1.0)
-        assert admissible_modes(state, PARAMS, PracticalTarget(2.0), 0.0) == {0, 1}
-        assert admissible_modes(state, PARAMS, PracticalTarget(2.0), 0.9) == {0}
+        target, policy = PracticalTarget(2.0), reckless_policy(0)
+        assert run_schedule(PARAMS, target, 1, policy, 0.0, 1.0).admissible == [{0, 1}]
+        assert run_schedule(PARAMS, target, 1, policy, 0.9, 1.0).admissible == [{0}]
 
     @pytest.mark.parametrize("w_bar_k", [math.nan, math.inf, -0.1])
     def test_bad_disturbance_rejected_before_the_alarm(self, w_bar_k):
-        # vbar = 5 > C would alarm; the disturbance is checked first
-        with pytest.raises(ParameterError, match="w_bar"):
-            supervisor_check(practical_state(5.0), PARAMS, PracticalTarget(2.0), w_bar_k)
+        # vbar = 5 > C would alarm at once; the disturbance is refused before any row
+        with pytest.raises(ParameterError, match="w_bar must be finite and >= 0"):
+            ScheduleStream(PARAMS, PracticalTarget(2.0), 3, w_bar=[0.0, w_bar_k, 0.0], v0=5.0)
 
 
 class TestSupervisor:
@@ -160,17 +157,20 @@ class TestSupervisor:
         assert run.records[3].alarm == "kappa budget exceeded"
 
     def test_practical_spike_alarms(self):
-        params = AbstractionParams(alpha=1.0, beta=1.0, rho={0: 0.5, 1: 1.2})
-        state = practical_state(1.0)
-        report = supervisor_check(state, params, PracticalTarget(2.0), w_bar_k=10.0)
-        assert not report
-        assert "no admissible" in report.reason
+        # vbar = 0.5 keeps C = 2 until the spike, after which no mode does
+        lines, alarm = run_lines(PARAMS, PracticalTarget(2.0), 3, policy=reckless_policy(0),
+                                 w_bar=[0.0, 10.0, 0.0], v0=1.0)
+        assert alarm == (1, "no admissible mode keeps the bound")
+        assert lines[2] == "1,0,,,10.25,no admissible mode keeps the bound"
 
     def test_alarm_payload(self):
-        state = practical_state(5.0)
-        report = supervisor_check(state, PARAMS, PracticalTarget(2.0), 0.0)
+        state = exponential_state()
+        for _ in range(3):  # kappa_hat = (4/3)^3 > 2
+            state = kappa_hat_step(state, 1, PARAMS, TARGET)
+        report = supervisor_check(state, PARAMS, TARGET)
         assert not report
-        assert report.value == 5.0
+        assert report.reason == "kappa budget exceeded"
+        assert report.value == state.kappa_hat
         assert report.threshold == 2.0
 
 
@@ -273,24 +273,22 @@ def composed_run(params, target, steps, policy, seed, w_bar, v0):
     """The run harness rebuilt from the public gate functions, step by step.
 
     These functions share the gate kernel with ``run_schedule``; the tests
-    check both against ``references.schedule_rows``, which does not.
+    check both against ``references.schedule_rows``, which does not. They
+    gate the exponential target only, so a practical run is the reference's.
     """
-    practical = isinstance(target, PracticalTarget)
-    state = practical_state(v0) if practical else exponential_state()
+    if isinstance(target, PracticalTarget):
+        return references.schedule_rows(params, target, steps, policy, seed, w_bar, v0)
+    state = exponential_state()
     rng = np.random.default_rng(seed)
     fallback = False
     rows = []
     for k in range(steps):
-        report = supervisor_check(state, params, target, w_bar[k])
-        admissible = admissible_modes(state, params, target, w_bar[k])
+        report = supervisor_check(state, params, target)
+        admissible = admissible_modes(state, params, target)
         fallback = fallback or not report
         chosen = 0 if fallback else policy(k, admissible, rng)
-        if practical:
-            state, _ = practical_step(state, chosen, w_bar[k], params, target)
-        else:
-            state = kappa_hat_step(state, chosen, params, target)
-        rows.append((k, chosen, admissible, None if practical else state.kappa_hat,
-                     state.v_bar, report.reason))
+        state = kappa_hat_step(state, chosen, params, target)
+        rows.append((k, chosen, admissible, state.kappa_hat, None, report.reason))
     return rows
 
 
@@ -338,16 +336,19 @@ class TestGateRule:
         assert composed_run(params, target, 6, policy, None, [w_bar] * 6, v0) == expected
 
     @pytest.mark.parametrize("rho, target, state", [
-        ({0: 0.5, 1: 0.9}, ExponentialTarget(0.9, 1.0), exponential_state()),
-        ({0: 0.5, 1: 1.0}, PracticalTarget(2.0), practical_state(2.0)),
+        ({0: 0.5, 1: 0.9}, ExponentialTarget(0.9, 1.0), {}),
+        ({0: 0.5, 1: 1.0}, PracticalTarget(2.0), {"v0": 2.0}),
     ])
     def test_value_at_the_limit_is_admissible(self, rho, target, state):
+        # ``state``: the run's initial vbar, where the target reads one
         params = AbstractionParams(alpha=1.0, beta=1.0, rho=rho)
-        assert admissible_modes(state, params, target) == {0, 1}
-        run = run_schedule(params, target, 6, v0=state.v_bar)
+        run = run_schedule(params, target, 6, **state)
+        assert run.admissible[0] == {0, 1}
+        if isinstance(target, ExponentialTarget):  # the step functions gate it too
+            assert admissible_modes(exponential_state(), params, target) == {0, 1}
         assert run.chosen == (1,) * 6 and not run.alarm_fired
         assert run.records == [StepRecord(*row) for row in references.schedule_rows(
-            params, target, 6, greedy_policy(), None, [0.0] * 6, state.v_bar)]
+            params, target, 6, greedy_policy(), None, [0.0] * 6, state.get("v0"))]
 
 def reckless_policy(mode):
     """Always ``mode``, whatever the gate admits: drives the counter over its limit."""
@@ -455,10 +456,7 @@ class TestColumnarRun:
         with pytest.raises(KeyError) as from_run:
             run_schedule(PARAMS, target, 3, policy=reckless_policy(7), v0=v0)
         with pytest.raises(KeyError) as from_step:
-            if v0 is None:
-                kappa_hat_step(exponential_state(), 7, PARAMS, target)
-            else:
-                practical_step(practical_state(v0), 7, 0.0, PARAMS, target)
+            kappa_hat_step(exponential_state(), 7, PARAMS, TARGET)
         assert from_run.value.args == from_step.value.args
         assert "mode 7 has no convergence rate" in str(from_run.value)
 

@@ -206,10 +206,9 @@ class TestEnumerate:
         assert count_mk_sequences(mk, length) == len(seqs)
 
     def test_length_cap(self):
-        with pytest.raises(ResourceCapError) as info:
+        count = count_mk_sequences(MkConstraint(1, 2), 30)
+        with pytest.raises(ResourceCapError, match=f"; this would visit {count} sequences "):
             list(enumerate_mk_sequences(MkConstraint(1, 2), 30))
-        assert info.value.estimated_count == count_mk_sequences(MkConstraint(1, 2), 30)
-        assert str(info.value.estimated_count) in str(info.value)
 
     def test_window_cap(self):
         with pytest.raises(ResourceCapError, match="window"):
@@ -219,7 +218,6 @@ class TestEnumerate:
         with pytest.raises(ResourceCapError) as info:
             check_enumeration_caps(MkConstraint(6, 12), 200, 24)
         count = 485572847851254639676419031054289827353272136186976325
-        assert info.value.estimated_count == count
         assert str(info.value) == (
             f"length 200 exceeds the enumeration cap 24; this would visit {count} "
             "sequences (reduce the length, or raise the cap to proceed)")
@@ -228,7 +226,6 @@ class TestEnumerate:
         # an exact count this long takes seconds and has more digits than str() allows
         with pytest.raises(ResourceCapError) as info:
             check_enumeration_caps(MkConstraint(6, 12), 20000, 24)
-        assert info.value.estimated_count is None
         assert str(info.value) == ("length 20000 exceeds the enumeration cap 24 "
                                    "(reduce the length, or raise the cap to proceed)")
 
@@ -236,10 +233,10 @@ class TestEnumerate:
         mk, limit = MkConstraint(1, 2), _REFUSAL_COUNT_LENGTH
         with pytest.raises(ResourceCapError) as info:
             check_enumeration_caps(mk, limit, 24)
-        assert info.value.estimated_count == count_mk_sequences(mk, limit)
+        assert f"; this would visit {count_mk_sequences(mk, limit)} sequences " in str(info.value)
         with pytest.raises(ResourceCapError) as info:
             check_enumeration_caps(mk, limit + 1, 24)
-        assert info.value.estimated_count is None
+        assert "would visit" not in str(info.value)
 
     def test_no_sequence_enters_a_dead_branch(self):
         # at most one skip per 4-window: "1,1" starts sequences of 3 but none of 4 or more
