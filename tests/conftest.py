@@ -1,10 +1,38 @@
-"""Shared generators for randomized suites (seeded, reproducible)."""
+"""Shared generators for randomized suites (seeded, reproducible), and the probe
+of the modules a fresh interpreter loads."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import convrate
 from convrate import SystemModel, spectral_radius
+
+SRC = str(Path(convrate.__file__).resolve().parents[1])
+
+#: The top-level modules that :func:`loaded_modules` reports, with their submodules:
+#: numpy, the package, and the standard-library modules that only some commands need.
+PROBED = ("numpy", "convrate", "pickle", "fcntl", "concurrent", "multiprocessing")
+
+
+def probe(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter, and last one more line
+    naming the modules of ``PROBED`` that it loaded."""
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules "
+             f"if m.split('.')[0] in {PROBED!r}))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules of ``PROBED`` loaded after running ``code`` in a fresh interpreter."""
+    return set(probe(code)[-1].split())
 
 
 def random_stable_matrix(rng: np.random.Generator, n: int,

@@ -6,7 +6,6 @@ from convrate import (
     MkConstraint,
     NoStableSolutionError,
     SystemModel,
-    build_nominal_abstraction,
     build_robustness_abstraction,
     check_guarantee,
     cholesky,
@@ -15,10 +14,9 @@ from convrate import (
     lyapunov_abstraction,
     random_mk_sequence,
     robustness_abstraction,
-    spectral_norm,
 )
 from convrate import counterexample
-from conftest import random_spd, random_stable_matrix, two_mode_system, valid_rho_for
+from conftest import random_spd, two_mode_system, valid_rho_for
 
 SCALAR_SYSTEM = SystemModel(modes={0: [[0.5]], 1: [[1.2]]})
 

@@ -1,5 +1,3 @@
-import numpy as np
-
 from convrate import MkConstraint, spectral_radius, validate_mk
 from convrate import counterexample
 

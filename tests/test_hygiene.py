@@ -1,8 +1,8 @@
 """Source checks that no linter ships for.
 
-Every name a module of the package imports is used in that module: a
-stdlib ``ast`` check stands in for the unused-import rule of a linter
-(``__init__.py`` only re-exports). Every module-level private name is
+Every name a module of the package, a test file or a tool imports is used in
+that file: a stdlib ``ast`` check stands in for the unused-import rule of a
+linter (``__init__.py`` only re-exports). Every module-level private name is
 used somewhere in the package, so a half-removed second code path cannot
 linger. Every public name has a caller outside the tests, or a reason on
 a keep table. The CLI reads only public names of the modules it drives, and ``io``
@@ -25,6 +25,9 @@ import convrate
 PACKAGE = Path(convrate.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+#: The test files and the tools, by their path from the repository root.
+SUPPORT = sorted(path.relative_to(ROOT).as_posix()
+                 for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +46,11 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("path", SUPPORT)
+def test_every_import_of_the_tests_and_tools_is_used(path):
+    assert unused_imports((ROOT / path).read_text()) == []
 
 
 def test_check_sees_unused_and_used_names():
@@ -92,20 +100,62 @@ def test_private_name_check_sees_each_kind_of_use():
     assert unreferenced_private_names(sources) == ["a.py:_DEAD", "a.py:_gone", "a.py:_Lost"]
 
 
+def _dataclass_fields(tree: ast.Module) -> set[str]:
+    """The fields of the dataclasses that ``tree`` defines."""
+    return {statement.target.id for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
+            for statement in node.body
+            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)}
+
+
+def _bound_names(function) -> set[str]:
+    """The names that ``function`` binds itself: its parameters, and every name it
+    assigns or defines outside a nested function or class."""
+    arguments = function.args
+    bound = {argument.arg for argument in [*arguments.posonlyargs, *arguments.args,
+                                           *arguments.kwonlyargs, arguments.vararg,
+                                           arguments.kwarg] if argument}
+    pending = [function.body] if isinstance(function, ast.Lambda) else list(function.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if not isinstance(node, ast.Lambda):
+            pending += ast.iter_child_nodes(node)
+    return bound
+
+
+def _read_names(node, fields: set[str], local: frozenset = frozenset()) -> set[str]:
+    """The names that ``node`` reads, imports or looks up as an attribute, except a
+    name that an enclosing function binds itself and an attribute in ``fields``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | _bound_names(node)
+    names = set()
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        names = {node.id} - local
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr} - fields
+    elif isinstance(node, ast.ImportFrom):
+        names = {alias.name for alias in node.names}
+    for child in ast.iter_child_nodes(node):
+        names |= _read_names(child, fields, local)
+    return names
+
+
 def exports_without_callers(exports, sources: dict[str, str]) -> list[str]:
     """The names of ``exports`` that no source reads, imports or looks up as an
-    attribute, outside the module-level definition of the name itself."""
+    attribute, outside the module-level definition of the name itself. A name that
+    the enclosing function binds itself is not a read of the export, nor is an
+    attribute named like a field of a dataclass that the sources define."""
+    trees = [ast.parse(source) for source in sources.values()]
+    fields = set().union(*map(_dataclass_fields, trees))
     used = set()
-    for source in sources.values():
-        for top in ast.parse(source).body:
-            names = set()
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    names.update(alias.name for alias in node.names)
+    for tree in trees:
+        for top in tree.body:
+            names = _read_names(top, fields)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(top.name)
             used |= names
@@ -116,6 +166,7 @@ def exports_without_callers(exports, sources: dict[str, str]) -> list[str]:
 KEEP = {
     "best_mk_for_ratio": "ROADMAP item 9 gives it a caller (the design line)",
     "cost_transform": "acceptance criterion 9",
+    "kappa": "README shows it as the paper's kappa_{a,b}",
     "permissible_skip_ratio": "ROADMAP item 9 gives it a caller (the design line)",
     "random_mk_sequence": "draws the sequences of acceptance criteria 5, 6 and 9",
     "skip_count_bound": "acceptance criterion 4",
@@ -135,6 +186,25 @@ def test_caller_check_skips_a_names_own_definition():
                        "def g():\n    return h.k, C\n",
                "b.py": "from .a import i\n"}
     assert exports_without_callers(["f", "g", "C", "k", "i"], sources) == ["f", "g"]
+
+
+def test_caller_check_skips_a_name_its_function_binds():
+    # a parameter, an assignment, a loop target and a lambda's parameter are locals; a
+    # name that only a nested function binds, or the module, is read by the enclosing one
+    sources = {"a.py": "def f(p):\n    q = 1\n    for r in p:\n        pass\n"
+                       "    return p, q, r, (lambda s: s)\n"
+                       "def g():\n    def h():\n        t = 1\n        return t\n"
+                       "    return t, u\n"
+                       "u = 2\n"}
+    assert exports_without_callers(["p", "q", "r", "s", "t", "u"], sources) == [
+        "p", "q", "r", "s"]
+
+
+def test_caller_check_skips_a_dataclass_field():
+    sources = {"a.py": "from dataclasses import dataclass\n"
+                       "@dataclass(frozen=True)\nclass T:\n    k: int\n    n: int = 0\n"
+                       "def f(t):\n    return t.k, t.m, T\n"}
+    assert exports_without_callers(["k", "m", "n"], sources) == ["k", "n"]
 
 
 def test_scalar_range_check_has_one_copy():

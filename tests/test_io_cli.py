@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import references
-from conftest import two_mode_system
+from conftest import loaded_modules, two_mode_system
 from convrate import (
     AbstractionParams,
     GuaranteeReport,
@@ -395,6 +395,28 @@ class TestPathErrors:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: /dev/full: {os.strerror(errno.ENOSPC)}\n")
         assert len(forks) == forked and all(map(_reaped, forks))
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "100000", "--w",
+         "seed:7"],
+        ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "100000"],
+    ], ids=["simulate", "schedule"])
+    def test_failed_write_to_out_in_a_process(self, argv, unbuffered, tmp_path):
+        # through main() and its exit, which run() in process never reaches
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps({"modes": [{"id": 0, "A": [[0.5, 0.1], [0.0, 0.4]]},
+                                              {"id": 1, "A": [[1.1, 0.0], [0.2, 0.9]]}],
+                                    "disturbance_bound": 0.1}))
+        command = [sys.executable, "-m", "convrate",
+                   *(arg.format(system=path) for arg in argv), "--out", "/dev/full"]
+        result = subprocess.run(command, capture_output=True, env=_convrate_env(unbuffered),
+                                timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, b"", f"error: /dev/full: {os.strerror(errno.ENOSPC)}\n".encode())
+        if Path("/proc/self/cmdline").exists():  # the stream's child left with the command
+            assert _running(str(path)) == []
 
     def test_error_without_a_path_propagates(self, scalar_path):
         with mock.patch.object(cli, "cmd_jsr", side_effect=BrokenPipeError(errno.EPIPE, "pipe")):
@@ -1271,41 +1293,18 @@ class TestScheduleCommand:
 
     def test_import_leaves_process_pool_unloaded(self):
         # nothing in convrate starts worker processes
-        import convrate
-
-        src = str(Path(convrate.__file__).resolve().parents[1])
-        code = ("import sys, convrate.cli; "
-                "print('concurrent.futures' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert "concurrent.futures" not in loaded_modules("import convrate.cli")
 
     def test_import_leaves_numpy_random_unloaded(self):
         # only the commands that draw random numbers load numpy.random
-        import convrate
-
-        src = str(Path(convrate.__file__).resolve().parents[1])
-        code = "import sys, convrate.cli; print('numpy.random' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert "numpy.random" not in loaded_modules("import convrate.cli")
 
     def test_jsr_jobs_runs_in_one_process(self, demo_path):
-        import convrate
-
-        src = str(Path(convrate.__file__).resolve().parents[1])
-        code = ("import sys\n"
-                "from convrate.cli import run\n"
-                f"code = run(['jsr', {demo_path!r}, '--m', '1', '--K', '2', '--length', '8', "
-                "'--jobs', '2'])\n"
-                "print(code, 'concurrent.futures' in sys.modules, "
-                "'multiprocessing' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.splitlines()[-1] == "0 False False"
+        loaded = loaded_modules(
+            "from convrate.cli import run\n"
+            f"assert run(['jsr', {demo_path!r}, '--m', '1', '--K', '2', '--length', '8', "
+            "'--jobs', '2']) == 0")
+        assert not loaded & {"concurrent.futures", "multiprocessing"}
 
 
 class TestReproCommand:

@@ -1,24 +1,19 @@
 """Load on demand: the package and the CLI import a module only when it is used.
 
 ``import convrate`` loads no numpy; help texts, argparse usage errors and
-the refusals of an over-cap search exit before numpy loads; each command
-imports only the modules it runs.
+the refusals of an over-cap search exit before numpy, ``pickle`` or ``fcntl``
+loads; each command imports only the modules it runs.
 Module sets are read from ``sys.modules`` in a fresh interpreter.
 """
 
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import convrate
+from conftest import loaded_modules, probe
 from convrate import cli, scheduler
-
-SRC = str(Path(convrate.__file__).resolve().parents[1])
 
 #: The public names of the package, by the module that defines them.
 EXPORTS = {
@@ -48,22 +43,13 @@ EXPORTS = {
 SUBCOMMANDS = ("analyze", "mk-check", "simulate", "jsr", "schedule", "repro-counterexample")
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The numpy and convrate modules loaded after running ``code`` in a fresh interpreter."""
-    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules "
-             "if m.split('.')[0] in ('numpy', 'convrate')))")
-    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
-                            capture_output=True, text=True, check=True)
-    return set(result.stdout.splitlines()[-1].split())
-
-
-def cli_modules(*argv: str) -> set[str]:
-    """Modules loaded by ``python -m convrate argv``, whatever its exit code.
+def cli_modules(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``python -m convrate argv``, and the modules it loaded.
 
     The CLI leaves through ``os._exit``, which would end the probe before it
     reads ``sys.modules``; in this process it raises ``SystemExit`` instead (a
     forked child of a streamed command still leaves through the real one)."""
-    return loaded_modules(
+    *_, code, modules = probe(
         "import os, runpy, sys\n"
         "_exit, probe = os._exit, os.getpid()\n"
         "def exit_to_the_probe(code):\n"
@@ -74,15 +60,17 @@ def cli_modules(*argv: str) -> set[str]:
         f"sys.argv = ['convrate', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('convrate', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit:\n"
-        "    pass")
+        "except SystemExit as stop:\n"
+        "    print(stop.code)")
+    return int(code), set(modules.split())
 
 
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [("--help",), *((sub, "--help") for sub in SUBCOMMANDS),
                                       ("jsr", "system.json", "--m", "one", "--K", "2")])
     def test_help_and_usage_errors_load_no_numpy(self, argv):
-        assert cli_modules(*argv) == {"convrate", "convrate.cli", "convrate.errors"}
+        assert cli_modules(*argv) == (0 if "--help" in argv else 2,
+                                      {"convrate", "convrate.cli", "convrate.errors"})
 
     @pytest.mark.parametrize("argv", [
         ("jsr", "missing.json", "--m", "6", "--K", "12", "--length", "200"),
@@ -91,15 +79,16 @@ class TestCommandLine:
     ], ids=["jsr length", "jsr window", "repro length"])
     def test_cap_refusals_load_no_numpy(self, argv):
         # refused from (m, K) and the length alone, before the document is read
-        assert cli_modules(*argv) == {"convrate", "convrate.cli", "convrate.errors",
-                                      "convrate.mk"}
+        assert cli_modules(*argv) == (1, {"convrate", "convrate.cli", "convrate.errors",
+                                          "convrate.mk"})
 
     def test_jsr_search_loads_no_masked_arrays(self, tmp_path):
         path = tmp_path / "demo.json"
         path.write_text(json.dumps({"name": "d", "modes": [
             {"id": 0, "A": [[0.5, 0.1], [0.0, 0.4]]}, {"id": 1, "A": [[1.1, 0.0], [0.2, 0.9]]}]}))
         # np.unique loads numpy.ma unless it is asked for an index output
-        loaded = cli_modules("jsr", str(path), "--m", "2", "--K", "4", "--length", "12")
+        code, loaded = cli_modules("jsr", str(path), "--m", "2", "--K", "4", "--length", "12")
+        assert code == 0
         assert "convrate.sequences" in loaded
         assert "numpy.ma" not in loaded
 
@@ -107,7 +96,8 @@ class TestCommandLine:
         path = tmp_path / "demo.json"
         path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
                                                            {"id": 1, "A": [[1.2]]}]}))
-        loaded = cli_modules("jsr", str(path), "--m", "1", "--K", "2", "--length", "6")
+        code, loaded = cli_modules("jsr", str(path), "--m", "1", "--K", "2", "--length", "6")
+        assert code == 0
         assert {"numpy", "convrate.sequences"} <= loaded
         assert not loaded & {"convrate.scheduler", "convrate.simulate"}
 
@@ -115,7 +105,8 @@ class TestCommandLine:
         path = tmp_path / "demo.json"
         path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
                                                            {"id": 1, "A": [[1.2]]}]}))
-        loaded = cli_modules("analyze", str(path), "--method", "robust", "--rho", "0.6")
+        code, loaded = cli_modules("analyze", str(path), "--method", "robust", "--rho", "0.6")
+        assert code == 0
         assert {"numpy", "convrate.builders"} <= loaded
         assert not loaded & {"convrate.sequences", "convrate.scheduler", "convrate.simulate"}
 
@@ -123,8 +114,9 @@ class TestCommandLine:
         path = tmp_path / "demo.json"
         path.write_text(json.dumps({"name": "d", "modes": [{"id": 0, "A": [[0.5]]},
                                                            {"id": 1, "A": [[1.2]]}]}))
-        loaded = cli_modules("schedule", str(path), "--rho-hat", "0.9", "--alpha-hat", "2",
-                             "--steps", "5", "--out", str(tmp_path / "out.csv"))
+        code, loaded = cli_modules("schedule", str(path), "--rho-hat", "0.9", "--alpha-hat",
+                                   "2", "--steps", "5", "--out", str(tmp_path / "out.csv"))
+        assert code == 0
         assert {"numpy", "convrate.scheduler"} <= loaded
         assert not loaded & {"convrate.sequences", "convrate.simulate"}
 

@@ -15,7 +15,7 @@ tree holds no ``src/convrate``.
 The matrix:
 
 * ``simulate`` with every ``--w`` mode at 0, 1, 4095-4097, 8192 and 8193
-  steps, a diverging run, ``--out -`` and files;
+  steps, a diverging run, a run whose guarantee fails, ``--out -`` and files;
 * ``schedule`` with every policy, exponential and practical, and an alarm;
 * ``analyze`` (``--method lyapunov`` at n=64 too), ``mk-check``, ``jsr`` and
   ``repro-counterexample`` runs, with ``jsr`` searches whose frontier spans
@@ -73,6 +73,9 @@ DOCUMENTS = {
                          {"id": 1, "A": [[1.1, 0.0, 0.2], [0.1, 0.9, 0.0], [0.0, 0.3, 1.0]]}],
                "disturbance_bound": 0.1,
                "cost_weight_Q": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]},
+    # one mode just inside the unit circle: the plant passes its bound at k=1 by a
+    # rounding error
+    "near1": {"name": "near1", "modes": [{"id": 0, "A": [[0.999995870651097]]}]},
     # the modes of convrate.counterexample.system()
     "demo": {"modes": [{"id": 0, "A": [[0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
                        {"id": 1, "A": [[0.5, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}]},
@@ -153,6 +156,8 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
     add("simulate robust --w seed:7", "simulate", "{bounded}", "--method", "robust", "--rho",
         "0.6", "--sigma", "mk-worst:1,2", "--steps", "8193", "--w", "seed:7", "--out",
         "{out}/robust.csv")
+    add("simulate guarantee violated", "simulate", "{near1}", "--method", "lyapunov",
+        "--sigma", "0,0,0,0", "--x0", "1", "--rel-tol", "0")
     add("simulate --x0 dominant", "simulate", "{costed}", "--sigma", "0,1,0,1", "--x0",
         "dominant:0,1")
     for policy in ("greedy", "random", "round-robin"):
