@@ -424,19 +424,25 @@ class TestPathErrors:
                 run(["jsr", scalar_path, "--m", "1", "--K", "3"])
 
 
-class TestClosedPipe:
-    @pytest.mark.parametrize("argv", [
-        ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2", "--steps", "100000"],
-        ["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "100000"],
-    ], ids=["schedule", "simulate"])
-    def test_reader_closing_the_pipe_is_exit_1_without_a_traceback(self, argv, scalar_path):
-        # e.g. ``convrate schedule ... | head -n 1``: the CSV is far longer than a pipe buffer
-        import convrate
+def _in_both_modes(cases: dict[str, object]) -> list:
+    """The parameters ``(value, unbuffered)`` of each case: buffered under the case's id,
+    and with ``PYTHONUNBUFFERED`` under the id with ``-unbuffered`` appended."""
+    return [pytest.param(value, unbuffered, id=name + "-unbuffered" * unbuffered)
+            for name, value in cases.items() for unbuffered in (False, True)]
 
-        env = dict(os.environ, PYTHONPATH=str(Path(convrate.__file__).resolve().parents[1]))
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv, unbuffered", _in_both_modes({
+        "schedule": ["schedule", "{system}", "--rho-hat", "0.9", "--alpha-hat", "2",
+                     "--steps", "100000"],
+        "simulate": ["simulate", "{system}", "--sigma", "mk-worst:1,2", "--steps", "100000"],
+    }))
+    def test_reader_closing_the_pipe_is_exit_1_without_a_traceback(self, argv, unbuffered,
+                                                                   scalar_path):
+        # e.g. ``convrate schedule ... | head -n 1``: the CSV is far longer than a pipe buffer
         command = [sys.executable, "-m", "convrate", *(a.format(system=scalar_path) for a in argv)]
         with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as process:
+                              env=_convrate_env(unbuffered)) as process:
             assert process.stdout.readline().startswith(b"k,")
             process.stdout.close()
             err = process.stderr.read()
@@ -1070,20 +1076,18 @@ class TestForkedStreams:
         assert len(forks) == 1 and _reaped(forks[0])
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-    @pytest.mark.parametrize("stop", ["closed pipe", "interrupt"])
+    @pytest.mark.parametrize("stop, unbuffered", _in_both_modes({
+        "closed pipe": "closed pipe", "interrupt": "interrupt"}))
     @pytest.mark.parametrize("command", ["simulate", "schedule"])
-    def test_no_child_outlives_an_early_stop(self, command, stop, paths):
+    def test_no_child_outlives_an_early_stop(self, command, stop, unbuffered, paths):
         # ``| head -n 1``, or Ctrl-C on the command alone, while the stream is running
-        import convrate
-
         argv = {"simulate": ["simulate", paths["bounded"], "--sigma", "mk-worst:1,2",
                              "--steps", "1000000", "--w", "seed:7"],
                 "schedule": ["schedule", paths["scalar"], "--rho-hat", "0.9", "--alpha-hat",
                              "2", "--steps", "1000000"]}[command]
-        env = dict(os.environ, PYTHONPATH=str(Path(convrate.__file__).resolve().parents[1]))
         with subprocess.Popen([sys.executable, "-m", "convrate", *argv],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as process:
+                              env=_convrate_env(unbuffered)) as process:
             assert process.stdout.readline().startswith(b"k,")
             children = _children(process.pid)
             assert len(children) == 1

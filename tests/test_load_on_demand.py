@@ -13,7 +13,7 @@ import pytest
 
 import convrate
 from conftest import loaded_modules, probe
-from convrate import cli, scheduler
+from convrate import cli, counterexample, scheduler
 
 #: The public names of the package, by the module that defines them.
 EXPORTS = {
@@ -91,6 +91,16 @@ class TestCommandLine:
         assert code == 0
         assert "convrate.sequences" in loaded
         assert "numpy.ma" not in loaded
+
+    def test_merging_search_loads_no_masked_arrays_or_random(self, tmp_path):
+        # the demo's modes repeat products, so the walk merges nodes at every level
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"modes": [{"id": mode, "A": matrix.tolist()} for mode, matrix
+                                              in counterexample.system().modes.items()]}))
+        code, loaded = cli_modules("jsr", str(path), "--m", "1", "--K", "2", "--length", "24")
+        assert code == 0
+        assert "convrate.sequences" in loaded
+        assert not loaded & {"numpy.ma", "numpy.random"}
 
     def test_jsr_loads_no_scheduler_or_simulation(self, tmp_path):
         path = tmp_path / "demo.json"

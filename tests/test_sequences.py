@@ -442,6 +442,24 @@ class TestAveragedSpectralRadius:
         assert result.count == 126_099
         assert sum(eigvals_sent) < 2_000
 
+    def test_demo_merges_its_repeated_products(self, eigvals_sent):
+        # the walk merges the nodes whose window state and product bits repeat; without
+        # that, 835,509 matrices reach eigvals
+        result = averaged_spectral_radius(DEMO, MkConstraint(1, 2), 32, max_length=32)
+        assert result.count == 5_702_887
+        assert result.sequence == (1, 0) * 15 + (0, 1)
+        assert result.rho_hat == pytest.approx(0.6479444460021645, rel=1e-14)
+        assert sum(eigvals_sent) < 100
+
+    @pytest.mark.parametrize("mk", [MkConstraint(m, K) for K in range(1, 7)
+                                    for m in range(K + 1)], ids=lambda mk: f"{mk.m},{mk.K}")
+    def test_demo_equals_unpruned_walk(self, mk):
+        # the demo's products repeat at every depth, also across automaton states: a
+        # merge that ignored the state would return (1,0,0,0,1,0,0,0) at (3,4) L=8
+        for length in range(mk.K, 15):
+            assert (averaged_spectral_radius(DEMO, mk, length)
+                    == references.averaged_spectral_radius(DEMO, mk, length))
+
     def test_peak_memory_of_the_demo_search(self):
         # the walk holds at most one cache-sized block of products per level
         tracemalloc.start()

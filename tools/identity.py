@@ -19,8 +19,9 @@ The matrix:
 * ``schedule`` with every policy, exponential and practical, and an alarm;
 * ``analyze`` (``--method lyapunov`` at n=64 too), ``mk-check``, ``jsr`` and
   ``repro-counterexample`` runs, with ``jsr`` searches whose frontier spans
-  many blocks of ``sequences.EIG_CHUNK_BYTES``, and the benchmark's seed-5
-  n=8 search, where the best leaf found so far does most of the pruning;
+  many blocks of ``sequences.EIG_CHUNK_BYTES``, the benchmark's seed-5
+  n=8 search, where the best leaf found so far does most of the pruning, and
+  demo searches whose walk merges equal products;
 * every CLI refusal of ``tests/test_refusals.py`` (read from its literals),
   the ``jsr`` cap refusals and usage errors;
 * unusable ``--out`` paths, ``/dev/full`` as ``--out``, as stdout (with and
@@ -183,6 +184,11 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
     add("jsr rho_hat >= 1", "jsr", "{scalar}", "--m", "1", "--K", "2", "--length", "8")
     add("jsr demo (1,2) L=24", "jsr", "{demo}", "--m", "1", "--K", "2", "--length", "24")
     add("jsr demo (2,4) L=24", "jsr", "{demo}", "--m", "2", "--K", "4", "--length", "24")
+    # equal products at different automaton states: a merge blind to the state goes wrong
+    add("jsr demo (3,4) L=12", "jsr", "{demo}", "--m", "3", "--K", "4", "--length", "12")
+    add("jsr demo (2,3) L=12", "jsr", "{demo}", "--m", "2", "--K", "3", "--length", "12")
+    add("jsr demo (1,2) L=32", "jsr", "{demo}", "--m", "1", "--K", "2", "--length", "32",
+        "--max-length", "32")
     add("jsr benchmark jsr8 seed 5 (3,6) L=20", "jsr", "{jsr8_seed5}", "--m", "3", "--K", "6",
         "--length", "20")
     add("jsr n=8 (3,6) L=22", "jsr", "{n8}", "--m", "3", "--K", "6", "--length", "22")
