@@ -451,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", dest="max_length", type=int, default=24,
                    help="enumeration cap; lengths beyond it are refused with "
                         "the would-be sequence count")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="ignored: the pruned search runs in one process (kept so that "
-                        "existing scripts still run)")
     p.set_defaults(func=cmd_jsr)
 
     p = sub.add_parser("schedule", help="run the online scheduling gate, decisions to CSV")

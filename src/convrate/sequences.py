@@ -18,16 +18,16 @@ refused search loads no numpy; the search converts its table with
 - :func:`averaged_spectral_radius` walks it level by level: each frontier
   block is multiplied by both mode matrices with one stacked matmul, and
   the complete products go through the batched eigensolver. One byte
-  budget, ``EIG_CHUNK_BYTES``, caps the walk's blocks, the incumbent
-  batches and the exact part of the bound tables. Blocks are taken
-  depth-first, so the search holds at most one block per level, and the
-  budget is cache-sized, so that holding costs little beyond numpy itself.
+  budget, ``EIG_CHUNK_BYTES``, caps the walk's blocks and the exact part
+  of the bound tables. Blocks are taken depth-first, so the search holds
+  at most one block per level, and the budget is cache-sized, so that
+  holding costs little beyond numpy itself.
 
 The search is a branch and bound (Gripenberg, LAA 234, 1996, on the
 constrained-switching automaton of Philippe et al., Automatica 72, 2016).
-Its incumbent is the larger of two radii: the largest among the admissible
-leaves that tile a word of period at most ``INCUMBENT_PERIOD``, set before
-the walk, and the largest among the leaves the walk has visited so far. A
+One walk runs twice. Restricted to the admissible leaves that tile a word
+of period at most ``INCUMBENT_PERIOD``, it sets the first incumbent;
+unrestricted, it raises the incumbent to each larger leaf it visits. A
 table bounds, for each automaton state and remaining length, the spectral
 norm of every admissible completion's product, exactly up to
 ``NORM_BLOCK`` symbols and chained block by block beyond; the same table on
@@ -35,11 +35,12 @@ the modes' absolute values bounds the rounding the walk adds. A node whose
 Frobenius norm times that bound falls below the incumbent by more than
 ``PRUNE_MARGIN`` cannot hold the maximiser, and its completions are never
 visited; below ``PRUNE_FLOOR`` the incumbent makes the same test drop
-nothing. A node with the automaton state and the product bits of an
-earlier node of its block is merged into it, so where products coincide the
-walk is over a DAG: the demo's (1,2) L=32 search sends 36 matrices to
-``eigvals``, not 835,509. The result is bit for bit that of visiting every
-leaf: :func:`averaged_spectral_radius` gives the argument.
+nothing. In the unrestricted walk, a node with the automaton state and the
+product bits of an earlier node of its block is merged into it, so where
+products coincide the walk is over a DAG: the demo's (1,2) L=32 search
+sends 36 matrices to ``eigvals``, not 835,509. The result is bit for bit
+that of visiting every leaf: :func:`averaged_spectral_radius` gives the
+argument.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from .mk import (
 )
 from .model import SystemModel
 
-#: Byte budget of one block of products in the search: the walk's blocks, the
-#: incumbent batches and the exact part of the bound tables. It is sized to a
-#: core's cache, so a block and its transients (children, norms, eigensolver
-#: work) cost little beyond numpy itself, while a block still holds enough
-#: products for one stacked matmul or eigvals call to amortise its overhead.
+#: Byte budget of one block of products in the search: the walk's blocks and
+#: the exact part of the bound tables. It is sized to a core's cache, so a
+#: block and its transients (children, norms, eigensolver work) cost little
+#: beyond numpy itself, while a block still holds enough products for one
+#: stacked matmul or eigvals call to amortise its overhead.
 #: The demo's (1,2) L=24 search peaks at 2.7 MiB under tracemalloc (10.5 MiB
 #: at 4 MiB), with the same results.
 EIG_CHUNK_BYTES = 1 << 19
@@ -78,9 +79,9 @@ PRUNE_MARGIN = 1e-6
 #: below this prunes nothing, and a node whose squared Frobenius norm is
 #: below it (squares of its entries may have flushed to zero) is kept.
 PRUNE_FLOOR = 2.0**-900
-#: Longest period of the words tiled into the search's first incumbent. The walk
-#: raises the incumbent to each larger leaf it finds, so the tilings need only
-#: start it: over the benchmark's n=8 (3,6) L=20 searches at seeds 1-15, period 6
+#: Longest period of the words whose tilings the first, restricted walk visits. The
+#: second walk raises the incumbent to each larger leaf it finds, so the tilings need
+#: only start it: over the benchmark's n=8 (3,6) L=20 searches at seeds 1-15, period 6
 #: took 0.53 s in all, period 10 0.66 s. Without the tilings, the walk's first leaf
 #: block starts it, and the matrices sent to ``eigvals`` rise from 22,487 to 38,611
 #: over those searches, from 76 to 4,224 for the demo's modes at (2,4) L=24, and
@@ -88,6 +89,8 @@ PRUNE_FLOOR = 2.0**-900
 INCUMBENT_PERIOD = 6
 #: Word length up to which the norm bound tables are exact.
 NORM_BLOCK = 4
+#: Probability that :func:`random_mk_sequence` skips where the window allows it.
+SKIP_PROB = 0.5
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,8 @@ def enumerate_mk_sequences(mk: MkConstraint, length: int) -> Iterator[tuple[int,
     return _paths(_window_automaton(mk, length), length)
 
 
-def random_mk_sequence(mk: MkConstraint, length: int, rng,
-                       skip_prob: float = 0.5) -> tuple[int, ...]:
-    """Random admissible sequence; skips with ``skip_prob`` where the window allows.
+def random_mk_sequence(mk: MkConstraint, length: int, rng) -> tuple[int, ...]:
+    """Random admissible sequence; skips with ``SKIP_PROB`` where the window allows.
 
     The window check is applied from the first symbol on (not only once a
     window is complete), so the result never paints itself into a corner
@@ -177,7 +179,7 @@ def random_mk_sequence(mk: MkConstraint, length: int, rng,
     for _ in range(length):
         window = out[-(K - 1):] if K > 1 else []
         can_skip = sum(window) + 1 <= m_bar
-        out.append(1 if can_skip and rng.random() < skip_prob else 0)
+        out.append(1 if can_skip and rng.random() < SKIP_PROB else 0)
     return tuple(out)
 
 
@@ -217,6 +219,8 @@ def _norm_table(pair: tuple[np.ndarray, np.ndarray], table: np.ndarray, length: 
     entries[0] = 1.0  # the empty word: the identity
     products = np.eye(pair[0].shape[0])[np.newaxis]
     ends = np.arange(table.shape[1])[np.newaxis]  # [word, start state], -1 once dead
+    # by word, not by the walk: a word's product is the same from every start state,
+    # and the walk run from each of up to 2,048 states would hold that many copies
     for r in range(1, min(block, length) + 1):
         products = np.concatenate([np.matmul(mode, products) for mode in pair])
         ends = np.concatenate([np.where(ends >= 0, table[sym, ends], -1) for sym in (0, 1)])
@@ -228,41 +232,6 @@ def _norm_table(pair: tuple[np.ndarray, np.ndarray], table: np.ndarray, length: 
         entries[r] = np.where(ends >= 0, norms[:, np.newaxis] * entries[r - block][ends],
                               -np.inf).max(axis=0)
     return np.maximum(entries, PRUNE_FLOOR)  # a product that underflowed bounds nothing
-
-
-def _incumbent(execute: np.ndarray, skip: np.ndarray, table: np.ndarray, length: int,
-               chunk: int) -> float:
-    """Largest radius among the admissible leaves that tile a short word.
-
-    Every word of period at most ``INCUMBENT_PERIOD`` is repeated out to
-    ``length``; the admissible results, each once, go in batches of
-    ``chunk`` through the eigensolver.
-
-    The products are formed as the walk forms them, one stacked matmul per
-    symbol from the identity, so each radius is bit for bit the one the
-    walk computes for that leaf.
-    """
-    positions = np.arange(length)
-    # return_index: without it np.unique imports numpy.ma, for a check that no
-    # plain array needs
-    words = np.unique(np.concatenate([
-        (np.arange(1 << period)[:, np.newaxis] >> positions % period) & 1
-        for period in range(1, min(INCUMBENT_PERIOD, length) + 1)
-    ]), axis=0, return_index=True)[0]
-    states = np.zeros(len(words), dtype=np.int64)
-    for depth in range(length):
-        states = np.where(states >= 0, table[words[:, depth], states], -1)
-    words = words[states >= 0]  # never empty: executing throughout is admissible
-    best = 0.0
-    for start in range(0, len(words), chunk):
-        batch = words[start:start + chunk]
-        products = np.tile(np.eye(execute.shape[0]), (len(batch), 1, 1))
-        for depth in range(length):
-            skips = batch[:, depth] == 1
-            products[~skips] = np.matmul(execute, products[~skips])
-            products[skips] = np.matmul(skip, products[skips])
-        best = max(best, float(np.abs(np.linalg.eigvals(products)).max()))
-    return best
 
 
 def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
@@ -277,21 +246,22 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
     of complete products goes through the batched eigensolver.
 
     A block holds as many products as fit in ``EIG_CHUNK_BYTES``, the one
-    byte budget, which the set-up below (incumbent batches, the exact part
-    of the bound tables) keeps to as well. A block is halved until its
-    children fit in one block, and the halves are taken depth-first, so
-    the walk holds at most one block of products per level. The budget is
-    cache-sized: the results do not depend on how the frontier is split,
-    and a larger block only raises the peak memory.
+    byte budget, which the exact part of the bound tables keeps to as
+    well. A block is halved until its children fit in one block, and the
+    halves are taken depth-first, so the walk holds at most one block of
+    products per level. The budget is cache-sized: the results do not
+    depend on how the frontier is split, and a larger block only raises
+    the peak memory.
 
     Ties go to the first maximiser in descending order: the first
     ``argmax`` within a block, a strictly larger radius across blocks.
 
-    Branch and bound. The incumbent starts as the largest radius among the
-    admissible leaves that tile a short word (:func:`_incumbent`), and is
-    raised to each larger radius the walk finds at a leaf. A node
-    at state ``s`` with product ``P`` and ``r`` symbols left, a leaf
-    included (``r = 0``), is dropped when
+    Branch and bound. One walk (:func:`_walk`) runs twice: over the
+    tilings of the words of period at most ``INCUMBENT_PERIOD``, where its
+    largest leaf radius starts the incumbent, then over every word,
+    raising the incumbent to each larger radius it finds at a leaf. In
+    either walk a node at state ``s`` with product ``P`` and ``r`` symbols
+    left, a leaf included (``r = 0``), is dropped when
     ``||P||_F * B[r, s] < incumbent * (1 - PRUNE_MARGIN)``; its completions
     are never visited. ``count`` is :func:`count_mk_sequences`, since every
     admissible sequence is either a visited leaf or below a dropped node.
@@ -312,30 +282,29 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
       of the norms and of the tables.
 
     So a dropped node holds only leaves whose radius, as the walk computes
-    it, is below the incumbent. The incumbent's radii are the walk's own,
-    bit for bit: the tilings' by construction, the best leaf's because the
-    walk computed it. So the incumbent never exceeds the walk's maximum.
-    Every leaf that attains the maximum is still visited, in the same
-    order, and ``rho_hat``, the attaining sequence, the tie rule and
+    it, is below the incumbent, and the incumbent, found by the same walk,
+    never exceeds the walk's maximum. Each walk still visits every leaf
+    that attains its maximum, in the same order: the restricted one keeps
+    its maximum, and ``rho_hat``, the attaining sequence, the tie rule and
     ``count`` are exactly those of the unpruned walk. Where underflow could
     break that argument nothing is dropped (``PRUNE_FLOOR``); an incumbent
     below it, as with nilpotent modes, sets a zero threshold, which drops
     nothing.
 
-    Merging. A node with the state and the product bits of an earlier node
-    of its block is dropped too; the first in frontier order is kept. The
-    two have the same subtree, leaf for leaf and bit for bit, with the same
-    pruning decisions under a floor that only rises, and the dropped node's
-    leaves come after the kept node's in descending order. So under the
-    first-maximiser rule they can neither hold the result nor raise the
-    incumbent first, and below a pruned node they are below the incumbent:
-    the result stays that of the unpruned walk. Bits that differ, as
-    ``-0.0`` and ``+0.0``, never merge, and nothing is kept across blocks.
-    Only a block in which two products share their top-left entry is
-    searched (orthogonal modes share the squared norm in nearly every
-    block): its rows of state and product bits are sorted stably by an
-    integer fingerprint, and a row equal to the one before it is a repeat.
-    A missed repeat costs work, not the result.
+    Merging. In the unrestricted walk, a node with the state and the
+    product bits of an earlier node of its block is dropped too; the first
+    in frontier order is kept. The two have the same subtree, leaf for leaf
+    and bit for bit, with the same pruning decisions under a floor that
+    only rises, and the dropped node's leaves come after the kept node's in
+    descending order. So under the first-maximiser rule they can neither
+    hold the result nor raise the incumbent first, and below a pruned node
+    they are below the incumbent: the result stays that of the unpruned
+    walk. Bits that differ, as ``-0.0`` and ``+0.0``, never merge, and
+    nothing is kept across blocks. Only a block in which two products share
+    their top-left entry is searched (orthogonal modes share the squared
+    norm in nearly every block): its rows of state and product bits are
+    sorted stably by an integer fingerprint, and a row equal to the one
+    before it is a repeat. A missed repeat costs work, not the result.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
@@ -354,8 +323,6 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
 
     table = np.array(_window_automaton(mk, length))
     execute, skip = system.modes[0], system.modes[1]
-    incumbent = _incumbent(execute, skip, table, length, chunk)
-    floor = incumbent * (1.0 - PRUNE_MARGIN) if incumbent >= PRUNE_FLOOR else 0.0
     block = max(1, min(NORM_BLOCK, chunk.bit_length() - 1))  # 2^block products
     unit = np.finfo(float).eps / 2
     gamma = n * unit / (1.0 - n * unit)
@@ -364,6 +331,19 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
         bound = (_norm_table((execute, skip), table, length, block)
                  + 2.0 * eta[:, np.newaxis]
                  * _norm_table((np.abs(execute), np.abs(skip)), table, length, block))
+    floor = _walk(execute, skip, table, bound, length, chunk, 0.0, INCUMBENT_PERIOD)[2]
+    best_radius, best_bits, _ = _walk(execute, skip, table, bound, length, chunk, floor, 0)
+    sequence = tuple((best_bits >> i) & 1 for i in range(length))
+    return JsrResult(best_radius ** (1.0 / length), sequence, count_mk_sequences(mk, length))
+
+
+def _walk(execute: np.ndarray, skip: np.ndarray, table: np.ndarray, bound: np.ndarray,
+          length: int, chunk: int, floor: float, period: int) -> tuple[float, int, float]:
+    """The walk of :func:`averaged_spectral_radius` from ``floor``: its best leaf's radius
+    and packed bits, and the floor they set. With ``period > 0`` it visits only the
+    prefixes of the words of period at most ``period``, and merges nothing: its filter
+    reads the bits, so two nodes with equal products may have different subtrees."""
+    n = execute.shape[0]
     # bit i of a node's packed bits is symbol i; wider than int64 past 63 symbols
     bits_dtype = np.int64 if length <= 63 else object
     # fingerprint weights: odd multiples of 2^64 / phi; the sums wrap
@@ -385,7 +365,10 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
             dropped = ((np.sqrt(squares) * bound[length - depth, states] < floor)
                        & (squares >= PRUNE_FLOOR))
         corners = np.sort(products[:, 0, 0])
-        if (corners[1:] == corners[:-1]).any():  # repeats share every entry
+        if period:  # symbol i repeats symbol i - p for some p <= period
+            dropped |= ~np.any([((bits ^ bits >> p) & ((1 << max(0, depth - p)) - 1)) == 0
+                                for p in range(1, period + 1)], axis=0)
+        elif (corners[1:] == corners[:-1]).any():  # repeats share every entry
             rows = np.column_stack([states, products.reshape(len(states), -1).view(np.int64)])
             order = np.argsort(rows @ weights, kind="stable")
             rows = rows[order]
@@ -420,5 +403,4 @@ def averaged_spectral_radius(system: SystemModel, mk: MkConstraint, length: int,
         child_bits[at_execute] = bits
         child_bits[at_skip] = bits[can_skip] | (1 << depth)
         stack.append((depth + 1, child_products, child_states, child_bits))
-    sequence = tuple((best_bits >> i) & 1 for i in range(length))
-    return JsrResult(best_radius ** (1.0 / length), sequence, count_mk_sequences(mk, length))
+    return best_radius, best_bits, floor

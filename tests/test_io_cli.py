@@ -1176,36 +1176,26 @@ class TestJsrCommand:
         assert "sequences evaluated: 55" in out
 
     def test_parallel_matches_serial(self, demo_path, capsys):
-        # --jobs N once split the search over worker processes; it is now
-        # ignored, and (2,4) L=12 still ties the skip-first and execute-first
-        # patterns, resolved to the first in descending order
-        outputs = []
-        for jobs in ("1", "2", "3"):
-            code = run(["jsr", demo_path, "--m", "2", "--K", "4", "--length", "12",
-                        "--jobs", jobs])
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert "attained by sigma = 1,1,0,0,1,1,0,0,1,1,0,0" in outputs[0]
-        assert "sequences evaluated: 838" in outputs[0]
+        # the search runs in one process; (2,4) L=12 ties the skip-first and
+        # execute-first patterns, resolved to the first in descending order
+        code = run(["jsr", demo_path, "--m", "2", "--K", "4", "--length", "12"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "attained by sigma = 1,1,0,0,1,1,0,0,1,1,0,0" in out
+        assert "sequences evaluated: 838" in out
 
     @pytest.mark.parametrize("m, K", [(1, 3), (2, 3), (3, 4)])
     def test_parallel_matches_serial_on_scalar_ties(self, m, K, tmp_path, capsys):
         # halving and doubling cancel, so many sequences tie; with m_bar < K-1
-        # some short prefixes admit no completion. Every --jobs value prints
-        # the bytes of the unpruned walk.
+        # some short prefixes admit no completion. The search prints the
+        # bytes of the unpruned walk.
         system = SystemModel(modes={0: [[0.5]], 1: [[2.0]]})
         path = tmp_path / "halve-double.json"
         save_system(system, path)
-        outputs = []
-        for jobs in ("1", "2", "3"):
-            code = run(["jsr", str(path), "--m", str(m), "--K", str(K), "--length", "9",
-                        "--jobs", jobs])
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        code = run(["jsr", str(path), "--m", str(m), "--K", str(K), "--length", "9"])
+        assert code == 0
         reference = references.averaged_spectral_radius(system, MkConstraint(m, K), 9)
-        assert outputs[0] == (
+        assert capsys.readouterr().out == (
             f"rho_hat_9({m},{K}) = {reference.rho_hat!r}\n"
             f"attained by sigma = {','.join(map(str, reference.sequence))}\n"
             f"sequences evaluated: {reference.count}\n")
@@ -1306,8 +1296,7 @@ class TestScheduleCommand:
     def test_jsr_jobs_runs_in_one_process(self, demo_path):
         loaded = loaded_modules(
             "from convrate.cli import run\n"
-            f"assert run(['jsr', {demo_path!r}, '--m', '1', '--K', '2', '--length', '8', "
-            "'--jobs', '2']) == 0")
+            f"assert run(['jsr', {demo_path!r}, '--m', '1', '--K', '2', '--length', '8']) == 0")
         assert not loaded & {"concurrent.futures", "multiprocessing"}
 
 

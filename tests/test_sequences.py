@@ -87,13 +87,39 @@ def reference_search(system, mk, length):
 def chunked_search(system, mk, length, chunk):
     """The search with a byte budget of ``chunk`` products, or the default one for None.
 
-    A small budget shrinks the walk's blocks, the incumbent batches and the
-    exact part of the bound tables alike.
+    A small budget shrinks the blocks of both walks and the exact part of the
+    bound tables alike.
     """
     with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
         if chunk is not None:
             patch.setattr(sequences, "EIG_CHUNK_BYTES", chunk * 8 * system.n**2)
         return averaged_spectral_radius(system, mk, length)
+
+
+def restricted_walk(system, mk, length, period):
+    """The radius of the search's first walk, over the tilings of the words of period at
+    most ``period``: the incumbent it starts the second walk from."""
+    found = []
+    walk = sequences._walk
+
+    def recording(*args):
+        found.append(walk(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
+        patch.setattr(sequences, "INCUMBENT_PERIOD", period)
+        patch.setattr(sequences, "_walk", recording)
+        averaged_spectral_radius(system, mk, length, max_length=length)
+    return found[0][0]
+
+
+def best_tiling(system, mk, length, period):
+    """The largest radius among the admissible sequences that tile a word of period at
+    most ``period``, each product formed by :func:`transition_product`."""
+    tilings = {tuple(word[i % len(word)] for i in range(length))
+               for p in range(1, period + 1) for word in itertools.product((0, 1), repeat=p)}
+    return max(float(np.max(np.abs(np.linalg.eigvals(transition_product(system, seq)))))
+               for seq in tilings if validate_mk(seq, mk))
 
 
 @st.composite
@@ -278,15 +304,17 @@ class TestCount:
 
 class TestRandomSequences:
     @pytest.mark.parametrize("seed", range(10))
-    def test_always_admissible(self, seed):
+    def test_always_admissible(self, seed, monkeypatch):
+        monkeypatch.setattr(sequences, "SKIP_PROB", 0.9)
         rng = np.random.default_rng(seed)
         for mk in (MkConstraint(1, 2), MkConstraint(2, 4), MkConstraint(1, 5)):
-            seq = random_mk_sequence(mk, 40, rng, skip_prob=0.9)
+            seq = random_mk_sequence(mk, 40, rng)
             assert validate_mk(seq, mk)
 
-    def test_contains_skips_when_allowed(self):
+    def test_contains_skips_when_allowed(self, monkeypatch):
+        monkeypatch.setattr(sequences, "SKIP_PROB", 1.0)
         rng = np.random.default_rng(7)
-        seq = random_mk_sequence(MkConstraint(1, 2), 50, rng, skip_prob=1.0)
+        seq = random_mk_sequence(MkConstraint(1, 2), 50, rng)
         assert sum(seq) == skip_count_bound(MkConstraint(1, 2), 50)
 
 
@@ -513,3 +541,26 @@ class TestAveragedSpectralRadius:
         result = chunked_search(system, mk, length, chunk)
         assert result.sequence == sequence
         assert result.rho_hat == radius ** (1 / length)
+
+    @given(wide_search_cases(matrix_pairs()), st.sampled_from([1, 2, 3, 6]))
+    @settings(max_examples=100, deadline=None)
+    def test_restricted_walk_finds_the_best_tiling(self, case, period):
+        (A0, A1), mk, length = case
+        system = SystemModel(modes={0: A0, 1: A1})
+        incumbent = restricted_walk(system, mk, length, period)
+        assert incumbent == pytest.approx(best_tiling(system, mk, length, period),
+                                          rel=1e-12, abs=0)
+        reference = references.averaged_spectral_radius(system, mk, length)
+        assert incumbent ** (1.0 / length) <= reference.rho_hat
+
+    @pytest.mark.parametrize("length, radius", [(24, 2.384781837463379e-4),
+                                                (70, 3.3889788219644557e-18)])
+    def test_restricted_walk_on_the_demo(self, length, radius):
+        # the restricted walk must not merge: equal products under different bits have
+        # different tilings below them, and a merge drops the incumbent at L=24 to 5.96e-8;
+        # at L=70 the bits are Python integers (object dtype)
+        mk, period = MkConstraint(1, 2), sequences.INCUMBENT_PERIOD
+        incumbent = restricted_walk(DEMO, mk, length, period)
+        assert incumbent == pytest.approx(radius, rel=1e-12, abs=0)
+        assert incumbent == pytest.approx(best_tiling(DEMO, mk, length, period),
+                                          rel=1e-12, abs=0)

@@ -20,8 +20,9 @@ The matrix:
 * ``analyze`` (``--method lyapunov`` at n=64 too), ``mk-check``, ``jsr`` and
   ``repro-counterexample`` runs, with ``jsr`` searches whose frontier spans
   many blocks of ``sequences.EIG_CHUNK_BYTES``, the benchmark's seed-5
-  n=8 search, where the best leaf found so far does most of the pruning, and
-  demo searches whose walk merges equal products;
+  n=8 search, where the best leaf found so far does most of the pruning,
+  demo searches whose walk merges equal products (one past 63 symbols),
+  and the 2,048-state automaton of (1,12);
 * every CLI refusal of ``tests/test_refusals.py`` (read from its literals),
   the ``jsr`` cap refusals and usage errors;
 * unusable ``--out`` paths, ``/dev/full`` as ``--out``, as stdout (with and
@@ -189,6 +190,11 @@ def matrix(work: Path) -> tuple[list[Case], dict[str, str]]:
     add("jsr demo (2,3) L=12", "jsr", "{demo}", "--m", "2", "--K", "3", "--length", "12")
     add("jsr demo (1,2) L=32", "jsr", "{demo}", "--m", "1", "--K", "2", "--length", "32",
         "--max-length", "32")
+    # packed bits past 63 symbols are Python integers, under the tiling filter too
+    add("jsr demo (1,2) L=70", "jsr", "{demo}", "--m", "1", "--K", "2", "--length", "70",
+        "--max-length", "70")
+    # the widest automaton: 2,048 states
+    add("jsr (1,12) L=14", "jsr", "{bounded}", "--m", "1", "--K", "12", "--length", "14")
     add("jsr benchmark jsr8 seed 5 (3,6) L=20", "jsr", "{jsr8_seed5}", "--m", "3", "--K", "6",
         "--length", "20")
     add("jsr n=8 (3,6) L=22", "jsr", "{n8}", "--m", "3", "--K", "6", "--length", "22")
