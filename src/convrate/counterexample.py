@@ -47,8 +47,7 @@ def system() -> SystemModel:
     a, c = A_VALUE, C_VALUE
     A0 = np.array([[a, 0.0, a], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     A1 = np.array([[a, 0.0, 0.0], [c, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return SystemModel(modes={0: A0, 1: A1}, name="demo-counterexample",
-                       labels={0: "execute", 1: "skip"})
+    return SystemModel(modes={0: A0, 1: A1}, labels={0: "execute", 1: "skip"})
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ A system document is a single hand-editable JSON file:
       "cost_weight_Q": [[1.0]]
     }
 
-Only ``name`` and ``modes`` are required; other keys are ignored.
-Documents written by :func:`save_system` re-parse to an identical
-:class:`SystemModel` (floats round-trip exactly through JSON).
+Only ``modes`` is required; ``name`` must be a string, and other keys are
+ignored.
 
 The parser checks the JSON shape: types, required keys, unique mode ids
 and square lists of numbers. :class:`SystemModel` checks the meaning (mode
@@ -67,8 +66,7 @@ def _as_matrix(value, context: str) -> list[list[float]]:
 def system_from_document(doc: dict) -> SystemModel:
     """Validate a parsed document and build the system it describes."""
     _require(isinstance(doc, dict), "document root must be an object")
-    name = doc.get("name", "system")
-    _require(isinstance(name, str), "name: expected a string")
+    _require(isinstance(doc.get("name", ""), str), "name: expected a string")
     raw_modes = doc.get("modes")
     _require(isinstance(raw_modes, list) and raw_modes,
              "modes: expected a non-empty list of mode objects")
@@ -96,28 +94,9 @@ def system_from_document(doc: dict) -> SystemModel:
         _as_matrix(cost, "cost_weight_Q")
     try:
         return SystemModel(modes=modes, disturbance_bound=bound, cost_weight=cost,
-                           name=name, labels=labels)
+                           labels=labels)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-
-
-def system_to_document(system: SystemModel) -> dict:
-    doc: dict = {
-        "name": system.name,
-        "modes": [
-            {
-                "id": mode,
-                "label": system.labels.get(mode, f"mode-{mode}"),
-                "A": system.modes[mode].tolist(),
-            }
-            for mode in system.mode_ids()
-        ],
-    }
-    if system.disturbance_bound is not None:
-        doc["disturbance_bound"] = system.disturbance_bound
-    if system.cost_weight is not None:
-        doc["cost_weight_Q"] = system.cost_weight.tolist()
-    return doc
 
 
 def load_system(path) -> SystemModel:
@@ -131,10 +110,6 @@ def load_system(path) -> SystemModel:
         return system_from_document(doc)
     except DocumentError as exc:
         raise DocumentError(f"{path}: {exc}") from None
-
-
-def save_system(system: SystemModel, path) -> None:
-    Path(path).write_text(json.dumps(system_to_document(system), indent=2) + "\n")
 
 
 def params_to_document(params: AbstractionParams) -> dict:

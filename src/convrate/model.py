@@ -23,7 +23,7 @@ from .linalg import as_square_matrix, check_psd, cholesky
 METHODS = ("nominal", "robustness", "lyapunov")
 
 
-@dataclass
+@dataclass(eq=False)
 class SystemModel:
     """Mode-indexed family of square transition matrices plus metadata.
 
@@ -38,13 +38,12 @@ class SystemModel:
         Symmetric positive semidefinite weight of the quadratic cost
         ``x.T Q x``, when a cost is tracked.
     labels : dict[int, str]
-        Human-readable mode names, used by the document format.
+        Human-readable mode names, which ``analyze`` prints.
     """
 
     modes: dict[int, np.ndarray]
     disturbance_bound: float | None = None
     cost_weight: np.ndarray | None = None
-    name: str = "system"
     labels: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -82,29 +81,11 @@ class SystemModel:
         """State dimension."""
         return self.modes[0].shape[0]
 
-    def mode_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.modes))
-
     def matrix(self, mode: int) -> np.ndarray:
         try:
             return self.modes[mode]
         except KeyError:
             raise KeyError(f"mode {mode} is not declared by this system") from None
-
-    def __eq__(self, other):
-        if not isinstance(other, SystemModel):
-            return NotImplemented
-        if self.mode_ids() != other.mode_ids():
-            return False
-        if any(not np.array_equal(self.modes[m], other.modes[m]) for m in self.modes):
-            return False
-        if (self.cost_weight is None) != (other.cost_weight is None):
-            return False
-        if self.cost_weight is not None and not np.array_equal(self.cost_weight, other.cost_weight):
-            return False
-        return (self.disturbance_bound == other.disturbance_bound
-                and self.name == other.name
-                and self.labels == other.labels)
 
 
 def w_bar_series(w_bar, steps: int) -> np.ndarray:
@@ -125,7 +106,7 @@ def w_bar_series(w_bar, steps: int) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class AbstractionParams:
     """Scalar parameters of the one-dimensional comparison dynamics.
 
@@ -137,7 +118,7 @@ class AbstractionParams:
     "robustness", or "lyapunov"); ``lyapunov_P`` holds the quadratic-form
     matrix exactly when the Lyapunov route was used. ``diagnostics`` is a
     free-form dict for construction by-products (k_tilde, alpha_min,
-    condition numbers, warnings) and is excluded from equality.
+    condition numbers, warnings).
     """
 
     alpha: float
@@ -170,13 +151,6 @@ class AbstractionParams:
                 cholesky(self.lyapunov_P)
             except NotPositiveDefiniteError as exc:
                 raise ParameterError(f"lyapunov_P must be positive definite: {exc}") from None
-
-    def __eq__(self, other):
-        if not isinstance(other, AbstractionParams):
-            return NotImplemented
-        return ((self.alpha, self.beta, self.rho, self.method)
-                == (other.alpha, other.beta, other.rho, other.method)
-                and np.array_equal(self.lyapunov_P, other.lyapunov_P))
 
     def mode_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.rho))

@@ -93,18 +93,6 @@ NORM_BLOCK = 4
 SKIP_PROB = 0.5
 
 
-@dataclass(frozen=True)
-class SequenceValidation:
-    """Falsy when some window overflows; reports the first violating window."""
-
-    ok: bool
-    violation_start: int | None = None
-    window_sum: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _as_binary(seq: Sequence[int]) -> tuple[int, ...]:
     out = []
     for entry in seq:
@@ -116,20 +104,17 @@ def _as_binary(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def validate_mk(seq: Sequence[int], mk: MkConstraint) -> SequenceValidation:
-    """Check every complete K-window for at most ``m_bar`` skips."""
+def validate_mk(seq: Sequence[int], mk: MkConstraint) -> bool:
+    """Whether every complete K-window holds at most ``m_bar`` skips."""
     seq = _as_binary(seq)
     K, m_bar = mk.K, mk.m_bar
-    if len(seq) < K:
-        return SequenceValidation(True)
-    window = sum(seq[:K])
-    if window > m_bar:
-        return SequenceValidation(False, 0, window)
-    for start in range(1, len(seq) - K + 1):
-        window += seq[start + K - 1] - seq[start - 1]
+    window = sum(seq[:K - 1])
+    for start in range(len(seq) - K + 1):
+        window += seq[start + K - 1]
         if window > m_bar:
-            return SequenceValidation(False, start, window)
-    return SequenceValidation(True)
+            return False
+        window -= seq[start]
+    return True
 
 
 def worst_case_sequence(mk: MkConstraint, length: int) -> tuple[int, ...]:
@@ -364,11 +349,11 @@ def _walk(execute: np.ndarray, skip: np.ndarray, table: np.ndarray, bound: np.nd
             squares = np.einsum("kij,kij->k", products, products)
             dropped = ((np.sqrt(squares) * bound[length - depth, states] < floor)
                        & (squares >= PRUNE_FLOOR))
-        corners = np.sort(products[:, 0, 0])
         if period:  # symbol i repeats symbol i - p for some p <= period
             dropped |= ~np.any([((bits ^ bits >> p) & ((1 << max(0, depth - p)) - 1)) == 0
                                 for p in range(1, period + 1)], axis=0)
-        elif (corners[1:] == corners[:-1]).any():  # repeats share every entry
+        elif ((corners := np.sort(products[:, 0, 0]))[1:] == corners[:-1]).any():
+            # repeats share every entry
             rows = np.column_stack([states, products.reshape(len(states), -1).view(np.int64)])
             order = np.argsort(rows @ weights, kind="stable")
             rows = rows[order]

@@ -5,7 +5,7 @@ from convrate import counterexample
 def test_system_shape():
     demo = counterexample.system()
     assert demo.n == 3
-    assert demo.mode_ids() == (0, 1)
+    assert sorted(demo.modes) == [0, 1]
     assert spectral_radius(demo.modes[0]) == 0.5
 
 

@@ -4,9 +4,11 @@ Every name a module of the package, a test file or a tool imports is used in
 that file: a stdlib ``ast`` check stands in for the unused-import rule of a
 linter (``__init__.py`` only re-exports). Every module-level private name is
 used somewhere in the package, so a half-removed second code path cannot
-linger. Every public name has a caller outside the tests, or a reason on
-a keep table. The CLI reads only public names of the modules it drives, and ``io``
-none of the streams whose blocks it writes; no module calls ``vars()``. And each
+linger. Every public name of the package has a caller outside the tests, or a
+reason on a keep table: each module-level function, class and constant, and
+each method, property and dataclass field of a public class. The CLI reads
+only public names of the modules it drives, and ``io`` none of the streams
+whose blocks it writes; no module calls ``vars()``. And each
 shared validation rule has one copy: the scalar range check in
 ``errors.py``, the ``w_bar`` series rule in ``model.py``, the sequence
 length check in ``mk.py`` and the undeclared-mode error in ``model.py``.
@@ -25,9 +27,9 @@ import convrate
 PACKAGE = Path(convrate.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-#: The test files and the tools, by their path from the repository root.
-SUPPORT = sorted(path.relative_to(ROOT).as_posix()
-                 for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+#: The test files, the tools and the benchmark, by their path from the repository root.
+SUPPORT = sorted(path.relative_to(ROOT).as_posix() for folder in ("tests", "tools", "perfbench")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,6 +62,17 @@ def test_check_sees_unused_and_used_names():
     assert unused_imports(source) == ["os", "b", "g"]
 
 
+def _defined_names(node) -> list[str]:
+    """The names that a statement of a module or class body defines: a function, a
+    class, or the plain names an assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+    return []
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_names`` (functions, classes, constants; dunders exempt)
     that no source reads, imports or looks up as an attribute."""
@@ -67,15 +80,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = [target.id for target in
-                           (node.targets if isinstance(node, ast.Assign) else [node.target])
-                           if isinstance(target, ast.Name)]
-            else:
-                continue
-            defined += [f"{module}:{name}" for name in targets
+            defined += [f"{module}:{name}" for name in _defined_names(node)
                         if name.startswith("_") and not name.endswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -145,25 +150,59 @@ def _read_names(node, fields: set[str], local: frozenset = frozenset()) -> set[s
     return names
 
 
-def exports_without_callers(exports, sources: dict[str, str]) -> list[str]:
-    """The names of ``exports`` that no source reads, imports or looks up as an
-    attribute, outside the module-level definition of the name itself. A name that
-    the enclosing function binds itself is not a read of the export, nor is an
-    attribute named like a field of a dataclass that the sources define."""
+def public_names(sources: dict[str, str]) -> list[str]:
+    """The public names that ``sources`` define at module level (functions, classes and
+    constants), and as ``Class.name`` the public members of each public class: its
+    methods, properties and dataclass fields."""
+    names = []
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            names += [name for name in _defined_names(node) if not name.startswith("_")]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                names += [f"{node.name}.{name}" for member in node.body
+                          for name in _defined_names(member) if not name.startswith("_")]
+    return names
+
+
+def names_without_callers(names, sources: dict[str, str]) -> list[str]:
+    """The names of ``names`` that no source reads, sorted.
+
+    A module-level name is read where a source reads, imports or looks it up as an
+    attribute, outside the module-level definition of the name itself. A name that the
+    enclosing function binds itself is not a read of it, nor is an attribute named like
+    a field of a dataclass that the sources define. A member ``Class.name`` is read
+    where a source looks up (not sets) an attribute ``name``, outside a definition of
+    that name. The check matches names, not types: a member name that two
+    classes share (``mode_ids``, ``value``, ``kappa_hat``), or that any other object
+    has, is read for every class once any of them is read.
+    """
     trees = [ast.parse(source) for source in sources.values()]
     fields = set().union(*map(_dataclass_fields, trees))
-    used = set()
+    used, looked_up = set(), set()
     for tree in trees:
         for top in tree.body:
-            names = _read_names(top, fields)
+            read = _read_names(top, fields)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(top.name)
-            used |= names
-    return [name for name in exports if name not in used]
+                read.discard(top.name)
+            used |= read
+            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                looked_up |= {node.attr for node in ast.walk(part)
+                              if isinstance(node, ast.Attribute)
+                              and not isinstance(node.ctx, ast.Store)} - set(_defined_names(part))
+    return sorted({name for name in names
+                   if name.rpartition(".")[2] not in (looked_up if "." in name else used)})
 
 
 #: Public names with no caller outside the tests, and why each stays.
 KEEP = {
+    "MkConstraint.scaled": "acceptance criterion 3",
+    "ScheduleRun.alarm_fired": "acceptance criterion 8",
+    "SupervisorReport.reason": "test_scheduler checks the step path's alarms against the "
+                               "stream's alarm column; ROADMAP item 8 decides the step API",
+    "SupervisorReport.threshold": "the alarm's threshold, next to reason; ROADMAP item 8 "
+                                  "decides the step API",
+    "Trace.meta": "perfbench/layers.py passes co_simulate's meta as its 8th positional "
+                  "argument",
     "best_mk_for_ratio": "ROADMAP item 9 gives it a caller (the design line)",
     "cost_transform": "acceptance criterion 9",
     "kappa": "README shows it as the paper's kappa_{a,b}",
@@ -173,19 +212,39 @@ KEEP = {
 }
 
 
+def _read(paths) -> dict[str, str]:
+    return {str(path): path.read_text() for path in sorted(paths)}
+
+
+#: The package's modules, outside ``__init__.py``, which only re-exports.
+PACKAGE_SOURCES = _read(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
 def test_every_public_name_has_a_caller():
-    # the package outside __init__.py, and the benchmark and the identity tool
-    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    paths += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
-    sources = {str(path): path.read_text() for path in sorted(paths)}
-    assert exports_without_callers(convrate.__all__, sources) == sorted(KEEP)
+    # callers: the package, the benchmark and the identity tool
+    callers = {**PACKAGE_SOURCES, **_read([*(ROOT / "perfbench").glob("*.py"),
+                                           *(ROOT / "tools").glob("*.py")])}
+    assert names_without_callers(public_names(PACKAGE_SOURCES), callers) == sorted(KEEP)
+
+
+def test_caller_check_covers_every_export():
+    assert set(convrate.__all__) <= set(public_names(PACKAGE_SOURCES))
+
+
+def test_public_names_are_module_names_and_members_of_public_classes():
+    sources = {"a.py": "X = 1\n_Y = 2\nZ: int = 3\ndef f():\n    pass\ndef _g():\n    pass\n"
+                       "class C:\n    k: int\n    _p: int\n    def m(self):\n        pass\n"
+                       "    @property\n    def q(self):\n        pass\n"
+                       "    def __eq__(self, other):\n        pass\n"
+                       "class _D:\n    j: int\n"}
+    assert public_names(sources) == ["X", "Z", "f", "C", "C.k", "C.m", "C.q"]
 
 
 def test_caller_check_skips_a_names_own_definition():
     sources = {"a.py": "def f():\n    return f()\nclass C:\n    pass\n"
                        "def g():\n    return h.k, C\n",
                "b.py": "from .a import i\n"}
-    assert exports_without_callers(["f", "g", "C", "k", "i"], sources) == ["f", "g"]
+    assert names_without_callers(["f", "g", "C", "k", "i"], sources) == ["f", "g"]
 
 
 def test_caller_check_skips_a_name_its_function_binds():
@@ -196,7 +255,7 @@ def test_caller_check_skips_a_name_its_function_binds():
                        "def g():\n    def h():\n        t = 1\n        return t\n"
                        "    return t, u\n"
                        "u = 2\n"}
-    assert exports_without_callers(["p", "q", "r", "s", "t", "u"], sources) == [
+    assert names_without_callers(["p", "q", "r", "s", "t", "u"], sources) == [
         "p", "q", "r", "s"]
 
 
@@ -204,7 +263,23 @@ def test_caller_check_skips_a_dataclass_field():
     sources = {"a.py": "from dataclasses import dataclass\n"
                        "@dataclass(frozen=True)\nclass T:\n    k: int\n    n: int = 0\n"
                        "def f(t):\n    return t.k, t.m, T\n"}
-    assert exports_without_callers(["k", "m", "n"], sources) == ["k", "n"]
+    assert names_without_callers(["k", "m", "n"], sources) == ["k", "n"]
+
+
+def test_caller_check_flags_an_unread_member():
+    # a method read only by itself, and a field that is only set
+    sources = {"a.py": "from dataclasses import dataclass\n"
+                       "@dataclass\nclass T:\n    k: int\n    n: int\n"
+                       "    def m(self):\n        return self.m()\n"
+                       "    def p(self):\n        return self.k\n",
+               "b.py": "from .a import T\ndef f(t):\n    t.n = 1\n    return T(1, 2).p()\n"}
+    assert names_without_callers(["T", "T.k", "T.m", "T.n", "T.p"], sources) == ["T.m", "T.n"]
+
+
+def test_caller_check_sees_a_member_read_in_another_module():
+    sources = {"a.py": "from dataclasses import dataclass\n@dataclass\nclass T:\n    k: int\n",
+               "b.py": "def f(t):\n    return t.k\n"}
+    assert names_without_callers(["T.k"], sources) == []
 
 
 def test_scalar_range_check_has_one_copy():

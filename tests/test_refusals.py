@@ -46,9 +46,11 @@ DOCUMENTS = {
     "scalar": {"modes": [{"id": 0, "A": [[0.5]]}, {"id": 1, "A": [[1.2]]}]},
     # eigenvalues +-0.5i: the dominant eigenvector is complex
     "rotation": {"modes": [{"id": 0, "A": [[0.0, -0.5], [0.5, 0.0]]}]},
+    "numbered": {"name": 7, "modes": [{"id": 0, "A": [[0.5]]}]},
 }
 
 CLI_REFUSALS = {
+    "name not a string": (["analyze", "{numbered}"], "{numbered}: name: expected a string"),
     "--Q file not JSON": (["analyze", "{scalar}", "--Q", "{not_json}"],
                           "--Q: {not_json}: Expecting value"),
     "robust without --rho": (["analyze", "{scalar}", "--method", "robust"],

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from unittest import mock
 
@@ -30,7 +31,7 @@ from convrate import (
 )
 from convrate import scheduler
 from convrate.cli import run as cli_run
-from convrate.io import CSV_BLOCK_ROWS, save_system
+from convrate.io import CSV_BLOCK_ROWS
 from convrate.scheduler import POLICIES, ScheduleStream, StepRecord, schedule_csv_lines
 from conftest import two_mode_system
 
@@ -612,7 +613,8 @@ class TestScheduleCsv:
         # more rows than one block, so the column renderer crosses a block edge
         steps = CSV_BLOCK_ROWS + 5
         system = two_mode_system(np.random.default_rng(seed), n=4)
-        save_system(system, tmp_path / "system.json")
+        (tmp_path / "system.json").write_text(json.dumps(
+            {"modes": [{"id": m, "A": A.tolist()} for m, A in system.modes.items()]}))
         params = lyapunov_abstraction(system)
         if practical:
             target, w_bar, v0 = PracticalTarget(5.0), 0.05, 1.0

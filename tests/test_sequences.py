@@ -167,10 +167,8 @@ class TestValidate:
         assert validate_mk((1, 0, 1, 0, 1, 0), MkConstraint(1, 2))
 
     def test_violation_reports_window(self):
-        check = validate_mk((1, 1, 0, 0), MkConstraint(1, 2))
-        assert not check
-        assert check.violation_start == 0
-        assert check.window_sum == 2
+        assert validate_mk((1, 1, 0, 0), MkConstraint(1, 2)) is False
+        assert validate_mk((0, 1, 0, 1, 1), MkConstraint(1, 2)) is False  # the last window
 
     def test_two_of_four(self):
         assert validate_mk((1, 1, 0, 0, 1, 1, 0, 0), MkConstraint(2, 4))
